@@ -1,14 +1,15 @@
 """spherecount benchmark: certified counts through the CLI, end to end and per layer.
 
-    python3 perfbench/run.py --workload exact-n2 --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload exact-n2 --seed 0 --seconds 30 --trace 0
 
 Run from the root of a spherecount checkout; the package is imported from
 its ``src`` directory, so nothing needs installing.  Workloads (why each was
-chosen is in BENCHMARK.json):
+chosen is in BENCHMARK.json and perfbench/REFERENCE.md):
 
     exact-n2  ``count``, exact mode, 1 worker, five linear-product n=2 systems
-    deep-n2   ``count``, exact mode, 2 workers, the (2,2) seed-0 system to k=10
     sweep-n1  ``sweep --bits 53,24,12``, 2 workers, the 20 univariate oracle forms
+    deep-n2   ``count``, exact mode, 2 workers, the (2,2) seed-0 system to k=10;
+              run by hand only, too noisy for BENCHMARK.json on a shared 2-core host
 
 The workload runs in a fresh child process (perfbench/child.py) with the BLAS
 and OpenMP pools pinned to one thread, so ``--workers`` is the only
