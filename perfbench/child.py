@@ -3,15 +3,17 @@
     python3 perfbench/child.py setup --workload W --seed N --workdir DIR
     python3 perfbench/child.py run --workload W --seed N --workdir DIR --seconds S --trace 0|1
 
-Both run from the root of a spherecount checkout with ``src`` on PYTHONPATH.
-``setup`` generates the workload's systems from the seed and writes their
-input documents; perfbench/run.py times it as a whole process.  ``run`` does
-the same set-up, then one traced warm-up pass that records the exact-repeat
-counts, then timed passes until ``--seconds`` is spent (with ``--trace 1``,
-alternating untraced and traced passes).  Every pass calls
-``spherecount.cli.main`` in process, once per input, and every verdict is
-checked against the oracle.  The last line of standard output is one JSON
-object for run.py.
+Both run from the root of a spherecount checkout with ``src`` and ``tests``
+on PYTHONPATH.  ``setup`` generates the workload's systems from the seed and
+writes their input documents; perfbench/run.py times it as a whole process.
+``run`` does the same set-up, then one untimed warm-up pass, then timed passes
+until ``--seconds`` is spent.  With ``--trace 0`` the peak resident memory is
+read at that point, before anything is traced, and one traced pass follows
+that records the exact-repeat counts.  With ``--trace 1`` untraced and traced
+passes alternate, and each traced pass records the counts and the layer
+metrics.  Every pass calls ``spherecount.cli.main`` in process, once per
+input, and every verdict is checked against the oracle.  The last line of
+standard output is one JSON object for run.py.
 """
 
 from __future__ import annotations
@@ -110,6 +112,10 @@ def run(args) -> dict:
     issues: list[str] = []
 
     def traced_pass(label):
+        """One traced pass; returns its seconds, exact-repeat counts and layer metrics.
+
+        The spans are dropped here, so none of them outlives the pass.
+        """
         t = tracer.Tracer()
         with t.installed():
             p = run_pass(workload, inputs, outdir, workers)
@@ -117,37 +123,43 @@ def run(args) -> dict:
         if any(now[name] is not fn for name, fn in originals.items()):
             issues.append("a traced function was not restored after the traced pass")
         verdicts.judge(p, label)
-        return p, tracer.SpanIndex(t.spans)
+        index = tracer.SpanIndex(t.spans)
+        return p.seconds, index.repeat_counts(), index.layer_metrics()
 
-    _, warm = traced_pass("warm-up")
-    counts = warm.repeat_counts()
+    verdicts.judge(run_pass(workload, inputs, outdir, workers), "warm-up")
 
-    untraced, traced, layers = [], [], []
+    untraced, traced, layers, counts = [], [], [], []
     start = time.perf_counter()
     while True:
         p = run_pass(workload, inputs, outdir, workers)
         verdicts.judge(p, f"pass {len(untraced) + 1}")
         untraced.append(p.seconds)
         if args.trace:
-            p, index = traced_pass(f"traced pass {len(traced) + 1}")
-            traced.append(p.seconds)
-            if index.repeat_counts() != counts:
-                issues.append("exact-repeat counts differ between passes")
-            layers.append(index.layer_metrics())
+            seconds, c, m = traced_pass(f"traced pass {len(traced) + 1}")
+            traced.append(seconds)
+            counts.append(c)
+            layers.append(m)
         elapsed = time.perf_counter() - start
         # Stop when one more round of the mean length would overrun --seconds.
         if elapsed * (1 + 1 / len(untraced)) > args.seconds:
             break
 
+    # Read before the counts pass, so that with --trace 0 no stored span counts.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if not args.trace:
+        counts.append(traced_pass("counts pass")[1])
+    if any(c != counts[0] for c in counts):
+        issues.append("exact-repeat counts differ between passes")
+
     result = {
         "solve_s": statistics.median(untraced),
         "solve_samples": untraced,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peak_rss_mb,
         "attempted": verdicts.attempted,
         "failed": verdicts.failed,
         "problems": verdicts.problems,
         "issues": issues,
-        "counts": counts,
+        "counts": counts[0],
         "cases": [c.name for c in cases],
         "workers": workers,
         "versions": {

@@ -47,7 +47,11 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 SETUP_SAMPLES = 5
-RUN_TIMEOUT_S = 150
+# Besides --seconds of timed passes, the workload process runs a warm-up pass,
+# the pass that crosses --seconds and a traced pass; this margin lets each of
+# them take about five times the seed's longest pass (exact-n2, about 10 s)
+# before the process is killed, so a slowdown is measured, not lost.
+RUN_MARGIN_S = 140
 SETUP_TIMEOUT_S = 15
 PINNED_POOLS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -55,7 +59,8 @@ PINNED_POOLS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 def child_env(root: str) -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(root, "src")
+    # tests/ for util.compose_orthogonal, which builds the inputs of seeds other than 0.
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), os.path.join(root, "tests")])
     for var in PINNED_POOLS:
         env[var] = "1"
     return env
@@ -90,6 +95,7 @@ def source_digest(root: str) -> str:
     """Hash of the program and benchmark sources, to key the exact-repeat record."""
     h = hashlib.sha256()
     files = sorted(glob.glob(os.path.join(root, "src", "spherecount", "*.py")))
+    files.append(os.path.join(root, "tests", "util.py"))
     files += sorted(glob.glob(os.path.join(HERE, "*.py")))
     for path in files:
         h.update(os.path.relpath(path, root).encode())
@@ -140,7 +146,8 @@ def main(argv=None) -> int:
     env = child_env(root)
     workdir = os.path.join(root, ".perfbench", f"{args.workload}-seed{args.seed}")
 
-    code, out = run_child(child_command("run", args, workdir), root, env, RUN_TIMEOUT_S)
+    code, out = run_child(child_command("run", args, workdir), root, env,
+                          args.seconds + RUN_MARGIN_S)
     if code != 0:
         print(f"error: workload process exited with {code}", file=sys.stderr)
         return 1

@@ -6,9 +6,13 @@ test suite defines them; any other seed composes each system with a seeded
 random orthogonal change of variables, which keeps both the ray count and the
 condition number.
 
-The univariate suite filter and the orthogonal composition repeat
-``tests/conftest.py`` and ``tests/util.py`` so that the benchmark's inputs do
-not depend on pytest or on test helpers that may move.
+The change of variables is ``random_orthogonal`` and ``compose_orthogonal``
+of ``tests/util.py``, imported from there (``tests`` is on the workload
+process's PYTHONPATH).  The systems themselves mirror ``tests/conftest.py``,
+which cannot be imported without pytest: ``_univariate_suite`` and
+``_is_squarefree`` repeat its ``univariate_suite`` fixture and
+``is_squarefree``, and ``_seed_cases`` picks its systems from
+``MULTIVARIATE_SPEC``.  Keep them in step with that file.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from spherecount import engine, oracle, polysys, sphere
+from util import compose_orthogonal, random_orthogonal
 
-# The univariate oracle suite of the test suite: 20 squarefree random binary
-# forms of degree <= 6 with grid condition estimate <= 1e3.
+# The univariate oracle suite of tests/conftest.py: 20 squarefree random
+# binary forms of degree <= 6 with grid condition estimate <= 1e3.
 UNIVARIATE_RNG_SEED = 20260826
 UNIVARIATE_SIZE = 20
 UNIVARIATE_MAX_DEGREE = 6
@@ -97,36 +100,6 @@ def _seed_cases(workload: str) -> list[Case]:
     if workload == "sweep-n1":
         return _univariate_suite()
     raise ValueError(f"unknown workload {workload!r}")
-
-
-def random_orthogonal(rng: random.Random, dim: int) -> np.ndarray:
-    rs = np.random.RandomState(rng.randrange(2**31))
-    Q, R = np.linalg.qr(rs.standard_normal((dim, dim)))
-    return Q * np.sign(np.diag(R))
-
-
-def compose_orthogonal(f: polysys.PolynomialSystem, Q: np.ndarray) -> polysys.PolynomialSystem:
-    """The system x -> f(Q x), multiplied back out into monomials."""
-    nv = f.n_vars
-    polys = []
-    for poly in f.polynomials:
-        acc: dict[tuple, float] = {}
-        for exps, c in zip(poly.exponents.tolist(), poly.coefficients.tolist()):
-            terms = {(0,) * nv: c}
-            for k, e in enumerate(exps):
-                for _ in range(e):
-                    # Multiply by the linear form (Q x)_k = sum_j Q[k, j] x_j.
-                    new: dict[tuple, float] = {}
-                    for t_exps, t_c in terms.items():
-                        for j in range(nv):
-                            key = t_exps[:j] + (t_exps[j] + 1,) + t_exps[j + 1:]
-                            new[key] = new.get(key, 0.0) + t_c * Q[k, j]
-                    terms = new
-            for key, val in terms.items():
-                acc[key] = acc.get(key, 0.0) + val
-        monomials = [polysys.Monomial(e, v) for e, v in sorted(acc.items()) if v != 0.0]
-        polys.append(polysys.Polynomial(poly.degree, monomials, n_vars=nv))
-    return polysys.PolynomialSystem(f.degrees, polys)
 
 
 def make_cases(workload: str, seed: int) -> list[Case]:
