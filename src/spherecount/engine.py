@@ -156,7 +156,10 @@ def _canonical_map(lattice: np.ndarray, half: int):
     other = np.flatnonzero(~canon_mask)
     neg_keys = _encode_lattice(-lattice[other], half)
     pos = np.searchsorted(sorted_keys, neg_keys)
-    assert np.array_equal(sorted_keys[pos], neg_keys), "grid is not antipodally closed"
+    found = pos < len(sorted_keys)
+    found[found] = sorted_keys[pos[found]] == neg_keys[found]
+    if not found.all():
+        raise InternalConsistencyError("grid is not antipodally closed")
     map_to_canon[other] = order[pos]
     return canon_rows, canon_mask, map_to_canon
 

@@ -32,8 +32,11 @@ class Monomial:
         exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
             raise SystemFormatError(f"negative exponent in {exps}")
+        c = float(coefficient)
+        if not math.isfinite(c):
+            raise SystemFormatError(f"non-finite coefficient {c} for monomial {exps}")
         self.exponents = exps
-        self.coefficient = float(coefficient)
+        self.coefficient = c
 
     def __repr__(self):
         return f"Monomial({self.exponents}, {self.coefficient})"

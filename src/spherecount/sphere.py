@@ -69,7 +69,10 @@ def grid_lattice(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
             block = np.stack([m.reshape(-1) for m in mesh], axis=1)
             blocks.append(block)
     out = np.concatenate(blocks, axis=0)
-    assert out.shape[0] == total
+    if out.shape[0] != total:
+        raise RuntimeError(
+            f"grid at level k={spec.k} enumerated {out.shape[0]} points, expected {total}"
+        )
     return out
 
 
@@ -193,7 +196,3 @@ def tangent_basis_many(X: np.ndarray, ar=EXACT) -> np.ndarray:
         H[degenerate] = np.eye(dim)[:, :n]
     return H
 
-
-def is_unit(x, tol: float = 1e-12) -> bool:
-    """SpherePoint invariant: | ||x|| - 1 | <= tol."""
-    return abs(float(np.linalg.norm(np.asarray(x, dtype=float))) - 1.0) <= tol

@@ -86,6 +86,7 @@ def multivariate_suite():
                     "count": count,
                     "rays": rays,
                     "degrees": degrees,
+                    "seed": seed,
                     "rounded_feasible": degrees in ROUNDED_FEASIBLE_DEGREES,
                 }
             )

@@ -6,18 +6,22 @@ import pytest
 
 from spherecount.alpha import (
     SingularJacobianError,
+    _bisect,
     compute_M,
     newton_refine,
     newton_step,
     point_data,
     psi,
     sigma_min,
+    sigma_min_many,
     theory_constants,
 )
 from spherecount.polysys import parse_system
 from spherecount.sphere import distance
 
-from util import random_sphere_point, random_system
+from util import random_sphere_point, random_system, svd_sigma_min_many
+
+EPS = np.finfo(float).eps
 
 
 def jacobi_sigma_min(A, sweeps=60):
@@ -76,6 +80,12 @@ def test_psi():
     assert abs(psi(0.1) - (1 - 0.4 + 0.02)) < 1e-15
 
 
+def test_bisect_rejects_bracket_without_sign_change():
+    assert abs(_bisect(lambda u: u * u - 2.0, 0.0, 2.0) - math.sqrt(2.0)) < 1e-14
+    with pytest.raises(ValueError, match="bracket"):
+        _bisect(lambda u: u * u + 1.0, 0.0, 2.0)
+
+
 def test_sigma_min_against_jacobi_oracle():
     rng = np.random.RandomState(42)
     for _ in range(100):
@@ -84,6 +94,55 @@ def test_sigma_min_against_jacobi_oracle():
         ours = sigma_min(A)
         ref = jacobi_sigma_min(A)
         assert abs(ours - ref) < 1e-9 * max(1.0, np.abs(A).max())
+
+
+def _assert_close_to_svd(M):
+    s = sigma_min_many(M)
+    assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
+    bound = 8.0 * EPS * np.linalg.norm(M, axis=(1, 2))
+    assert np.all(np.abs(s - svd_sigma_min_many(M)) <= bound)
+
+
+def test_sigma_min_2x2_gaussian():
+    rng = np.random.default_rng(7)
+    _assert_close_to_svd(rng.standard_normal((20000, 2, 2)))
+
+
+def test_sigma_min_2x2_near_singular():
+    # rank one plus size * noise, size log-uniform in [1e-15, 1e-1]
+    rng = np.random.default_rng(8)
+    m = 20000
+    u = rng.standard_normal((m, 2))
+    v = rng.standard_normal((m, 2))
+    size = 10.0 ** rng.uniform(-15.0, -1.0, m)
+    noise = rng.standard_normal((m, 2, 2))
+    _assert_close_to_svd(u[:, :, None] * v[:, None, :] + size[:, None, None] * noise)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_sigma_min_2x2_extreme_scale(scale):
+    rng = np.random.default_rng(9)
+    m = 5000
+    A = rng.standard_normal((m, 2, 2))
+    R1 = rng.standard_normal((m, 2, 1)) * rng.standard_normal((m, 1, 2))
+    R1 += 1e-12 * rng.standard_normal((m, 2, 2))
+    _assert_close_to_svd(scale * A)
+    _assert_close_to_svd(scale * R1)
+
+
+def test_sigma_min_2x2_exact_values():
+    M = np.array(
+        [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [1.5, -2.0]],   # zero first row
+            [[1.5, -2.0], [0.0, 0.0]],   # zero second row
+            [[0.0, 1.5], [0.0, -2.0]],   # zero first column
+            [[1.5, 0.0], [-2.0, 0.0]],   # zero second column
+            [[0.0, 1.0], [0.0, 0.0]],
+            [[3.0, 0.0], [0.0, 4.0]],
+        ]
+    )
+    assert sigma_min_many(M).tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0]
 
 
 def test_mu_norm_at_least_one_and_M_bounded():

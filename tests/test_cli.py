@@ -93,6 +93,20 @@ def test_count_bad_schema(system_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_count_non_finite_coefficient(tmp_path, capsys, token):
+    path = tmp_path / "system.json"
+    path.write_text(
+        '{"n": 1, "degrees": [1], "polys": [[{"J": [0, 1], "c": 1.0}, '
+        f'{{"J": [1, 0], "c": {token}}}]]}}'
+    )
+    rc = cli.main(["count", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "non-finite coefficient" in captured.err
+    assert captured.out == ""
+
+
 def test_count_rounded_requires_bits(system_file, capsys):
     rc = cli.main(
         ["count", "--input", system_file(TWOLINES), "--mode", "rounded"]

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from spherecount import engine, oracle
+from spherecount import alpha, engine, oracle
 from spherecount.polysys import parse_system
 from spherecount.rounding import make_arithmetic
 from spherecount.sphere import CubeGridSpec
+
+from util import svd_sigma_min_many
 
 
 def system(doc):
@@ -31,6 +33,15 @@ def test_initial_level():
     assert engine.initial_level(1) == 1
     assert engine.initial_level(2) == 1
     assert engine.initial_level(3) == 2
+
+
+def test_canonical_map_rejects_unclosed_lattice():
+    # The missing antipode's key sorts past every canonical key, then
+    # between them.
+    with pytest.raises(engine.InternalConsistencyError):
+        engine._canonical_map(np.array([[0, 1], [-1, 0]]), 1)
+    with pytest.raises(engine.InternalConsistencyError):
+        engine._canonical_map(np.array([[1, 0], [0, -1]]), 1)
 
 
 def test_union_find():
@@ -171,3 +182,51 @@ def test_kappa_monotone_under_refinement():
     ]
     assert vals[0] <= vals[1] + 1e-12
     assert vals[1] <= vals[2] + 1e-12
+
+
+def _levels_to_halt(f, ar, max_levels=24):
+    """(vertex_mask, edges, labels, report) per level until both conditions pass."""
+    fn = f.normalized()
+    k0 = engine.initial_level(fn.n)
+    out = []
+    for k in range(k0, k0 + max_levels):
+        graph = engine.build_graph(fn, CubeGridSpec(n=fn.n, k=k), ar)
+        comps = engine.connected_components(graph)
+        report = engine.halting_report(fn, graph, comps, ar)
+        out.append((graph.vertex_mask, graph.edges, comps.labels, report))
+        if report.condition_i_pass and report.condition_ii_pass:
+            return out
+    raise AssertionError("no halt within the level budget")
+
+
+GATE_CASES = [((2, 1), 0, "exact", None)] + [
+    ((1, 1), seed, mode, bits)
+    for mode, bits in (("exact", None), ("rounded", 53), ("rounded", 24))
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize(
+    "degrees, seed, mode, bits",
+    GATE_CASES,
+    ids=[f"{d[0]}{d[1]}-seed{s}-{m}{b or ''}" for d, s, m, b in GATE_CASES],
+)
+def test_sigma_min_kernel_matches_svd_per_level(
+    multivariate_suite, monkeypatch, degrees, seed, mode, bits
+):
+    """The closed-form 2x2 kernel takes every grid decision the SVD takes."""
+    (f,) = [
+        c["system"]
+        for c in multivariate_suite
+        if c["degrees"] == degrees and c["seed"] == seed
+    ]
+    ar = make_arithmetic(mode, bits)
+    ours = _levels_to_halt(f, ar)
+    monkeypatch.setattr(alpha, "sigma_min_many", svd_sigma_min_many)
+    ref = _levels_to_halt(f, ar)
+    assert len(ours) == len(ref)
+    for (mask, edges, labels, report), (rmask, redges, rlabels, rreport) in zip(ours, ref):
+        assert np.array_equal(mask, rmask)
+        assert np.array_equal(edges, redges)
+        assert np.array_equal(labels, rlabels)
+        assert report == rreport

@@ -6,6 +6,7 @@ import random
 import numpy as np
 
 from spherecount.polysys import Monomial, Polynomial, PolynomialSystem
+from spherecount.rounding import EXACT
 
 
 def all_exponents(degree, n_vars):
@@ -75,3 +76,9 @@ def compose_orthogonal(f: PolynomialSystem, Q: np.ndarray) -> PolynomialSystem:
 def random_sphere_point(rng: random.Random, dim):
     v = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
     return v / np.linalg.norm(v)
+
+
+def svd_sigma_min_many(M, ar=EXACT):
+    """Reference for alpha.sigma_min_many: LAPACK's SVD for every n x n batch."""
+    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)[..., -1]
+    return ar.const(s)
