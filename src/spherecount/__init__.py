@@ -53,11 +53,8 @@ from .rounding import (
 from .sphere import (
     CubeGridSpec,
     GridTooLargeError,
-    distance,
     exp_map,
-    generate_grid,
     project,
-    project_inverse,
     tangent_basis,
 )
 
@@ -84,11 +81,9 @@ __all__ = [
     "compute_M",
     "connected_components",
     "count_roots",
-    "distance",
     "estimate_kappa",
     "evaluate",
     "exp_map",
-    "generate_grid",
     "initial_level",
     "jacobian",
     "make_arithmetic",
@@ -97,7 +92,6 @@ __all__ = [
     "parse_system",
     "point_data",
     "project",
-    "project_inverse",
     "required_precision",
     "round_value",
     "sigma_min",

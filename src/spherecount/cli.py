@@ -3,7 +3,8 @@
 All structured input and output is JSON.  Result documents are serialized
 canonically (sorted keys, fixed indentation, trailing newline) so that
 identical runs produce byte-identical files and parse/re-serialize
-round-trips exactly.
+round-trips exactly.  They are strict RFC 8259 JSON: a non-finite value
+(an empty minimum, an unbounded condition estimate) is written as null.
 
 Exit codes: 0 success/converged, 1 input or schema error, 2 iteration cap
 reached (the refinement loop did not halt within the budget).
@@ -22,8 +23,19 @@ from . import alpha, engine, polysys, sphere
 from .rounding import required_precision
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_system(path: str) -> polysys.PolynomialSystem:

@@ -7,50 +7,35 @@ provably separated and (ii) every uncertified grid point has a residual
 large enough to exclude zeros nearby.  At halt the component count r is
 even (components pair up under x -> -x) and the number of zero rays is r/2.
 
+Both modes run one set of formulas through the arithmetic provider; they
+differ only in three constants (`_mode_constants`), which rounded mode
+widens to absorb round-off.
+
 Grid data is computed once per antipodal pair: every certified quantity is
 invariant under x -> -x, so the engine evaluates only canonical points
-(first nonzero lattice coordinate positive) and mirrors the results.  This
-halves the work and makes the antipodal symmetry of the vertex set, and
-hence the evenness of r, structural rather than numerical.
+(first nonzero lattice coordinate positive) and mirrors the results.  The
+antipode of each grid row is known from the grid's layout
+(`sphere.antipodes`), so the mirror map needs no search.  This halves the
+work and makes the antipodal symmetry of the vertex set, and hence the
+evenness of r, structural rather than numerical.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import alpha, polysys, sphere
-from .rounding import EXACT, RoundedArithmetic, make_arithmetic
+from .rounding import EXACT, make_arithmetic
 
 _CHUNK = 1 << 15
 
 
 class InternalConsistencyError(RuntimeError):
     """Mathematically excluded state reached (e.g. odd component count)."""
-
-
-class UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Keep the smaller index as the root for deterministic component ids.
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
 
 @dataclass
@@ -90,17 +75,7 @@ class IterationReport:
     min_excluded_fsup: float
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "eta": self.eta,
-            "grid_size": self.grid_size,
-            "vertex_count": self.vertex_count,
-            "component_count": self.component_count,
-            "condition_i_pass": self.condition_i_pass,
-            "condition_ii_pass": self.condition_ii_pass,
-            "min_intercomponent_distance": self.min_intercomponent_distance,
-            "min_excluded_fsup": self.min_excluded_fsup,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -117,11 +92,7 @@ class CountResult:
             "count": self.count,
             "status": self.status,
             "components": [
-                {
-                    "representative": c["representative"],
-                    "zero": c["zero"],
-                    "beta": c["beta"],
-                }
+                {key: c[key] for key in ("representative", "zero", "beta")}
                 for c in self.components
             ],
             "iterations": [it.to_dict() for it in self.iterations],
@@ -130,38 +101,22 @@ class CountResult:
         }
 
 
-def _encode_lattice(lattice: np.ndarray, half: int) -> np.ndarray:
-    """Collision-free int64 key per lattice row (coordinates in [-half, half])."""
-    base = 2 * half + 1
-    keys = np.zeros(len(lattice), dtype=np.int64)
-    for col in range(lattice.shape[1]):
-        keys = keys * base + (lattice[:, col] + half)
-    return keys
-
-
-def _canonical_map(lattice: np.ndarray, half: int):
+def _canonical_map(lattice: np.ndarray, anti: np.ndarray):
     """Rows representing each antipodal pair once, plus a row -> data index map.
 
-    Returns (canon_rows, map_to_canon) where map_to_canon[r] indexes into the
+    anti[r] is the row of lattice[r]'s antipode.  Returns (canon_rows,
+    canon_mask, map_to_canon) where map_to_canon[r] indexes into the
     canonical-data arrays for both a canonical row and its antipode.
     """
+    for col in lattice.T:
+        mirrored = col[anti]
+        mirrored += col
+        if mirrored.any():
+            raise InternalConsistencyError("grid is not antipodally closed")
     first_nz = np.argmax(lattice != 0, axis=1)
     canon_mask = lattice[np.arange(len(lattice)), first_nz] > 0
-    canon_rows = np.flatnonzero(canon_mask)
-    ckeys = _encode_lattice(lattice[canon_rows], half)
-    order = np.argsort(ckeys)
-    sorted_keys = ckeys[order]
-    map_to_canon = np.empty(len(lattice), dtype=np.int64)
-    map_to_canon[canon_rows] = np.arange(len(canon_rows))
-    other = np.flatnonzero(~canon_mask)
-    neg_keys = _encode_lattice(-lattice[other], half)
-    pos = np.searchsorted(sorted_keys, neg_keys)
-    found = pos < len(sorted_keys)
-    found[found] = sorted_keys[pos[found]] == neg_keys[found]
-    if not found.all():
-        raise InternalConsistencyError("grid is not antipodally closed")
-    map_to_canon[other] = order[pos]
-    return canon_rows, canon_mask, map_to_canon
+    rank = np.cumsum(canon_mask) - 1
+    return np.flatnonzero(canon_mask), canon_mask, np.where(canon_mask, rank, rank[anti])
 
 
 def _grid_point_data(f, spec, ar, workers: int, cap: int):
@@ -172,8 +127,7 @@ def _grid_point_data(f, spec, ar, workers: int, cap: int):
     projected coordinates of selected grid points.
     """
     lattice = sphere.grid_lattice(spec, cap=cap)
-    half = 2**spec.k
-    canon_rows, canon_mask, to_canon = _canonical_map(lattice, half)
+    canon_rows, canon_mask, to_canon = _canonical_map(lattice, sphere.antipodes(spec))
     Yc = lattice[canon_rows].astype(np.float64) * spec.eta
     del lattice
     m = len(Yc)
@@ -205,6 +159,21 @@ def _grid_point_data(f, spec, ar, workers: int, cap: int):
     return len(canon_mask), point_lookup, sup_c[to_canon], smin_c[to_canon]
 
 
+def _mode_constants(ar) -> tuple[float, float, float]:
+    """The three constants in which the modes differ, for the provider ar.
+
+    (vertex alpha, slack, radicand): the vertex test compares against
+    vertex alpha * sigma_min^2, radii and the condition (i) threshold carry
+    the factor slack, and the condition (ii) threshold the factor
+    sqrt(radicand) / 2.  Exact mode: (2 alpha_star, 1, 1).  Rounded mode
+    absorbs round-off with (alpha_bullet, 3/2, 2).
+    """
+    consts = alpha.theory_constants()
+    if ar.ctx is None:
+        return 2.0 * consts.alpha_star, 1.0, 1.0
+    return consts.alpha_bullet, 1.5, 2.0
+
+
 def build_graph(
     f: polysys.PolynomialSystem,
     spec: sphere.CubeGridSpec,
@@ -214,44 +183,34 @@ def build_graph(
 ) -> ProximityGraph:
     """Evaluate a grid level and assemble the proximity graph for the mode.
 
-    f must be normalized (||f|| = 1).  Exact mode: vertices pass
-    alpha_bar < alpha_star and carry radius sigma * beta_bar.  Rounded mode:
-    the vertex test is fl(n ||f(x)||_inf D^{3/2}) < fl(alpha_bullet
-    sigma_min^2) and radii are fl((3/2) sigma sqrt(n) ||f(x)||_inf /
-    sigma_min).  Edges join vertices with d(x, y) <= r_x + r_y, distances
-    in the mode's arithmetic.
+    f must be normalized (||f|| = 1).  Vertices pass
+    n ||f(x)||_inf D^{3/2} < a sigma_min^2 and carry the radius
+    c sigma sqrt(n) ||f(x)||_inf / sigma_min, with (a, c) = (2 alpha_star, 1)
+    in exact mode and (alpha_bullet, 3/2) in rounded mode; every operation
+    goes through the provider.  Edges join vertices with d(x, y) <= r_x + r_y,
+    distances in the mode's arithmetic.
     """
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("build_graph expects a normalized system")
-    consts = alpha.theory_constants()
+    vertex_alpha, slack, _ = _mode_constants(ar)
     grid_size, point_lookup, f_sup, smin = _grid_point_data(f, spec, ar, workers, cap)
-    n = f.n
-    D32 = f.D * math.sqrt(f.D)
-    if isinstance(ar, RoundedArithmetic):
-        lhs = ar.mul(ar.mul(ar.const(float(n)), f_sup), ar.mul(ar.const(float(f.D)), ar.sqrt(ar.const(float(f.D)))))
-        rhs = ar.mul(ar.const(consts.alpha_bullet), ar.mul(smin, smin))
-        vertex_mask = lhs < rhs
-    else:
-        vertex_mask = n * f_sup * D32 < 2.0 * consts.alpha_star * smin**2
+    n, D = float(f.n), float(f.D)
+    lhs = ar.mul(ar.mul(ar.const(n), f_sup), ar.mul(ar.const(D), ar.sqrt(ar.const(D))))
+    vertex_mask = lhs < ar.mul(ar.const(vertex_alpha), ar.mul(smin, smin))
 
     vertex_indices = np.flatnonzero(vertex_mask)
     Xv = point_lookup(vertex_indices)
-    if isinstance(ar, RoundedArithmetic):
-        coef = ar.mul(ar.mul(ar.const(1.5), ar.const(consts.sigma)), ar.sqrt(ar.const(float(n))))
-        radii = ar.div(ar.mul(coef, f_sup[vertex_indices]), smin[vertex_indices])
-    else:
-        radii = consts.sigma * math.sqrt(n) * f_sup[vertex_indices] / smin[vertex_indices]
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    sigma = alpha.theory_constants().sigma
+    coef = ar.mul(ar.mul(ar.const(slack), ar.const(sigma)), ar.sqrt(ar.const(n)))
+    radii = ar.div(ar.mul(coef, f_sup[vertex_indices]), smin[vertex_indices])
 
-    dist = sphere.pairwise_distances(Xv, ar) if len(Xv) else np.zeros((0, 0))
     if len(Xv):
-        rsum = ar.add(radii[:, None], radii[None, :])
-        adj = dist <= rsum
+        dist = sphere.pairwise_distances(Xv, ar)
         iu, ju = np.triu_indices(len(Xv), k=1)
-        keep = adj[iu, ju]
+        keep = (dist <= ar.add(radii[:, None], radii[None, :]))[iu, ju]
         edges = np.stack([iu[keep], ju[keep]], axis=1)
     else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+        dist, edges = np.zeros((0, 0)), np.zeros((0, 2), dtype=np.int64)
 
     return ProximityGraph(
         spec=spec,
@@ -268,28 +227,42 @@ def build_graph(
 
 
 def connected_components(graph: ProximityGraph) -> ComponentSet:
-    """Union-find partition of the vertex list; ids are smallest member indices."""
+    """Partition of the vertex list; ids are smallest member indices."""
     V = graph.n_vertices
-    uf = UnionFind(V)
-    for i, j in graph.edges.tolist():
-        uf.union(i, j)
-    labels = np.array([uf.find(i) for i in range(V)], dtype=np.int64)
-    comps: dict[int, list[int]] = {}
-    for i, lab in enumerate(labels.tolist()):
-        comps.setdefault(lab, []).append(i)
-    ordered = [comps[key] for key in sorted(comps)]
-    return ComponentSet(labels=labels, components=ordered)
+    labels = np.arange(V)
+    if len(graph.edges):
+        # Imported on first use: scipy.sparse adds ~45 ms and ~5 MB to start-up,
+        # and most coarse levels have no edges.
+        from scipy.sparse import coo_matrix, csgraph
+
+        i, j = graph.edges.T
+        adj = coo_matrix((np.ones(len(i)), (i, j)), shape=(V, V))
+        _, raw = csgraph.connected_components(adj, directed=False)
+        # first[c] is the smallest vertex carrying scipy's label c.
+        _, first = np.unique(raw, return_index=True)
+        labels = first[raw]
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if V else []
+    return ComponentSet(labels=labels, components=[g.tolist() for g in groups])
 
 
-def check_halt(graph: ProximityGraph, components: ComponentSet, eta: float, ar=EXACT):
-    """Evaluate the two halting conditions; returns (halt, diagnostics).
+def halting_report(
+    f: polysys.PolynomialSystem,
+    graph: ProximityGraph,
+    components: ComponentSet,
+    ar=EXACT,
+) -> IterationReport:
+    """Evaluate the two halting conditions at the graph's level.
 
     Condition (i): every cross-component vertex pair is farther apart than
-    the mode's distance threshold.  Condition (ii): every grid point that
-    failed the A-test has residual above the mode's exclusion threshold.
-    Empty quantifiers pass vacuously.
+    c pi eta sqrt(n+1).  Condition (ii): every grid point that failed the
+    vertex test has residual above (sqrt(r) / 2) pi eta sqrt((n+1) D).  The
+    mode's slack c and radicand r come from `_mode_constants`; the
+    thresholds are computed through the provider.  Empty quantifiers pass
+    vacuously.
     """
-    n = graph.spec.n
+    _, slack, radicand = _mode_constants(ar)
+    eta = graph.spec.eta
     labels = components.labels
     if graph.n_vertices and len(components.components) > 1:
         cross = labels[:, None] != labels[None, :]
@@ -299,49 +272,22 @@ def check_halt(graph: ProximityGraph, components: ComponentSet, eta: float, ar=E
     excluded = graph.f_sup[~graph.vertex_mask]
     min_excluded = float(np.min(excluded)) if len(excluded) else math.inf
 
-    dim = n + 1
-    if isinstance(ar, RoundedArithmetic):
-        thr_i = ar.mul(
-            ar.mul(ar.mul(ar.const(1.5), ar.const(math.pi)), ar.const(eta)),
-            ar.sqrt(ar.const(float(dim))),
-        )
-    else:
-        thr_i = math.pi * eta * math.sqrt(dim)
-    cond_i = min_cross > thr_i
-    return cond_i, min_cross, float(thr_i), min_excluded
+    def threshold(factor, m: int):
+        # factor * pi * eta * sqrt(m), in this order, through the provider
+        pi = ar.const(math.pi)
+        return ar.mul(ar.mul(ar.mul(factor, pi), ar.const(eta)), ar.sqrt(ar.const(float(m))))
 
-
-def _threshold_ii(n: int, D: int, eta: float, ar=EXACT) -> float:
-    dimD = float((n + 1) * D)
-    if isinstance(ar, RoundedArithmetic):
-        half_sqrt2 = ar.div(ar.sqrt(ar.const(2.0)), ar.const(2.0))
-        return float(
-            ar.mul(
-                ar.mul(ar.mul(half_sqrt2, ar.const(math.pi)), ar.const(eta)),
-                ar.sqrt(ar.const(dimD)),
-            )
-        )
-    return 0.5 * math.pi * eta * math.sqrt(dimD)
-
-
-def halting_report(
-    f: polysys.PolynomialSystem,
-    graph: ProximityGraph,
-    components: ComponentSet,
-    ar=EXACT,
-) -> IterationReport:
-    eta = graph.spec.eta
-    cond_i, min_cross, _, min_excluded = check_halt(graph, components, eta, ar)
-    thr_ii = _threshold_ii(graph.spec.n, f.D, eta, ar)
-    cond_ii = min_excluded > thr_ii
+    dim = graph.spec.n + 1
+    thr_i = threshold(ar.const(slack), dim)
+    thr_ii = threshold(ar.div(ar.sqrt(ar.const(radicand)), ar.const(2.0)), dim * f.D)
     return IterationReport(
         k=graph.spec.k,
         eta=eta,
         grid_size=graph.grid_size,
         vertex_count=graph.n_vertices,
         component_count=len(components.components),
-        condition_i_pass=bool(cond_i),
-        condition_ii_pass=bool(cond_ii),
+        condition_i_pass=bool(min_cross > thr_i),
+        condition_ii_pass=bool(min_excluded > thr_ii),
         min_intercomponent_distance=min_cross,
         min_excluded_fsup=min_excluded,
     )
@@ -384,6 +330,7 @@ def count_roots(
     k0 = initial_level(fn.n)
     reports: list[IterationReport] = []
     kappa_hat = 1.0
+    count, status, comp_records = None, "iteration-cap-reached", []
     for step in range(max_iterations):
         spec = sphere.CubeGridSpec(n=fn.n, k=k0 + step)
         try:
@@ -402,10 +349,8 @@ def count_roots(
                 raise InternalConsistencyError(
                     f"odd component count {r} at halt; antipodal symmetry violated"
                 )
-            comp_records = []
             for members in comps.components:
-                rep_list_index = members[0]
-                rep_point = graph.vertex_points[rep_list_index]
+                rep_point = graph.vertex_points[members[0]]
                 refined = alpha.newton_refine(
                     fn, rep_point, max_steps=refine_steps, beta_tol=beta_tol
                 )
@@ -418,18 +363,12 @@ def count_roots(
                         "envelope_ok": bool(refined.envelope_ok),
                     }
                 )
-            return CountResult(
-                count=r // 2,
-                status="converged",
-                components=comp_records,
-                iterations=reports,
-                kappa_lower_bound=kappa_hat,
-                original_norm=fn.original_norm,
-            )
+            count, status = r // 2, "converged"
+            break
     return CountResult(
-        count=None,
-        status="iteration-cap-reached",
-        components=[],
+        count=count,
+        status=status,
+        components=comp_records,
         iterations=reports,
         kappa_lower_bound=kappa_hat,
         original_norm=fn.original_norm,

@@ -71,7 +71,8 @@ def _squarefree_part(p: list[Fraction]) -> list[Fraction]:
     if len(g) <= 1:
         return p[:]
     q, r = _poly_divmod(p, g)
-    assert not _poly_trim(r)
+    if _poly_trim(r):
+        raise ArithmeticError("gcd(p, p') does not divide p exactly")
     return q
 
 

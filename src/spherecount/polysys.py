@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -23,16 +24,33 @@ class SystemFormatError(ValueError):
     """Raised when an input document violates the system schema."""
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer (an integral float too); bools and fractions are schema errors."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise SystemFormatError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class Monomial:
     """A coefficient attached to a multi-index J with |J| = degree."""
 
     __slots__ = ("exponents", "coefficient")
 
     def __init__(self, exponents, coefficient):
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(_integer(e, "exponent") for e in exponents)
         if any(e < 0 for e in exps):
             raise SystemFormatError(f"negative exponent in {exps}")
-        c = float(coefficient)
+        if isinstance(coefficient, bool) or not isinstance(coefficient, numbers.Real):
+            raise SystemFormatError(
+                f"coefficient of monomial {exps} must be a number, got {coefficient!r}"
+            )
+        try:
+            c = float(coefficient)
+        except OverflowError:  # an integer beyond the double range
+            c = math.inf
         if not math.isfinite(c):
             raise SystemFormatError(f"non-finite coefficient {c} for monomial {exps}")
         self.exponents = exps
@@ -91,19 +109,29 @@ class Polynomial:
     def n_monomials(self) -> int:
         return len(self.coefficients)
 
-    def scaled(self, factor: float, n_vars: int) -> "Polynomial":
-        mons = [
-            Monomial(J, c * factor)
-            for J, c in zip(self.exponents.tolist(), self.coefficients.tolist())
-        ]
-        return Polynomial(self.degree, mons, n_vars)
+
+def _exponent(coefficients: np.ndarray) -> int:
+    """e with max|c| = m 2^e, 1/2 <= m < 1 (0 when every c is 0).
+
+    Scaling by 2^-e is exact and brings the largest coefficient into
+    [1/2, 1), where squares and reciprocals stay in the double range.
+    """
+    return int(np.frexp(np.max(np.abs(coefficients), initial=0.0))[1])
+
+
+def _weyl_norm(coefficients: np.ndarray, multinomials: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(coefficients**2 / multinomials)))
 
 
 def weyl_norm(poly: Polynomial) -> float:
-    """sqrt( sum_J c_J^2 / (d choose J) ): the orthogonally invariant norm."""
-    if poly.n_monomials == 0:
-        return 0.0
-    return float(np.sqrt(np.sum(poly.coefficients**2 / poly.multinomials)))
+    """sqrt( sum_J c_J^2 / (d choose J) ): the orthogonally invariant norm.
+
+    Summed over the coefficients prescaled by 2^-e (see `_exponent`), so the
+    largest square lies in [1/4, 1) for any finite coefficients; when every
+    square is a normal double the result is bit-identical to the unscaled sum.
+    """
+    e = _exponent(poly.coefficients)
+    return float(np.ldexp(_weyl_norm(np.ldexp(poly.coefficients, -e), poly.multinomials), e))
 
 
 class PolynomialSystem:
@@ -139,8 +167,22 @@ class PolynomialSystem:
             raise SystemFormatError("cannot normalize the zero system")
         if self.norm == 1.0:
             return self
-        factor = 1.0 / self.norm
-        polys = [p.scaled(factor, self.n_vars) for p in self.polynomials]
+        # Scale the coefficients prescaled by 2^-e by the reciprocal of their
+        # norm, which stays finite at both ends of the double range; for
+        # normal-range systems each product equals c * (1 / ||f||) bit for bit.
+        e = max(_exponent(p.coefficients) for p in self.polynomials)
+        prescaled = [np.ldexp(p.coefficients, -e) for p in self.polynomials]
+        factor = 1.0 / max(
+            _weyl_norm(c, p.multinomials) for c, p in zip(prescaled, self.polynomials)
+        )
+        polys = [
+            Polynomial(
+                p.degree,
+                [Monomial(J, c) for J, c in zip(p.exponents.tolist(), (cs * factor).tolist())],
+                self.n_vars,
+            )
+            for cs, p in zip(prescaled, self.polynomials)
+        ]
         return PolynomialSystem(self.degrees, polys, original_norm=self.norm)
 
     def derivative_tables(self):
@@ -185,10 +227,10 @@ def parse_system(document) -> PolynomialSystem:
     if not isinstance(document, dict):
         raise SystemFormatError("top level must be an object")
     try:
-        n = int(document["n"])
-        degrees = [int(d) for d in document["degrees"]]
+        n = _integer(document["n"], "n")
+        degrees = [_integer(d, "degree") for d in document["degrees"]]
         polys = document["polys"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SystemFormatError(f"missing or invalid field: {exc}") from exc
     if n < 1:
         raise SystemFormatError(f"n must be >= 1, got {n}")

@@ -76,11 +76,24 @@ def grid_lattice(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
     return out
 
 
-def generate_grid(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP):
-    """Stream the cube-surface points (floats), in deterministic order."""
-    scale = spec.eta
-    for row in grid_lattice(spec, cap=cap):
-        yield row.astype(np.float64) * scale
+def antipodes(spec: CubeGridSpec) -> np.ndarray:
+    """Row index of each row's antipode in grid_lattice(spec).
+
+    The lattice is the face blocks (j, +half), (j, -half) for j = 0..n, each
+    in C order over symmetric coordinate ranges.  Negating every coordinate
+    reverses that order, so row o of block (j, +) has its antipode at row
+    B_j - 1 - o of block (j, -), where B_j is the block size.
+    """
+    side = 2 ** (spec.k + 1)
+    dim = spec.n + 1
+    out = []
+    start = 0
+    for j in range(dim):
+        size = (side - 1) ** j * (side + 1) ** (dim - 1 - j)
+        plus = np.arange(start, start + size)
+        out += [plus[::-1] + size, plus[::-1]]
+        start += 2 * size
+    return np.concatenate(out)
 
 
 def project_many(Y: np.ndarray, ar=EXACT) -> np.ndarray:
@@ -100,31 +113,6 @@ def project_many(Y: np.ndarray, ar=EXACT) -> np.ndarray:
 def project(y, ar=EXACT) -> np.ndarray:
     """Project a single cube point onto S^n."""
     return project_many(np.asarray(y, dtype=float)[None, :], ar)[0]
-
-
-def project_inverse(x) -> np.ndarray:
-    """phi^{-1}(x) = x / ||x||_inf, back onto the cube surface."""
-    x = np.asarray(x, dtype=float)
-    m = np.max(np.abs(x))
-    if m == 0:
-        raise ValueError("cannot project the zero vector")
-    return x / m
-
-
-def distance(x1, x2, ar=EXACT) -> float:
-    """Riemannian (angular) distance on S^n, inner product clamped to [-1, 1]."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    dot = None
-    s1 = None
-    s2 = None
-    for k in range(len(x1)):
-        dot = ar.mul(x1[k], x2[k]) if dot is None else ar.add(dot, ar.mul(x1[k], x2[k]))
-        s1 = ar.mul(x1[k], x1[k]) if s1 is None else ar.add(s1, ar.mul(x1[k], x1[k]))
-        s2 = ar.mul(x2[k], x2[k]) if s2 is None else ar.add(s2, ar.mul(x2[k], x2[k]))
-    a = ar.div(dot, ar.mul(ar.sqrt(s1), ar.sqrt(s2)))
-    a = min(1.0, max(-1.0, float(a)))
-    return float(ar.arccos(a))
 
 
 def pairwise_distances(X: np.ndarray, ar=EXACT) -> np.ndarray:

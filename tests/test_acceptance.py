@@ -197,7 +197,7 @@ def test_criterion_06_invariants():
     for n, kmax in ((1, 4), (2, 2)):
         for k in range(1, kmax + 1):
             spec = sphere.CubeGridSpec(n=n, k=k)
-            X = sphere.project_many(np.array(list(sphere.generate_grid(spec))))
+            X = sphere.project_many(sphere.grid_lattice(spec) * spec.eta)
             D = sphere.pairwise_distances(X)
             np.fill_diagonal(D, np.inf)
             ok = ok and float(D.min()) >= spec.eta / (2 * math.sqrt(n + 1)) - 1e-12

@@ -17,9 +17,8 @@ from spherecount.alpha import (
     theory_constants,
 )
 from spherecount.polysys import parse_system
-from spherecount.sphere import distance
 
-from util import random_sphere_point, random_system, svd_sigma_min_many
+from util import distance, random_sphere_point, random_system, svd_sigma_min_many
 
 EPS = np.finfo(float).eps
 

@@ -13,11 +13,25 @@ TWOLINES = {
     "polys": [[{"J": [0, 2], "c": 1.0}, {"J": [2, 0], "c": -0.25}]],
 }
 DOUBLE = {"n": 1, "degrees": [2], "polys": [[{"J": [0, 2], "c": 1.0}]]}
+CIRCLE = {
+    "n": 1,
+    "degrees": [2],
+    "polys": [[{"J": [2, 0], "c": 1.0}, {"J": [0, 2], "c": 1.0}]],
+}
 LINE_SHIFTED = {
     "n": 1,
     "degrees": [1],
     "polys": [[{"J": [0, 1], "c": 1.0}, {"J": [1, 0], "c": -0.1}]],
 }
+
+
+def strict_loads(text):
+    """json.loads that refuses the non-RFC tokens NaN, Infinity and -Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-RFC JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -105,6 +119,88 @@ def test_count_non_finite_coefficient(tmp_path, capsys, token):
     assert rc == 1
     assert "non-finite coefficient" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 1.7),
+        ("n", True),
+        ("n", "1"),
+        ("degrees", [1.5]),
+        ("degrees", [True]),
+        ("J", [True, False]),
+        ("J", [0.5, 0.5]),
+        ("J", ["0", "1"]),
+        ("c", "2"),
+        ("c", True),
+        ("c", None),
+    ],
+)
+def test_count_rejects_coercible_values(system_file, capsys, field, value):
+    doc = {"n": 1, "degrees": [1], "polys": [[{"J": [0, 1], "c": 1.0}]]}
+    if field in doc:
+        doc[field] = value
+    else:
+        doc["polys"][0][0][field] = value
+    rc = cli.main(["count", "--input", system_file(doc)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_count_accepts_integral_floats(system_file, capsys):
+    doc = {"n": 1.0, "degrees": [1.0], "polys": [[{"J": [0.0, 1.0], "c": 2}]]}
+    assert cli.main(["count", "--input", system_file(doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1
+
+
+@pytest.mark.parametrize(
+    "monomials",
+    [
+        [{"J": [0, 1], "c": 1e-320}],
+        [{"J": [0, 1], "c": 1e200}, {"J": [1, 0], "c": 1e199}],
+    ],
+    ids=["subnormal", "huge"],
+)
+def test_count_extreme_coefficients(system_file, capsys, monomials):
+    doc = {"n": 1, "degrees": [1], "polys": [monomials]}
+    rc = cli.main(["count", "--input", system_file(doc)])
+    doc = strict_loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["count"] == 1
+
+
+def test_count_circle_document_is_strict_json(system_file, capsys):
+    # No component pair exists at any level: the minimum is empty.
+    rc = cli.main(["count", "--input", system_file(CIRCLE)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    doc = strict_loads(out)
+    assert doc["count"] == 0
+    assert [it["min_intercomponent_distance"] for it in doc["iterations"]] == [None] * 3
+    assert cli.canonical_json(doc) == out
+
+
+def test_count_double_line_document_is_strict_json(system_file, capsys):
+    # A grid point on the double line has residual 0 and sigma_min 0.
+    rc = cli.main(["count", "--input", system_file(DOUBLE), "--max-iter", "4"])
+    doc = strict_loads(capsys.readouterr().out)
+    assert rc == 2
+    assert doc["kappa_lower_bound"] is None
+
+
+def test_kappa_double_line_document_is_strict_json(system_file, capsys):
+    rc = cli.main(["kappa", "--input", system_file(DOUBLE), "--level", "4"])
+    doc = strict_loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["kappa_lower_bound"] is None
+
+
+def test_canonical_json_writes_non_finite_floats_as_null():
+    doc = {"a": [math.inf, -math.inf, np.float64(math.nan), 1.5], "b": (math.inf,)}
+    assert strict_loads(cli.canonical_json(doc)) == {"a": [None, None, None, 1.5], "b": [None]}
 
 
 def test_count_rounded_requires_bits(system_file, capsys):

@@ -1,14 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spherecount import alpha, engine, oracle
 from spherecount.polysys import parse_system
-from spherecount.rounding import make_arithmetic
-from spherecount.sphere import CubeGridSpec
+from spherecount.rounding import RoundedArithmetic, make_arithmetic
+from spherecount.sphere import CubeGridSpec, antipodes, grid_lattice
 
-from util import svd_sigma_min_many
+from util import svd_sigma_min_many, union_find_labels
 
 
 def system(doc):
@@ -36,20 +37,58 @@ def test_initial_level():
 
 
 def test_canonical_map_rejects_unclosed_lattice():
-    # The missing antipode's key sorts past every canonical key, then
-    # between them.
+    # Every row's antipode must be its negation, coordinate by coordinate.
     with pytest.raises(engine.InternalConsistencyError):
-        engine._canonical_map(np.array([[0, 1], [-1, 0]]), 1)
+        engine._canonical_map(np.array([[0, 1], [-1, 0]]), np.array([1, 0]))
+    spec = CubeGridSpec(n=2, k=2)
+    lattice = grid_lattice(spec)
+    lattice[[0, 1]] = lattice[[1, 0]]
     with pytest.raises(engine.InternalConsistencyError):
-        engine._canonical_map(np.array([[1, 0], [0, -1]]), 1)
+        engine._canonical_map(lattice, antipodes(spec))
 
 
-def test_union_find():
-    uf = engine.UnionFind(5)
-    uf.union(3, 1)
-    uf.union(4, 3)
-    assert uf.find(4) == uf.find(1) == 1
-    assert uf.find(0) == 0
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 1)])
+def test_canonical_map_pairs_each_row_with_its_antipode(n, k):
+    spec = CubeGridSpec(n=n, k=k)
+    lattice = grid_lattice(spec)
+    canon_rows, canon_mask, to_canon = engine._canonical_map(lattice, antipodes(spec))
+    first_nz = [row[np.flatnonzero(row)[0]] for row in lattice]
+    assert np.array_equal(canon_mask, np.array(first_nz) > 0)
+    assert np.array_equal(canon_rows, np.flatnonzero(canon_mask))
+    data_index = {tuple(lattice[r]): i for i, r in enumerate(canon_rows)}
+    for row, canonical, i in zip(lattice, canon_mask, to_canon):
+        assert data_index[tuple(row if canonical else -row)] == i
+
+
+def _edge_graph(V, edges):
+    return SimpleNamespace(n_vertices=V, edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def test_connected_components_ids_are_smallest_members():
+    comps = engine.connected_components(_edge_graph(5, [(3, 1), (4, 3)]))
+    assert comps.labels.tolist() == [0, 1, 2, 1, 1]
+    assert comps.components == [[0], [1, 3, 4], [2]]
+    comps = engine.connected_components(_edge_graph(3, []))
+    assert comps.labels.tolist() == [0, 1, 2]
+    assert comps.components == [[0], [1], [2]]
+    comps = engine.connected_components(_edge_graph(0, []))
+    assert comps.labels.tolist() == [] and comps.labels.dtype == np.int64
+    assert comps.components == []
+
+
+@pytest.mark.parametrize("V", [1, 5, 50, 3000])
+def test_connected_components_match_union_find(V):
+    rng = np.random.default_rng(V)
+    for E in (0, V // 2, V, 3 * V):
+        i, j = rng.integers(0, V, (2, E))
+        edges = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)[i != j]
+        comps = engine.connected_components(_edge_graph(V, edges))
+        labels = union_find_labels(V, edges)
+        assert comps.labels.tolist() == labels
+        groups = {}
+        for v, root in enumerate(labels):
+            groups.setdefault(root, []).append(v)
+        assert comps.components == [groups[root] for root in sorted(groups)]
 
 
 def test_count_single_line():
@@ -185,7 +224,7 @@ def test_kappa_monotone_under_refinement():
 
 
 def _levels_to_halt(f, ar, max_levels=24):
-    """(vertex_mask, edges, labels, report) per level until both conditions pass."""
+    """(fn, graph, components, report) per level until both conditions pass."""
     fn = f.normalized()
     k0 = engine.initial_level(fn.n)
     out = []
@@ -193,7 +232,7 @@ def _levels_to_halt(f, ar, max_levels=24):
         graph = engine.build_graph(fn, CubeGridSpec(n=fn.n, k=k), ar)
         comps = engine.connected_components(graph)
         report = engine.halting_report(fn, graph, comps, ar)
-        out.append((graph.vertex_mask, graph.edges, comps.labels, report))
+        out.append((fn, graph, comps, report))
         if report.condition_i_pass and report.condition_ii_pass:
             return out
     raise AssertionError("no halt within the level budget")
@@ -204,29 +243,95 @@ GATE_CASES = [((2, 1), 0, "exact", None)] + [
     for mode, bits in (("exact", None), ("rounded", 53), ("rounded", 24))
     for seed in range(4)
 ]
+GATE_IDS = [f"{d[0]}{d[1]}-seed{s}-{m}{b or ''}" for d, s, m, b in GATE_CASES]
 
 
-@pytest.mark.parametrize(
-    "degrees, seed, mode, bits",
-    GATE_CASES,
-    ids=[f"{d[0]}{d[1]}-seed{s}-{m}{b or ''}" for d, s, m, b in GATE_CASES],
-)
+def _suite_system(suite, degrees, seed):
+    (f,) = [c["system"] for c in suite if c["degrees"] == degrees and c["seed"] == seed]
+    return f
+
+
+@pytest.mark.parametrize("degrees, seed, mode, bits", GATE_CASES, ids=GATE_IDS)
 def test_sigma_min_kernel_matches_svd_per_level(
     multivariate_suite, monkeypatch, degrees, seed, mode, bits
 ):
     """The closed-form 2x2 kernel takes every grid decision the SVD takes."""
-    (f,) = [
-        c["system"]
-        for c in multivariate_suite
-        if c["degrees"] == degrees and c["seed"] == seed
-    ]
+    f = _suite_system(multivariate_suite, degrees, seed)
     ar = make_arithmetic(mode, bits)
     ours = _levels_to_halt(f, ar)
     monkeypatch.setattr(alpha, "sigma_min_many", svd_sigma_min_many)
     ref = _levels_to_halt(f, ar)
     assert len(ours) == len(ref)
-    for (mask, edges, labels, report), (rmask, redges, rlabels, rreport) in zip(ours, ref):
-        assert np.array_equal(mask, rmask)
-        assert np.array_equal(edges, redges)
-        assert np.array_equal(labels, rlabels)
+    for (_, graph, comps, report), (_, rgraph, rcomps, rreport) in zip(ours, ref):
+        assert np.array_equal(graph.vertex_mask, rgraph.vertex_mask)
+        assert np.array_equal(graph.edges, rgraph.edges)
+        assert np.array_equal(comps.labels, rcomps.labels)
         assert report == rreport
+
+
+def _longhand_vertices_and_radii(f, graph, ar):
+    """The vertex test and radii as each mode wrote them out separately."""
+    c = alpha.theory_constants()
+    n, D, fs, s = f.n, f.D, graph.f_sup, graph.sigma_min
+    if isinstance(ar, RoundedArithmetic):
+        D32 = ar.mul(ar.const(float(D)), ar.sqrt(ar.const(float(D))))
+        lhs = ar.mul(ar.mul(ar.const(float(n)), fs), D32)
+        mask = lhs < ar.mul(ar.const(c.alpha_bullet), ar.mul(s, s))
+        coef = ar.mul(ar.mul(ar.const(1.5), ar.const(c.sigma)), ar.sqrt(ar.const(float(n))))
+        return mask, ar.div(ar.mul(coef, fs[mask]), s[mask])
+    mask = n * fs * (D * math.sqrt(D)) < 2.0 * c.alpha_star * s**2
+    return mask, c.sigma * math.sqrt(n) * fs[mask] / s[mask]
+
+
+def _longhand_thresholds(n, D, eta, ar):
+    """(thr_i, thr_ii) as each mode wrote them out separately."""
+    dim, dimD = float(n + 1), float((n + 1) * D)
+    if isinstance(ar, RoundedArithmetic):
+        pi = ar.const(math.pi)
+        thr_i = ar.mul(ar.mul(ar.mul(ar.const(1.5), pi), ar.const(eta)), ar.sqrt(ar.const(dim)))
+        half_sqrt2 = ar.div(ar.sqrt(ar.const(2.0)), ar.const(2.0))
+        thr_ii = ar.mul(ar.mul(ar.mul(half_sqrt2, pi), ar.const(eta)), ar.sqrt(ar.const(dimD)))
+        return float(thr_i), float(thr_ii)
+    return math.pi * eta * math.sqrt(dim), 0.5 * math.pi * eta * math.sqrt(dimD)
+
+
+def _halting_verdicts(f, spec, ar, min_cross, min_excluded):
+    """halting_report on two singleton components min_cross apart and one
+    excluded grid point of residual min_excluded."""
+    graph = engine.ProximityGraph(
+        spec=spec,
+        grid_size=3,
+        f_sup=np.array([0.0, 0.0, min_excluded]),
+        sigma_min=np.ones(3),
+        vertex_mask=np.array([True, True, False]),
+        vertex_indices=np.array([0, 1]),
+        vertex_points=np.zeros((2, spec.n + 1)),
+        radii=np.zeros(2),
+        distances=np.array([[0.0, min_cross], [min_cross, 0.0]]),
+        edges=np.zeros((0, 2), dtype=np.int64),
+    )
+    report = engine.halting_report(f, graph, engine.connected_components(graph), ar)
+    return report.condition_i_pass, report.condition_ii_pass
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("degrees, seed, mode, bits", GATE_CASES, ids=GATE_IDS)
+def test_mode_formulas_match_longhand(multivariate_suite, degrees, seed, mode, bits):
+    """One formula path with mode constants decides bit for bit as the
+    separate per-mode expressions do, at every level up to the halt."""
+    ar = make_arithmetic(mode, bits)
+    for fn, graph, _, report in _levels_to_halt(_suite_system(multivariate_suite, degrees, seed), ar):
+        mask, radii = _longhand_vertices_and_radii(fn, graph, ar)
+        assert np.array_equal(graph.vertex_mask, mask)
+        assert np.array_equal(_bits(graph.radii), _bits(radii))
+        thr_i, thr_ii = _longhand_thresholds(fn.n, fn.D, graph.spec.eta, ar)
+        # "> thr" fails at thr and passes one ulp above it only if the
+        # engine's threshold is thr exactly.
+        assert _halting_verdicts(fn, graph.spec, ar, thr_i, thr_ii) == (False, False)
+        above = (np.nextafter(thr_i, math.inf), np.nextafter(thr_ii, math.inf))
+        assert _halting_verdicts(fn, graph.spec, ar, *above) == (True, True)
+        assert report.condition_i_pass == (report.min_intercomponent_distance > thr_i)
+        assert report.condition_ii_pass == (report.min_excluded_fsup > thr_ii)

@@ -175,3 +175,29 @@ def test_system_norm_is_max_of_weyl_norms():
     rng = random.Random(37)
     f = random_system(rng, 2, [2, 3])
     assert f.norm == max(weyl_norm(p) for p in f.polynomials)
+
+
+def test_prescaling_keeps_normal_range_norms_bit_identical():
+    # Power-of-two prescaling is exact: the norm and the normalized
+    # coefficients equal the unscaled formulas bit for bit.
+    rng = random.Random(41)
+    for _ in range(50):
+        n = rng.choice([1, 2])
+        degrees = [rng.randint(1, 4) for _ in range(n)]
+        f = random_system(rng, n, degrees, scale=10.0 ** rng.uniform(-100, 100))
+        for p in f.polynomials:
+            assert weyl_norm(p) == float(np.sqrt(np.sum(p.coefficients**2 / p.multinomials)))
+        factor = 1.0 / f.norm
+        for p, q in zip(f.polynomials, f.normalized().polynomials):
+            assert np.array_equal(q.coefficients, p.coefficients * factor)
+
+
+@pytest.mark.parametrize("coeffs", [(1e-320, 0.0), (1e200, 1e199), (1e-300, 1e-301)])
+def test_norms_over_the_full_double_range(coeffs):
+    c1, c0 = coeffs
+    mons = [Monomial((0, 1), c1)] + ([Monomial((1, 0), c0)] if c0 else [])
+    f = PolynomialSystem((1,), [Polynomial(1, mons, n_vars=2)])
+    assert f.norm == pytest.approx(math.hypot(c1, c0), rel=1e-15 if c1 > 1e-300 else 1e-3)
+    fn = f.normalized()
+    assert abs(fn.norm - 1.0) < 1e-15
+    assert fn.original_norm == f.norm

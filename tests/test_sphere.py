@@ -8,18 +8,16 @@ import pytest
 from spherecount.sphere import (
     CubeGridSpec,
     GridTooLargeError,
-    distance,
+    antipodes,
     exp_map,
-    generate_grid,
     grid_lattice,
     pairwise_distances,
     project,
-    project_inverse,
     project_many,
     tangent_basis,
 )
 
-from util import random_sphere_point
+from util import distance, random_sphere_point
 
 
 def expected_grid_size(n, k):
@@ -47,9 +45,19 @@ def test_grid_no_duplicates_and_antipodal_closure():
         assert all(max(abs(v) for v in r) == half for r in rows)
 
 
-def test_generate_grid_scales_lattice():
+@pytest.mark.parametrize("n,ks", [(1, (1, 2, 5)), (2, (1, 2, 4)), (3, (1, 2, 3))])
+def test_antipodes_from_layout(n, ks):
+    for k in ks:
+        spec = CubeGridSpec(n=n, k=k)
+        L = grid_lattice(spec)
+        anti = antipodes(spec)
+        assert np.array_equal(L[anti], -L)
+        assert np.array_equal(anti[anti], np.arange(len(L)))
+
+
+def test_grid_lattice_scales_to_cube_surface():
     spec = CubeGridSpec(n=1, k=2)
-    pts = np.array(list(generate_grid(spec)))
+    pts = grid_lattice(spec) * spec.eta
     assert pts.shape == (spec.point_count(), 2)
     assert np.max(np.abs(pts), axis=1).min() == 1.0
     assert np.allclose(pts * 4, np.round(pts * 4))
@@ -67,9 +75,7 @@ def test_projection_basics():
         y[rng.randrange(3)] = rng.choice([-1.0, 1.0])
         x = project(y)
         assert abs(np.linalg.norm(x) - 1.0) < 1e-12
-        back = project_inverse(x)
-        assert abs(np.max(np.abs(back)) - 1.0) < 1e-12
-        assert np.allclose(project(back), x, atol=1e-12)
+        assert np.allclose(x, y / np.linalg.norm(y), atol=1e-15)
     with pytest.raises(ValueError):
         project(np.zeros(3))
 
@@ -121,7 +127,7 @@ def test_grid_separation_lemma_exhaustive(n, kmax):
     # distinct projected grid points are at least eta / (2 sqrt(n+1)) apart
     for k in range(1, kmax + 1):
         spec = CubeGridSpec(n=n, k=k)
-        X = project_many(np.array(list(generate_grid(spec))))
+        X = project_many(grid_lattice(spec) * spec.eta)
         D = pairwise_distances(X)
         np.fill_diagonal(D, np.inf)
         assert D.min() >= spec.eta / (2.0 * math.sqrt(n + 1)) - 1e-12

@@ -78,6 +78,40 @@ def random_sphere_point(rng: random.Random, dim):
     return v / np.linalg.norm(v)
 
 
+def distance(x1, x2, ar=EXACT) -> float:
+    """Reference for sphere.pairwise_distances: one angular distance on S^n.
+
+    Inner product and norms accumulate coordinate by coordinate in the
+    provider's arithmetic; the quotient is clamped to [-1, 1] before arccos.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    dot = s1 = s2 = None
+    for k in range(len(x1)):
+        dot = ar.mul(x1[k], x2[k]) if dot is None else ar.add(dot, ar.mul(x1[k], x2[k]))
+        s1 = ar.mul(x1[k], x1[k]) if s1 is None else ar.add(s1, ar.mul(x1[k], x1[k]))
+        s2 = ar.mul(x2[k], x2[k]) if s2 is None else ar.add(s2, ar.mul(x2[k], x2[k]))
+    a = ar.div(dot, ar.mul(ar.sqrt(s1), ar.sqrt(s2)))
+    a = min(1.0, max(-1.0, float(a)))
+    return float(ar.arccos(a))
+
+
+def union_find_labels(V, edges):
+    """Reference for engine.connected_components: union-find labels, each
+    vertex labelled with the smallest index in its component."""
+    parent = list(range(V))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, j in edges:
+        ri, rj = find(int(i)), find(int(j))
+        parent[max(ri, rj)] = min(ri, rj)
+    return [find(a) for a in range(V)]
+
+
 def svd_sigma_min_many(M, ar=EXACT):
     """Reference for alpha.sigma_min_many: LAPACK's SVD for every n x n batch."""
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)[..., -1]
