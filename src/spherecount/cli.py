@@ -63,11 +63,17 @@ def cmd_count(args) -> int:
         grid_cap=args.grid_cap,
     )
     if args.trace:
-        for rep in result.iterations:
+        # The halting margins print as shortest round-trip floats ("inf"
+        # for an empty minimum): each verdict is "min_cross > thr_i" and
+        # "min_excluded > thr_ii".
+        for rep, lvl in zip(result.iterations, result.trace):
             print(
                 f"level k={rep.k} eta={rep.eta:.6g} grid={rep.grid_size} "
+                f"evaluated={lvl.evaluated} "
                 f"vertices={rep.vertex_count} components={rep.component_count} "
-                f"halt=({rep.condition_i_pass},{rep.condition_ii_pass})",
+                f"halt=({rep.condition_i_pass},{rep.condition_ii_pass}) "
+                f"thr_i={lvl.thr_i!r} min_cross={rep.min_intercomponent_distance!r} "
+                f"thr_ii={lvl.thr_ii!r} min_excluded={rep.min_excluded_fsup!r}",
                 file=sys.stderr,
             )
     _emit(canonical_json(result.to_dict()), args.output)

@@ -129,9 +129,13 @@ def weyl_norm(poly: Polynomial) -> float:
     Summed over the coefficients prescaled by 2^-e (see `_exponent`), so the
     largest square lies in [1/4, 1) for any finite coefficients; when every
     square is a normal double the result is bit-identical to the unscaled sum.
+    A norm beyond the double range is inf, silently (documents print it as
+    null); `normalized` still scales such a system correctly.
     """
     e = _exponent(poly.coefficients)
-    return float(np.ldexp(_weyl_norm(np.ldexp(poly.coefficients, -e), poly.multinomials), e))
+    scaled = _weyl_norm(np.ldexp(poly.coefficients, -e), poly.multinomials)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(scaled, e))
 
 
 class PolynomialSystem:

@@ -45,17 +45,23 @@ class CubeGridSpec:
         return (side + 1) ** (self.n + 1) - (side - 1) ** (self.n + 1)
 
 
+def check_cap(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP):
+    """Raise GridTooLargeError when the level's nominal grid exceeds `cap` points."""
+    total = spec.point_count()
+    if total > cap:
+        raise GridTooLargeError(
+            f"grid at level k={spec.k} has {total} points, cap is {cap}"
+        )
+
+
 def grid_lattice(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
     """All grid points as integer lattice vectors (units of 2^-k).
 
     Shape (N, n+1), each row once, antipodally closed.  Refuses grids with
     more than `cap` points.
     """
+    check_cap(spec, cap)
     total = spec.point_count()
-    if total > cap:
-        raise GridTooLargeError(
-            f"grid at level k={spec.k} has {total} points, cap is {cap}"
-        )
     half = 2**spec.k
     dim = spec.n + 1
     full = np.arange(-half, half + 1, dtype=np.int64)
@@ -76,24 +82,62 @@ def grid_lattice(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
     return out
 
 
-def antipodes(spec: CubeGridSpec) -> np.ndarray:
-    """Row index of each row's antipode in grid_lattice(spec).
+def lattice_index(spec: CubeGridSpec, rows: np.ndarray) -> np.ndarray:
+    """Position of each lattice row in grid_lattice(spec), in closed form.
 
-    The lattice is the face blocks (j, +half), (j, -half) for j = 0..n, each
-    in C order over symmetric coordinate ranges.  Negating every coordinate
-    reverses that order, so row o of block (j, +) has its antipode at row
-    B_j - 1 - o of block (j, -), where B_j is the block size.
+    grid_lattice is the face blocks (j, +half), (j, -half) for j = 0..n, each
+    of size B_j = (side - 1)^j (side + 1)^(n - j) and in C order over its
+    coordinate ranges: interior before j, the fixed face coordinate at j,
+    the full range after j.  A row's block is its first coordinate at +-half.
     """
-    side = 2 ** (spec.k + 1)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, spec.n + 1)
+    half = 2**spec.k
+    side = 2 * half
     dim = spec.n + 1
-    out = []
-    start = 0
+    on_face = np.abs(rows) == half
+    if np.any(np.abs(rows) > half) or not np.all(on_face.any(axis=1)):
+        raise ValueError(f"rows are not on the level-{spec.k} cube surface")
+    face = np.argmax(on_face, axis=1)
+    sizes = np.array([(side - 1) ** j * (side + 1) ** (dim - 1 - j) for j in range(dim)])
+    starts = np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
+    offset = np.zeros(len(rows), dtype=np.int64)
     for j in range(dim):
-        size = (side - 1) ** j * (side + 1) ** (dim - 1 - j)
-        plus = np.arange(start, start + size)
-        out += [plus[::-1] + size, plus[::-1]]
-        start += 2 * size
-    return np.concatenate(out)
+        before, after = j < face, j > face
+        radix = np.where(before, side - 1, np.where(after, side + 1, 1))
+        digit = np.where(before, rows[:, j] + half - 1, np.where(after, rows[:, j] + half, 0))
+        offset = offset * radix + digit
+    minus = rows[np.arange(len(rows)), face] < 0
+    return starts[face] + np.where(minus, sizes[face], 0) + offset
+
+
+def is_canonical(rows: np.ndarray) -> np.ndarray:
+    """Mask of the nonzero rows whose first nonzero coordinate is positive.
+
+    Of each antipodal pair y, -y exactly one row is canonical.
+    """
+    rows = np.asarray(rows)
+    first = np.argmax(rows != 0, axis=1)
+    return rows[np.arange(len(rows)), first] > 0
+
+
+def children(spec: CubeGridSpec, rows: np.ndarray) -> np.ndarray:
+    """Canonical level-(k+1) rows 2p + {-1, 0, 1}^(n+1) of level-k rows p.
+
+    Keeps the children on the level-(k+1) cube surface, replaces each by
+    its canonical representative (the antipode's children are the negated
+    children), and returns every row once, in grid_lattice order.  Every
+    level-(k+1) grid point is a child of some level-k grid point.
+    """
+    dim = spec.n + 1
+    finer = CubeGridSpec(n=spec.n, k=spec.k + 1)
+    steps = np.array(np.meshgrid(*[[-1, 0, 1]] * dim, indexing="ij"), dtype=np.int64)
+    steps = steps.reshape(dim, -1).T
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim)
+    cand = (2 * rows[:, None, :] + steps[None, :, :]).reshape(-1, dim)
+    cand = cand[np.abs(cand).max(axis=1) == 2**finer.k]
+    cand = np.where(is_canonical(cand)[:, None], cand, -cand)
+    _, first = np.unique(lattice_index(finer, cand), return_index=True)
+    return cand[first]
 
 
 def project_many(Y: np.ndarray, ar=EXACT) -> np.ndarray:

@@ -16,6 +16,7 @@ from spherecount.alpha import (
     sigma_min_many,
     theory_constants,
 )
+from spherecount import engine
 from spherecount.polysys import parse_system
 
 from util import distance, random_sphere_point, random_system, svd_sigma_min_many
@@ -154,6 +155,31 @@ def test_mu_norm_at_least_one_and_M_bounded():
         assert data.mu_norm >= 1.0 - 1e-9
         M = compute_M(f, x)
         assert np.linalg.norm(M) <= math.sqrt(n) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sigma_min_at_most_one_within_pruning_margin(n):
+    """Exclusion pruning relies on sigma_min(M) <= ||M||_F / sqrt(n) <= 1
+    for normalized systems; the computed value may exceed 1 only by
+    less than the margin the pruning test carries."""
+    rng = random.Random(7000 + n)
+    nprng = np.random.default_rng(7000 + n)
+    cases = [random_system(rng, n, [rng.randint(1, 4) for _ in range(n)]) for _ in range(60)]
+    # Linear forms e_1..e_n reach sigma_min = 1 at x = e_0.
+    eye = {"n": n, "degrees": [1] * n,
+           "polys": [[{"J": [int(j == i + 1) for j in range(n + 1)], "c": 1.0}] for i in range(n)]}
+    cases.append(parse_system(eye))
+    for f in cases:
+        f = f.normalized()
+        margin = engine._prune_margin(f)
+        X = nprng.standard_normal((20, n + 1))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X[0] = np.eye(n + 1)[0]
+        for x in X:
+            M = compute_M(f, x)
+            assert np.linalg.norm(M) <= math.sqrt(n) * (1.0 + margin)
+            assert sigma_min(M) <= 1.0 + margin
+    assert abs(sigma_min(compute_M(cases[-1].normalized(), np.eye(n + 1)[0])) - 1.0) <= 4 * EPS
 
 
 def test_point_data_fields_consistent():

@@ -72,7 +72,29 @@ def test_count_trace(system_file, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     lines = [l for l in captured.err.splitlines() if l.startswith("level k=")]
-    assert len(lines) == len(json.loads(captured.out)["iterations"])
+    iterations = json.loads(captured.out)["iterations"]
+    assert len(lines) == len(iterations)
+    fields = [dict(item.split("=", 1) for item in line.split()[1:]) for line in lines]
+    for f, it in zip(fields, iterations):
+        assert int(f["grid"]) == it["grid_size"]
+        assert 0 < int(f["evaluated"]) <= it["grid_size"]
+        thr_i, thr_ii = float(f["thr_i"]), float(f["thr_ii"])
+        min_cross, min_excluded = float(f["min_cross"]), float(f["min_excluded"])
+        assert min_cross == (it["min_intercomponent_distance"] or math.inf)
+        assert min_excluded == (it["min_excluded_fsup"] or math.inf)
+        assert f["halt"] == f"({min_cross > thr_i},{min_excluded > thr_ii})"
+        assert f["halt"] == f"({it['condition_i_pass']},{it['condition_ii_pass']})"
+    # The first level is the whole grid; pruning evaluates fewer at fine levels.
+    assert int(fields[0]["evaluated"]) == iterations[0]["grid_size"]
+    assert int(fields[-1]["evaluated"]) < iterations[-1]["grid_size"]
+
+
+def test_count_document_same_with_and_without_trace(system_file, capsys):
+    docs = []
+    for extra in ([], ["--trace"]):
+        assert cli.main(["count", "--input", system_file(TWOLINES)] + extra) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
 
 
 def test_count_iteration_cap_exit_code(system_file, capsys):
@@ -170,6 +192,18 @@ def test_count_extreme_coefficients(system_file, capsys, monomials):
     doc = strict_loads(capsys.readouterr().out)
     assert rc == 0
     assert doc["count"] == 1
+
+
+def test_count_norm_beyond_double_range(system_file, capsys):
+    # The Weyl norm, ~2.4e308, overflows; the count does not depend on it.
+    doc = {"n": 1, "degrees": [1], "polys": [[{"J": [0, 1], "c": 1.7e308}, {"J": [1, 0], "c": 1.7e308}]]}
+    rc = cli.main(["count", "--input", system_file(doc)])
+    captured = capsys.readouterr()
+    out = strict_loads(captured.out)
+    assert rc == 0
+    assert out["count"] == 1
+    assert out["original_norm"] is None
+    assert captured.err == ""
 
 
 def test_count_circle_document_is_strict_json(system_file, capsys):

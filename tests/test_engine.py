@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -6,8 +7,8 @@ import pytest
 
 from spherecount import alpha, engine, oracle
 from spherecount.polysys import parse_system
-from spherecount.rounding import RoundedArithmetic, make_arithmetic
-from spherecount.sphere import CubeGridSpec, antipodes, grid_lattice
+from spherecount.rounding import EXACT, RoundedArithmetic, make_arithmetic
+from spherecount.sphere import CubeGridSpec, lattice_index
 
 from util import svd_sigma_min_many, union_find_labels
 
@@ -34,30 +35,6 @@ def test_initial_level():
     assert engine.initial_level(1) == 1
     assert engine.initial_level(2) == 1
     assert engine.initial_level(3) == 2
-
-
-def test_canonical_map_rejects_unclosed_lattice():
-    # Every row's antipode must be its negation, coordinate by coordinate.
-    with pytest.raises(engine.InternalConsistencyError):
-        engine._canonical_map(np.array([[0, 1], [-1, 0]]), np.array([1, 0]))
-    spec = CubeGridSpec(n=2, k=2)
-    lattice = grid_lattice(spec)
-    lattice[[0, 1]] = lattice[[1, 0]]
-    with pytest.raises(engine.InternalConsistencyError):
-        engine._canonical_map(lattice, antipodes(spec))
-
-
-@pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 1)])
-def test_canonical_map_pairs_each_row_with_its_antipode(n, k):
-    spec = CubeGridSpec(n=n, k=k)
-    lattice = grid_lattice(spec)
-    canon_rows, canon_mask, to_canon = engine._canonical_map(lattice, antipodes(spec))
-    first_nz = [row[np.flatnonzero(row)[0]] for row in lattice]
-    assert np.array_equal(canon_mask, np.array(first_nz) > 0)
-    assert np.array_equal(canon_rows, np.flatnonzero(canon_mask))
-    data_index = {tuple(lattice[r]): i for i, r in enumerate(canon_rows)}
-    for row, canonical, i in zip(lattice, canon_mask, to_canon):
-        assert data_index[tuple(row if canonical else -row)] == i
 
 
 def _edge_graph(V, edges):
@@ -226,12 +203,8 @@ def test_kappa_monotone_under_refinement():
 def _levels_to_halt(f, ar, max_levels=24):
     """(fn, graph, components, report) per level until both conditions pass."""
     fn = f.normalized()
-    k0 = engine.initial_level(fn.n)
     out = []
-    for k in range(k0, k0 + max_levels):
-        graph = engine.build_graph(fn, CubeGridSpec(n=fn.n, k=k), ar)
-        comps = engine.connected_components(graph)
-        report = engine.halting_report(fn, graph, comps, ar)
+    for _, (graph, comps, report) in zip(range(max_levels), engine._levels(fn, ar)):
         out.append((fn, graph, comps, report))
         if report.condition_i_pass and report.condition_ii_pass:
             return out
@@ -263,24 +236,35 @@ def test_sigma_min_kernel_matches_svd_per_level(
     ref = _levels_to_halt(f, ar)
     assert len(ours) == len(ref)
     for (_, graph, comps, report), (_, rgraph, rcomps, rreport) in zip(ours, ref):
+        assert np.array_equal(graph.rows, rgraph.rows)
         assert np.array_equal(graph.vertex_mask, rgraph.vertex_mask)
         assert np.array_equal(graph.edges, rgraph.edges)
         assert np.array_equal(comps.labels, rcomps.labels)
         assert report == rreport
 
 
+def _vertex_sources(graph):
+    """For each vertex, the position of its canonical row in graph.rows."""
+    rows = graph.rows
+    where = dict(zip(lattice_index(graph.spec, rows).tolist(), range(len(rows))))
+    where.update(zip(lattice_index(graph.spec, -rows).tolist(), range(len(rows))))
+    return np.array([where[i] for i in graph.vertex_indices.tolist()], dtype=np.int64)
+
+
 def _longhand_vertices_and_radii(f, graph, ar):
-    """The vertex test and radii as each mode wrote them out separately."""
+    """The vertex test at the evaluated rows, and the radii in vertex-list
+    order, as each mode wrote them out separately."""
     c = alpha.theory_constants()
     n, D, fs, s = f.n, f.D, graph.f_sup, graph.sigma_min
+    src = _vertex_sources(graph)
     if isinstance(ar, RoundedArithmetic):
         D32 = ar.mul(ar.const(float(D)), ar.sqrt(ar.const(float(D))))
         lhs = ar.mul(ar.mul(ar.const(float(n)), fs), D32)
         mask = lhs < ar.mul(ar.const(c.alpha_bullet), ar.mul(s, s))
         coef = ar.mul(ar.mul(ar.const(1.5), ar.const(c.sigma)), ar.sqrt(ar.const(float(n))))
-        return mask, ar.div(ar.mul(coef, fs[mask]), s[mask])
+        return mask, ar.div(ar.mul(coef, fs[src]), s[src])
     mask = n * fs * (D * math.sqrt(D)) < 2.0 * c.alpha_star * s**2
-    return mask, c.sigma * math.sqrt(n) * fs[mask] / s[mask]
+    return mask, c.sigma * math.sqrt(n) * fs[src] / s[src]
 
 
 def _longhand_thresholds(n, D, eta, ar):
@@ -301,9 +285,11 @@ def _halting_verdicts(f, spec, ar, min_cross, min_excluded):
     graph = engine.ProximityGraph(
         spec=spec,
         grid_size=3,
+        rows=np.zeros((3, spec.n + 1), dtype=np.int64),
         f_sup=np.array([0.0, 0.0, min_excluded]),
         sigma_min=np.ones(3),
         vertex_mask=np.array([True, True, False]),
+        inherited_fsup=math.inf,
         vertex_indices=np.array([0, 1]),
         vertex_points=np.zeros((2, spec.n + 1)),
         radii=np.zeros(2),
@@ -335,3 +321,69 @@ def test_mode_formulas_match_longhand(multivariate_suite, degrees, seed, mode, b
         assert _halting_verdicts(fn, graph.spec, ar, *above) == (True, True)
         assert report.condition_i_pass == (report.min_intercomponent_distance > thr_i)
         assert report.condition_ii_pass == (report.min_excluded_fsup > thr_ii)
+
+
+def _uniform_grid(monkeypatch):
+    """Turn pruning off: every level evaluates the whole grid."""
+    real = engine._mode_constants
+    monkeypatch.setattr(engine, "_mode_constants", lambda ar: real(ar)[:3] + (False,))
+
+
+def _assert_pruning_keeps_decisions(pruned, uniform):
+    assert len(pruned) == len(uniform)
+    for (_, graph, comps, report), (_, ugraph, ucomps, ureport) in zip(pruned, uniform):
+        assert np.array_equal(graph.vertex_indices, ugraph.vertex_indices)
+        assert np.array_equal(_bits(graph.vertex_points), _bits(ugraph.vertex_points))
+        assert np.array_equal(_bits(graph.radii), _bits(ugraph.radii))
+        assert np.array_equal(graph.edges, ugraph.edges)
+        assert np.array_equal(comps.labels, ucomps.labels)
+        assert report.min_excluded_fsup <= ureport.min_excluded_fsup
+        assert dataclasses.replace(report, min_excluded_fsup=0.0) == dataclasses.replace(
+            ureport, min_excluded_fsup=0.0
+        )
+        assert len(graph.rows) <= len(ugraph.rows) == ugraph.grid_size // 2
+
+
+PRUNE_CASES = [((2, 1), 0)] + [((1, 1), seed) for seed in range(4)]
+
+
+@pytest.mark.parametrize(
+    "degrees, seed", PRUNE_CASES, ids=[f"{d[0]}{d[1]}-seed{s}" for d, s in PRUNE_CASES]
+)
+def test_pruned_levels_match_uniform_grid(multivariate_suite, monkeypatch, degrees, seed):
+    """Exclusion pruning takes every decision the whole grid takes, level by level."""
+    f = _suite_system(multivariate_suite, degrees, seed)
+    pruned = _levels_to_halt(f, EXACT)
+    _uniform_grid(monkeypatch)
+    uniform = _levels_to_halt(f, EXACT)
+    _assert_pruning_keeps_decisions(pruned, uniform)
+    assert len(pruned[-1][1].rows) < len(uniform[-1][1].rows)
+
+
+def test_pruned_levels_match_uniform_grid_univariate(univariate_suite, monkeypatch):
+    pruned = [_levels_to_halt(case["system"], EXACT) for case in univariate_suite]
+    _uniform_grid(monkeypatch)
+    for case, levels in zip(univariate_suite, pruned):
+        _assert_pruning_keeps_decisions(levels, _levels_to_halt(case["system"], EXACT))
+
+
+def test_level_with_nothing_left_to_evaluate():
+    """When every cell is resolved, a level evaluates no point, has no
+    vertex, and passes condition (ii) on the inherited bound alone."""
+    f = system(CIRCLE).normalized()
+    spec = CubeGridSpec(n=1, k=4)
+    graph = engine.build_graph(f, spec, rows=np.zeros((0, 2), dtype=np.int64), inherited_fsup=0.5)
+    report = engine.halting_report(f, graph, engine.connected_components(graph))
+    assert graph.n_vertices == 0 and report.grid_size == spec.point_count()
+    assert report.min_excluded_fsup == 0.5
+    assert report.condition_i_pass and report.condition_ii_pass
+    assert engine._kappa_level_estimate(graph.f_sup, graph.sigma_min, 1) == -math.inf
+    rows, inherited = engine._unresolved_children(f, graph, EXACT)
+    assert rows.shape == (0, 2) and inherited == 0.5
+
+
+def test_rounded_mode_evaluates_whole_grid(multivariate_suite):
+    f = _suite_system(multivariate_suite, (1, 1), 0)
+    for _, graph, _, _ in _levels_to_halt(f, make_arithmetic("rounded", 24)):
+        assert len(graph.rows) == graph.grid_size // 2
+        assert graph.inherited_fsup == math.inf

@@ -8,9 +8,11 @@ import pytest
 from spherecount.sphere import (
     CubeGridSpec,
     GridTooLargeError,
-    antipodes,
+    children,
     exp_map,
     grid_lattice,
+    is_canonical,
+    lattice_index,
     pairwise_distances,
     project,
     project_many,
@@ -46,13 +48,46 @@ def test_grid_no_duplicates_and_antipodal_closure():
 
 
 @pytest.mark.parametrize("n,ks", [(1, (1, 2, 5)), (2, (1, 2, 4)), (3, (1, 2, 3))])
-def test_antipodes_from_layout(n, ks):
+def test_lattice_index_inverts_grid_order(n, ks):
     for k in ks:
         spec = CubeGridSpec(n=n, k=k)
         L = grid_lattice(spec)
-        anti = antipodes(spec)
-        assert np.array_equal(L[anti], -L)
-        assert np.array_equal(anti[anti], np.arange(len(L)))
+        assert np.array_equal(lattice_index(spec, L), np.arange(len(L)))
+        rng = np.random.default_rng(k)
+        picked = rng.permutation(len(L))[:50]
+        assert np.array_equal(lattice_index(spec, L[picked]), picked)
+    with pytest.raises(ValueError):
+        lattice_index(CubeGridSpec(n=n, k=1), np.zeros((1, n + 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 1)])
+def test_is_canonical_picks_one_of_each_antipodal_pair(n, k):
+    L = grid_lattice(CubeGridSpec(n=n, k=k))
+    canon = is_canonical(L)
+    assert np.array_equal(canon, ~is_canonical(-L))
+    first = [row[np.flatnonzero(row)[0]] for row in L]
+    assert np.array_equal(canon, np.array(first) > 0)
+
+
+@pytest.mark.parametrize("n,ks", [(1, (1, 2, 5)), (2, (1, 2, 3)), (3, (1, 2))])
+def test_children_of_every_row_are_the_next_level(n, ks):
+    """With nothing resolved, refining every canonical row gives the next grid."""
+    for k in ks:
+        L = grid_lattice(CubeGridSpec(n=n, k=k))
+        finer = grid_lattice(CubeGridSpec(n=n, k=k + 1))
+        got = children(CubeGridSpec(n=n, k=k), L[is_canonical(L)])
+        assert np.array_equal(got, finer[is_canonical(finer)])
+
+
+def test_children_stay_within_the_parent_cell():
+    spec = CubeGridSpec(n=2, k=3)
+    L = grid_lattice(spec)
+    p = L[is_canonical(L)][[7]]
+    got = children(spec, p)
+    # Each child or its antipode is 2p + an offset in {-1, 0, 1}^3.
+    near = np.minimum(np.abs(got - 2 * p).max(axis=1), np.abs(-got - 2 * p).max(axis=1))
+    assert np.all(near <= 1) and len(got) == len({tuple(r) for r in got.tolist()})
+    assert np.all(is_canonical(got))
 
 
 def test_grid_lattice_scales_to_cube_surface():
