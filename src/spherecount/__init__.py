@@ -36,16 +36,13 @@ from .polysys import (
     PolynomialSystem,
     SystemFormatError,
     evaluate,
-    jacobian,
     parse_system,
     system_to_document,
     weyl_norm,
 )
 from .rounding import (
     EXACT,
-    ExactArithmetic,
-    PrecisionContext,
-    RoundedArithmetic,
+    Arithmetic,
     make_arithmetic,
     required_precision,
     round_value,
@@ -54,15 +51,14 @@ from .sphere import (
     CubeGridSpec,
     GridTooLargeError,
     exp_map,
-    project,
     tangent_basis,
 )
 
 __all__ = [
+    "Arithmetic",
     "CountResult",
     "CubeGridSpec",
     "EXACT",
-    "ExactArithmetic",
     "GridTooLargeError",
     "InternalConsistencyError",
     "IterationReport",
@@ -70,10 +66,8 @@ __all__ = [
     "PointData",
     "Polynomial",
     "PolynomialSystem",
-    "PrecisionContext",
     "ProximityGraph",
     "RefineResult",
-    "RoundedArithmetic",
     "SingularJacobianError",
     "SystemFormatError",
     "TheoryConstants",
@@ -85,13 +79,11 @@ __all__ = [
     "evaluate",
     "exp_map",
     "initial_level",
-    "jacobian",
     "make_arithmetic",
     "newton_refine",
     "newton_step",
     "parse_system",
     "point_data",
-    "project",
     "required_precision",
     "round_value",
     "sigma_min",

@@ -120,10 +120,7 @@ def compute_M_many(f: polysys.PolynomialSystem, X: np.ndarray, ar=EXACT) -> np.n
     M = np.empty((m, n, n))
     for i in range(n):
         for j in range(n):
-            acc = None
-            for k in range(f.n_vars):
-                t = ar.mul(jac[:, i, k], H[:, k, j])
-                acc = t if acc is None else ar.add(acc, t)
+            acc = ar.sum(ar.mul(jac[:, i, k], H[:, k, j]) for k in range(f.n_vars))
             M[:, i, j] = ar.mul(acc, inv_sqrt_d[i])
     return M
 

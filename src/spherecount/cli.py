@@ -201,7 +201,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, polysys.SystemFormatError, ValueError) as exc:
+    except (
+        OSError,
+        json.JSONDecodeError,
+        polysys.SystemFormatError,
+        ValueError,
+        sphere.GridTooLargeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

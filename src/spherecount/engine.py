@@ -171,7 +171,7 @@ def _mode_constants(ar) -> tuple[float, float, float, bool]:
     margin for its emulated arithmetic is derived.
     """
     consts = alpha.theory_constants()
-    if ar.ctx is None:
+    if ar.t is None:
         return 2.0 * consts.alpha_star, 1.0, 1.0, True
     return consts.alpha_bullet, 1.5, 2.0, False
 
@@ -190,8 +190,9 @@ def build_graph(
     f must be normalized (||f|| = 1).  `rows` are the canonical lattice rows
     to evaluate, in grid_lattice order; None evaluates the whole grid.  The
     grid points left out must be certified non-vertices whose residuals are
-    at least `inherited_fsup`.  The cap applies to the nominal grid size
-    either way.
+    at least `inherited_fsup`.  The cap applies to the points the level
+    holds (the nominal grid, or the given rows and their antipodes) and to
+    the V^2 entries of the vertices' distance matrix.
 
     Vertices pass n ||f(x)||_inf D^{3/2} < a sigma_min^2 and carry the radius
     c sigma sqrt(n) ||f(x)||_inf / sigma_min, with (a, c) = (2 alpha_star, 1)
@@ -205,7 +206,7 @@ def build_graph(
     if rows is None:
         rows = _canonical_rows(spec, cap)
     else:
-        sphere.check_cap(spec, cap)
+        sphere.check_cap(spec, 2 * len(rows), cap)
     X, f_sup, smin = _grid_point_data(f, spec, rows, ar, workers)
     n, D = float(f.n), float(f.D)
     lhs = ar.mul(ar.mul(ar.const(n), f_sup), ar.mul(ar.const(D), ar.sqrt(ar.const(D))))
@@ -226,6 +227,11 @@ def build_graph(
     radii = ar.div(ar.mul(coef, f_sup[source]), smin[source])
 
     if len(Xv):
+        if len(Xv) ** 2 > cap:
+            raise sphere.GridTooLargeError(
+                f"level k={spec.k} has {len(Xv)} vertices: {len(Xv) ** 2} distances, "
+                f"cap is {cap}"
+            )
         dist = sphere.pairwise_distances(Xv, ar)
         iu, ju = np.triu_indices(len(Xv), k=1)
         keep = (dist <= ar.add(radii[:, None], radii[None, :]))[iu, ju]
@@ -354,11 +360,11 @@ def _prune_margin(f: polysys.PolynomialSystem) -> float:
     Twice e_f (a parent's and a descendant's residual) plus those terms
     stays below 28 D (n+1)^2 (D+S) u; the margin is 2^7 D (n+1)^2 (D+S) u.
     """
-    S = max(p.n_monomials for p in f.polynomials)
-    return 2.0**7 * f.D * (f.n + 1) ** 2 * (f.D + S) * 2.0**-53
+    return 2.0**7 * f.D * (f.n + 1) ** 2 * (f.D + f.S) * 2.0**-53
 
 
-def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar):
+def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
+                         cap: int = sphere.DEFAULT_GRID_CAP):
     """Rows the next level must evaluate, and the next level's inherited bound.
 
     The descendants of an evaluated level-k point p (its children 2p + e,
@@ -384,7 +390,7 @@ def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar)
     _, thr_ii = _thresholds(f, finer, ar)
     resolved = bound > max(vertex_alpha / (n * (D * math.sqrt(D))), float(thr_ii))
     inherited = min(graph.inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
-    return sphere.children(graph.spec, graph.rows[~resolved]), inherited
+    return sphere.children(graph.spec, graph.rows[~resolved], cap), inherited
 
 
 def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
@@ -406,7 +412,7 @@ def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
         comps = connected_components(graph)
         yield graph, comps, halting_report(fn, graph, comps, ar)
         if prunes:
-            rows, inherited = _unresolved_children(fn, graph, ar)
+            rows, inherited = _unresolved_children(fn, graph, ar, cap)
         k += 1
 
 

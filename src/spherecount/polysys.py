@@ -284,16 +284,17 @@ def _eval_monomials(exps, coeffs, X, ar):
     X has shape (m, n+1); returns shape (m,).
     """
     m = X.shape[0]
-    acc = None
-    for J, c in zip(exps.tolist(), coeffs.tolist()):
-        term = np.full(m, ar.const(c))
+    if len(coeffs) == 0:
+        return np.zeros(m)
+
+    def term(J, c):
+        out = np.full(m, ar.const(c))
         for k, e in enumerate(J):
             for _ in range(e):
-                term = ar.mul(term, X[:, k])
-        acc = term if acc is None else ar.add(acc, term)
-    if acc is None:
-        return np.zeros(m)
-    return acc
+                out = ar.mul(out, X[:, k])
+        return out
+
+    return ar.sum(term(J, c) for J, c in zip(exps.tolist(), coeffs.tolist()))
 
 
 def evaluate_many(f: PolynomialSystem, X: np.ndarray, ar=EXACT):
@@ -326,7 +327,3 @@ def jacobian_many(f: PolynomialSystem, X: np.ndarray, ar=EXACT) -> np.ndarray:
             out[:, i, k] = _eval_monomials(exps, coeffs, X, ar)
     return out
 
-
-def jacobian(f: PolynomialSystem, x, ar=EXACT) -> np.ndarray:
-    """Jacobian at a single point: (n, n+1) matrix of partial derivatives."""
-    return jacobian_many(f, np.asarray(x, dtype=float)[None, :], ar)[0]

@@ -4,162 +4,97 @@ The emulation rounds only the significand to ``t`` bits (round to nearest,
 ties to even); the exponent range is the host's.  With ``u = 2**-t`` every
 rounded result satisfies ``r(x) = x (1 + delta)`` with ``|delta| <= u``.
 
-Two arithmetic providers share one interface so the whole counting pipeline
-can run either at host precision or under emulated rounding.  All provider
-methods accept scalars or numpy arrays and broadcast elementwise.
+`Arithmetic(t)` is the one arithmetic provider: each of its operations is
+the host operation followed by one rounding to ``t`` bits, and
+``Arithmetic()`` (`EXACT`) leaves the host result as it is, so the whole
+counting pipeline runs the same code at host precision and under emulated
+rounding.  `Arithmetic.sum` is the one place the summation order is
+written; the round-off bounds depend on it.  All methods accept scalars or
+numpy arrays and broadcast elementwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
-    """A floating-point system with a t-bit significand, u = 2**-t."""
-
-    t: int
-
-    def __post_init__(self):
-        if self.t < 2:
-            raise ValueError(f"significand bit count must be >= 2, got {self.t}")
-
-    @property
-    def u(self) -> float:
-        return 2.0 ** (-self.t)
-
-
-def round_value(ctx: PrecisionContext, x):
-    """Round the significand of x to ctx.t bits, nearest-even ties.
+def round_value(t: int, x):
+    """Round the significand of x to t bits, nearest-even ties.
 
     Accepts scalars or arrays.  Zero, infinities and NaN pass through.
     """
     arr = np.asarray(x, dtype=np.float64)
     m, e = np.frexp(arr)
-    out = np.ldexp(np.rint(np.ldexp(m, ctx.t)), e - ctx.t)
+    out = np.ldexp(np.rint(np.ldexp(m, t)), e - t)
     if np.ndim(x) == 0:
         return float(out)
     return out
 
 
-_BINARY = {"+", "-", "*", "/"}
-_UNARY = {"sqrt", "arccos"}
+@dataclass(frozen=True)
+class Arithmetic:
+    """Host arithmetic with every result rounded to t significand bits.
 
-
-def rounded_op(ctx: PrecisionContext, op: str, a, b=None):
-    """Compute a single rounded operation: r(a op b).
-
-    Operands are assumed representable in ctx.  Domain errors (division by
-    zero, sqrt of a negative, arccos outside [-1, 1]) raise ValueError.
-    """
-    if op in _BINARY:
-        if b is None:
-            raise ValueError(f"operator {op!r} needs two operands")
-        if op == "+":
-            raw = np.add(a, b)
-        elif op == "-":
-            raw = np.subtract(a, b)
-        elif op == "*":
-            raw = np.multiply(a, b)
-        else:
-            if np.any(np.asarray(b) == 0):
-                raise ZeroDivisionError("rounded division by zero")
-            raw = np.divide(a, b)
-    elif op in _UNARY:
-        if b is not None:
-            raise ValueError(f"operator {op!r} takes one operand")
-        if op == "sqrt":
-            if np.any(np.asarray(a) < 0):
-                raise ValueError("rounded sqrt of a negative value")
-            raw = np.sqrt(a)
-        else:
-            if np.any(np.abs(np.asarray(a)) > 1):
-                raise ValueError("arccos argument outside [-1, 1]")
-            raw = np.arccos(a)
-    else:
-        raise ValueError(f"unknown operator {op!r}")
-    return round_value(ctx, raw)
-
-
-class ExactArithmetic:
-    """Host double-precision arithmetic (the exact-mode provider)."""
-
-    ctx = None
-
-    def const(self, x):
-        return x
-
-    def add(self, a, b):
-        return np.add(a, b)
-
-    def sub(self, a, b):
-        return np.subtract(a, b)
-
-    def mul(self, a, b):
-        return np.multiply(a, b)
-
-    def div(self, a, b):
-        return np.divide(a, b)
-
-    def sqrt(self, a):
-        return np.sqrt(a)
-
-    def arccos(self, a):
-        return np.arccos(a)
-
-    def __repr__(self):
-        return "ExactArithmetic()"
-
-
-class RoundedArithmetic:
-    """Arithmetic provider routing every operation through a PrecisionContext.
-
-    arccos and sqrt are computed at host precision and rounded once, which
-    satisfies the op~(x) = op(x)(1 + delta) contract.
+    t = None is host precision: no operation rounds.  sqrt and arccos are
+    computed at host precision and rounded once, which satisfies the
+    op~(x) = op(x)(1 + delta) contract.
     """
 
-    def __init__(self, ctx: PrecisionContext):
-        self.ctx = ctx
+    t: int | None = None
+
+    def __post_init__(self):
+        if self.t is not None and self.t < 2:
+            raise ValueError(f"significand bit count must be >= 2, got {self.t}")
+
+    def _round(self, x):
+        # round_value is looked up at each call, so a wrapper installed on
+        # the module attribute sees every rounding.
+        return x if self.t is None else round_value(self.t, x)
 
     def const(self, x):
-        return round_value(self.ctx, x)
+        return self._round(x)
 
     def add(self, a, b):
-        return round_value(self.ctx, np.add(a, b))
+        return self._round(np.add(a, b))
 
     def sub(self, a, b):
-        return round_value(self.ctx, np.subtract(a, b))
+        return self._round(np.subtract(a, b))
 
     def mul(self, a, b):
-        return round_value(self.ctx, np.multiply(a, b))
+        return self._round(np.multiply(a, b))
 
     def div(self, a, b):
-        return round_value(self.ctx, np.divide(a, b))
+        return self._round(np.divide(a, b))
 
     def sqrt(self, a):
-        return round_value(self.ctx, np.sqrt(a))
+        return self._round(np.sqrt(a))
 
     def arccos(self, a):
-        return round_value(self.ctx, np.arccos(a))
+        return self._round(np.arccos(a))
 
-    def __repr__(self):
-        return f"RoundedArithmetic(t={self.ctx.t})"
+    def sum(self, terms):
+        """The left fold ((t0 + t1) + t2) + ... of a nonempty iterable, each
+        addition rounded."""
+        return reduce(self.add, terms)
 
 
-EXACT = ExactArithmetic()
+EXACT = Arithmetic()
 
 
-def make_arithmetic(mode: str, bits: int | None = None):
+def make_arithmetic(mode: str, bits: int | None = None) -> Arithmetic:
     """Build the provider for a mode name: 'exact' or 'rounded'."""
     if mode == "exact":
+        if bits is not None:
+            raise ValueError("exact mode runs at host precision and takes no bit count")
         return EXACT
     if mode == "rounded":
         if bits is None:
             raise ValueError("rounded mode needs a significand bit count")
-        return RoundedArithmetic(PrecisionContext(bits))
+        return Arithmetic(bits)
     raise ValueError(f"unknown mode {mode!r}")
 
 

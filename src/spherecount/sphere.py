@@ -17,6 +17,7 @@ import numpy as np
 from .rounding import EXACT
 
 DEFAULT_GRID_CAP = 10**8
+_CHUNK = 1 << 15  # parents expanded at a time by children()
 
 
 class GridTooLargeError(RuntimeError):
@@ -45,12 +46,11 @@ class CubeGridSpec:
         return (side + 1) ** (self.n + 1) - (side - 1) ** (self.n + 1)
 
 
-def check_cap(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP):
-    """Raise GridTooLargeError when the level's nominal grid exceeds `cap` points."""
-    total = spec.point_count()
-    if total > cap:
+def check_cap(spec: CubeGridSpec, points: int, cap: int = DEFAULT_GRID_CAP):
+    """Raise GridTooLargeError when the level would hold more than `cap` points."""
+    if points > cap:
         raise GridTooLargeError(
-            f"grid at level k={spec.k} has {total} points, cap is {cap}"
+            f"level k={spec.k} needs {points} grid points, cap is {cap}"
         )
 
 
@@ -60,8 +60,8 @@ def grid_lattice(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
     Shape (N, n+1), each row once, antipodally closed.  Refuses grids with
     more than `cap` points.
     """
-    check_cap(spec, cap)
     total = spec.point_count()
+    check_cap(spec, total, cap)
     half = 2**spec.k
     dim = spec.n + 1
     full = np.arange(-half, half + 1, dtype=np.int64)
@@ -120,43 +120,50 @@ def is_canonical(rows: np.ndarray) -> np.ndarray:
     return rows[np.arange(len(rows)), first] > 0
 
 
-def children(spec: CubeGridSpec, rows: np.ndarray) -> np.ndarray:
+def children(spec: CubeGridSpec, rows: np.ndarray, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
     """Canonical level-(k+1) rows 2p + {-1, 0, 1}^(n+1) of level-k rows p.
 
     Keeps the children on the level-(k+1) cube surface, replaces each by
     its canonical representative (the antipode's children are the negated
     children), and returns every row once, in grid_lattice order.  Every
     level-(k+1) grid point is a child of some level-k grid point.
+
+    Raises GridTooLargeError when the children and their antipodes exceed
+    `cap` points.  Parents are expanded _CHUNK at a time; the children
+    found so far are deduplicated whenever they pass half the cap or
+    double, so the check is exact and memory stays within about twice the
+    returned rows or the cap, not 3^(n+1) candidates per parent.
     """
     dim = spec.n + 1
     finer = CubeGridSpec(n=spec.n, k=spec.k + 1)
     steps = np.array(np.meshgrid(*[[-1, 0, 1]] * dim, indexing="ij"), dtype=np.int64)
     steps = steps.reshape(dim, -1).T
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim)
-    cand = (2 * rows[:, None, :] + steps[None, :, :]).reshape(-1, dim)
-    cand = cand[np.abs(cand).max(axis=1) == 2**finer.k]
-    cand = np.where(is_canonical(cand)[:, None], cand, -cand)
-    _, first = np.unique(lattice_index(finer, cand), return_index=True)
-    return cand[first]
+    index, found, held, limit = [], [], 0, cap // 2
+    for lo in range(0, max(len(rows), 1), _CHUNK):
+        cand = (2 * rows[lo:lo + _CHUNK, None, :] + steps[None, :, :]).reshape(-1, dim)
+        cand = cand[np.abs(cand).max(axis=1) == 2**finer.k]
+        cand = np.where(is_canonical(cand)[:, None], cand, -cand)
+        idx, first = np.unique(lattice_index(finer, cand), return_index=True)
+        index.append(idx)
+        found.append(cand[first])
+        held += len(idx)
+        if held > limit or lo + _CHUNK >= len(rows):
+            idx, first = np.unique(np.concatenate(index), return_index=True)
+            index, found = [idx], [np.concatenate(found)[first]]
+            check_cap(finer, 2 * len(idx), cap)
+            held, limit = len(idx), max(cap // 2, 2 * len(idx))
+    return found[0]
 
 
 def project_many(Y: np.ndarray, ar=EXACT) -> np.ndarray:
     """phi(y) = y / ||y||_2 for a batch of cube points (m, n+1)."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     Yr = ar.const(Y)
-    sq = None
-    for k in range(Y.shape[1]):
-        t = ar.mul(Yr[:, k], Yr[:, k])
-        sq = t if sq is None else ar.add(sq, t)
-    nrm = ar.sqrt(sq)
+    nrm = ar.sqrt(ar.sum(ar.mul(Yr[:, k], Yr[:, k]) for k in range(Y.shape[1])))
     if np.any(nrm == 0):
         raise ValueError("cannot project the zero vector")
     return np.stack([ar.div(Yr[:, k], nrm) for k in range(Y.shape[1])], axis=1)
-
-
-def project(y, ar=EXACT) -> np.ndarray:
-    """Project a single cube point onto S^n."""
-    return project_many(np.asarray(y, dtype=float)[None, :], ar)[0]
 
 
 def pairwise_distances(X: np.ndarray, ar=EXACT) -> np.ndarray:
@@ -166,15 +173,10 @@ def pairwise_distances(X: np.ndarray, ar=EXACT) -> np.ndarray:
     the clamp to [-1, 1] is exact.
     """
     X = np.atleast_2d(X)
-    m, dim = X.shape
-    dots = None
-    sq = None
-    for k in range(dim):
-        outer = ar.mul(X[:, k][:, None], X[None, :, k])
-        dots = outer if dots is None else ar.add(dots, outer)
-        t = ar.mul(X[:, k], X[:, k])
-        sq = t if sq is None else ar.add(sq, t)
-    nrm = ar.sqrt(sq)
+    dim = X.shape[1]
+    # A generator, so only one (m, m) term is held beside the partial sum.
+    dots = ar.sum(ar.mul(X[:, k][:, None], X[None, :, k]) for k in range(dim))
+    nrm = ar.sqrt(ar.sum(ar.mul(X[:, k], X[:, k]) for k in range(dim)))
     a = ar.div(dots, ar.mul(nrm[:, None], nrm[None, :]))
     a = np.clip(a, -1.0, 1.0)
     return np.asarray(ar.arccos(a))
@@ -209,11 +211,7 @@ def tangent_basis_many(X: np.ndarray, ar=EXACT) -> np.ndarray:
     m, dim = X.shape
     n = dim - 1
     diff = ar.sub(X, np.eye(dim)[-1])
-    sq = None
-    for k in range(dim):
-        t = ar.mul(diff[:, k], diff[:, k])
-        sq = t if sq is None else ar.add(sq, t)
-    nrm = ar.sqrt(sq)
+    nrm = ar.sqrt(ar.sum(ar.mul(diff[:, k], diff[:, k]) for k in range(dim)))
     degenerate = np.asarray(nrm) < 1e-8
     safe = np.where(degenerate, 1.0, nrm)
     Y = np.stack([ar.div(diff[:, k], safe) for k in range(dim)], axis=1)

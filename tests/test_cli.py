@@ -18,6 +18,12 @@ CIRCLE = {
     "degrees": [2],
     "polys": [[{"J": [2, 0], "c": 1.0}, {"J": [0, 2], "c": 1.0}]],
 }
+# X1^2, X2: the double ray (1, 0, 0), so the loop never halts.
+DOUBLE_N2 = {
+    "n": 2,
+    "degrees": [2, 1],
+    "polys": [[{"J": [0, 2, 0], "c": 1.0}], [{"J": [0, 0, 1], "c": 1.0}]],
+}
 LINE_SHIFTED = {
     "n": 1,
     "degrees": [1],
@@ -245,6 +251,16 @@ def test_count_rounded_requires_bits(system_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_count_exact_rejects_bits(system_file, capsys):
+    rc = cli.main(
+        ["count", "--input", system_file(TWOLINES), "--mode", "exact", "--bits", "12"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_count_deterministic_across_workers(system_file, capsys):
     path = system_file(TWOLINES)
     outs = []
@@ -320,6 +336,16 @@ def test_kappa_document(system_file, capsys):
     assert set(doc) == {"kappa_lower_bound", "level", "grid_size"}
     assert doc["level"] == 8
     assert abs(doc["kappa_lower_bound"] - math.sqrt(2.0)) < 1e-3
+
+
+def test_kappa_grid_beyond_cap(system_file, capsys):
+    # Level 13 of the n = 2 grid has 1.6e9 points, beyond the 1e8 cap.
+    rc = cli.main(["kappa", "--input", system_file(DOUBLE_N2), "--level", "13"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "cap" in captured.err
 
 
 def test_sweep_document(system_file, capsys):

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spherecount import alpha, engine, oracle
+from spherecount import alpha, engine, oracle, sphere
 from spherecount.polysys import parse_system
-from spherecount.rounding import EXACT, RoundedArithmetic, make_arithmetic
+from spherecount.rounding import EXACT, make_arithmetic
 from spherecount.sphere import CubeGridSpec, lattice_index
 
 from util import svd_sigma_min_many, union_find_labels
@@ -103,8 +103,40 @@ def test_double_root_never_halts():
 
 
 def test_grid_cap_is_clean():
-    r = engine.count_roots(system(DOUBLE), max_iterations=24, grid_cap=1000)
+    # Rounded levels hold the whole grid, pruned exact levels only the
+    # points they evaluate; either way the loop stops cleanly at the cap.
+    for mode, bits, cap in (("rounded", 24, 1000), ("exact", None, 1000)):
+        r = engine.count_roots(system(DOUBLE), mode=mode, bits=bits,
+                               max_iterations=24, grid_cap=cap)
+        assert r.status == "iteration-cap-reached"
+        assert 0 < len(r.iterations) < 24
+
+
+def test_vertex_pairs_count_toward_the_cap():
+    """The dense distance matrix of V vertices holds V^2 entries."""
+    f = system(TWOLINES).normalized()
+    spec = CubeGridSpec(n=1, k=8)
+    whole = engine.build_graph(f, spec)
+    rows, V = whole.rows[whole.vertex_mask], whole.n_vertices
+    assert 2 * len(rows) == V < V * V - 1
+    assert engine.build_graph(f, spec, rows=rows, cap=V * V).n_vertices == V
+    with pytest.raises(sphere.GridTooLargeError):
+        engine.build_graph(f, spec, rows=rows, cap=V * V - 1)
+
+
+def test_pruned_levels_are_capped_by_evaluated_points():
+    """X1^2, X2 never halts; its pruned levels evaluate ~10^5 points, far
+    below the cap, although the nominal grid passes 10^8 at k = 11."""
+    f = system({
+        "n": 2,
+        "degrees": [2, 1],
+        "polys": [[{"J": [0, 2, 0], "c": 1.0}], [{"J": [0, 0, 1], "c": 1.0}]],
+    })
+    r = engine.count_roots(f, max_iterations=12)
     assert r.status == "iteration-cap-reached"
+    assert [it.k for it in r.iterations] == list(range(1, 13))
+    assert r.iterations[-1].grid_size > sphere.DEFAULT_GRID_CAP
+    assert all(lvl.evaluated <= sphere.DEFAULT_GRID_CAP for lvl in r.trace)
 
 
 def test_vertex_set_antipodal_and_components_even():
@@ -257,7 +289,7 @@ def _longhand_vertices_and_radii(f, graph, ar):
     c = alpha.theory_constants()
     n, D, fs, s = f.n, f.D, graph.f_sup, graph.sigma_min
     src = _vertex_sources(graph)
-    if isinstance(ar, RoundedArithmetic):
+    if ar.t is not None:
         D32 = ar.mul(ar.const(float(D)), ar.sqrt(ar.const(float(D))))
         lhs = ar.mul(ar.mul(ar.const(float(n)), fs), D32)
         mask = lhs < ar.mul(ar.const(c.alpha_bullet), ar.mul(s, s))
@@ -270,7 +302,7 @@ def _longhand_vertices_and_radii(f, graph, ar):
 def _longhand_thresholds(n, D, eta, ar):
     """(thr_i, thr_ii) as each mode wrote them out separately."""
     dim, dimD = float(n + 1), float((n + 1) * D)
-    if isinstance(ar, RoundedArithmetic):
+    if ar.t is not None:
         pi = ar.const(math.pi)
         thr_i = ar.mul(ar.mul(ar.mul(ar.const(1.5), pi), ar.const(eta)), ar.sqrt(ar.const(dim)))
         half_sqrt2 = ar.div(ar.sqrt(ar.const(2.0)), ar.const(2.0))

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from spherecount import sphere
 from spherecount.sphere import (
     CubeGridSpec,
     GridTooLargeError,
@@ -14,7 +15,6 @@ from spherecount.sphere import (
     is_canonical,
     lattice_index,
     pairwise_distances,
-    project,
     project_many,
     tangent_basis,
 )
@@ -90,6 +90,23 @@ def test_children_stay_within_the_parent_cell():
     assert np.all(is_canonical(got))
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 1 << 15])
+def test_children_by_chunks_and_their_cap(monkeypatch, chunk):
+    """Expanding the parents a few at a time gives the same rows, and the
+    cap refuses exactly the levels whose children and antipodes exceed it."""
+    rng = np.random.RandomState(chunk)
+    spec = CubeGridSpec(n=2, k=4)
+    L = grid_lattice(spec)
+    parents = L[is_canonical(L)]
+    parents = parents[np.sort(rng.choice(len(parents), 60, replace=False))]
+    want = children(spec, parents)
+    monkeypatch.setattr(sphere, "_CHUNK", chunk)
+    assert np.array_equal(children(spec, parents), want)
+    assert np.array_equal(children(spec, parents, cap=2 * len(want)), want)
+    with pytest.raises(GridTooLargeError):
+        children(spec, parents, cap=2 * len(want) - 1)
+
+
 def test_grid_lattice_scales_to_cube_surface():
     spec = CubeGridSpec(n=1, k=2)
     pts = grid_lattice(spec) * spec.eta
@@ -108,11 +125,11 @@ def test_projection_basics():
     for _ in range(100):
         y = np.array([rng.uniform(-1, 1) for _ in range(3)])
         y[rng.randrange(3)] = rng.choice([-1.0, 1.0])
-        x = project(y)
+        x = project_many(y)[0]
         assert abs(np.linalg.norm(x) - 1.0) < 1e-12
         assert np.allclose(x, y / np.linalg.norm(y), atol=1e-15)
     with pytest.raises(ValueError):
-        project(np.zeros(3))
+        project_many(np.zeros(3))
 
 
 def test_projection_is_odd():
@@ -153,7 +170,8 @@ def test_projection_distortion_bound():
         y1[rng.randrange(n + 1)] = rng.choice([-1.0, 1.0])
         y2 = y1 + np.array([rng.uniform(-0.2, 0.2) for _ in range(n + 1)])
         y2 /= np.max(np.abs(y2))
-        d = distance(project(y1), project(y2))
+        x1, x2 = project_many(np.stack([y1, y2]))
+        d = distance(x1, x2)
         assert d <= 0.5 * math.pi * np.linalg.norm(y1 - y2) + 1e-12
 
 
