@@ -11,7 +11,10 @@ the guaranteed bound (1/2)^(2^k - 1) * beta_0 for a certified start.
 
 import numpy as np
 
-from spherecount import newton_refine, parse_system, point_data, theory_constants
+from spherecount import EXACT, newton_refine, parse_system
+from spherecount.alpha import compute_M_many, sigma_min_many
+from spherecount.engine import vertex_test
+from spherecount.polysys import evaluate_many
 
 # two crossing lines: zeros at slopes +-0.5
 SYSTEM = {
@@ -32,14 +35,16 @@ def main():
     )
     start = rot @ true_zero
 
-    consts = theory_constants()
-    data = point_data(f, start)
-    certified = data.alpha_bar < consts.alpha_star
+    # The start point as a one-row batch through the grid's point kernel.
+    X = start[None, :]
+    _, f_sup = evaluate_many(f, X)
+    smin = sigma_min_many(compute_M_many(f, X))
+    certified = vertex_test(f, f_sup, smin, EXACT)[0]
+    alpha_bar = f.n * f_sup[0] * f.D**1.5 / (2.0 * smin[0] ** 2)
     print(f"start point: ({start[0]:.6f}, {start[1]:.6f})")
     print(
-        f"alpha_bar at start: {data.alpha_bar:.6f} "
-        f"({'<' if certified else '>='} threshold {consts.alpha_star:.6f}, "
-        f"{'certified' if certified else 'uncertified'})\n"
+        f"alpha_bar at start: {alpha_bar:.6f} "
+        f"(grid vertex test: {'certified' if certified else 'uncertified'})\n"
     )
 
     result = newton_refine(f, start)

@@ -8,15 +8,11 @@ an emulated reduced-precision mode are supported.
 """
 
 from .alpha import (
-    PointData,
     RefineResult,
     SingularJacobianError,
     TheoryConstants,
-    compute_M,
     newton_refine,
     newton_step,
-    point_data,
-    sigma_min,
     theory_constants,
 )
 from .engine import (
@@ -35,7 +31,6 @@ from .polysys import (
     Polynomial,
     PolynomialSystem,
     SystemFormatError,
-    evaluate,
     parse_system,
     system_to_document,
     weyl_norm,
@@ -51,7 +46,6 @@ from .sphere import (
     CubeGridSpec,
     GridTooLargeError,
     exp_map,
-    tangent_basis,
 )
 
 __all__ = [
@@ -63,7 +57,6 @@ __all__ = [
     "InternalConsistencyError",
     "IterationReport",
     "Monomial",
-    "PointData",
     "Polynomial",
     "PolynomialSystem",
     "ProximityGraph",
@@ -72,23 +65,18 @@ __all__ = [
     "SystemFormatError",
     "TheoryConstants",
     "build_graph",
-    "compute_M",
     "connected_components",
     "count_roots",
     "estimate_kappa",
-    "evaluate",
     "exp_map",
     "initial_level",
     "make_arithmetic",
     "newton_refine",
     "newton_step",
     "parse_system",
-    "point_data",
     "required_precision",
     "round_value",
-    "sigma_min",
     "system_to_document",
-    "tangent_basis",
     "theory_constants",
     "weyl_norm",
 ]

@@ -1,4 +1,4 @@
-"""Per-point certification data and Newton iteration on the sphere.
+"""Batched certification kernel and Newton iteration on the sphere.
 
 The certified quantities at a point x (for a normalized system, ||f|| = 1):
 
@@ -10,8 +10,12 @@ The certified quantities at a point x (for a normalized system, ||f|| = 1):
 
 A point with alpha_bar below the universal threshold is an approximate zero:
 its Newton iterates converge quadratically to a nearby true zero.  The
-universal constants are recomputed at import time by bisection and checked
-against their printed decimal expansions in the test suite.
+kernel computes M and sigma_min(M) for a batch of points; a single point is
+a one-row batch.  The test alpha_bar < alpha_star is written once, without
+divisions, as the grid's vertex test `engine.vertex_test`; it fails at a
+singular zero (sigma_min = 0).  The universal constants are recomputed at
+import time by bisection and checked against their printed decimal
+expansions in the test suite.
 """
 
 from __future__ import annotations
@@ -95,20 +99,6 @@ def theory_constants() -> TheoryConstants:
     )
 
 
-@dataclass
-class PointData:
-    """Certification record for one (f, x) pair (f normalized)."""
-
-    M: np.ndarray
-    sigma_min: float
-    mu_norm: float
-    beta_bar: float
-    gamma_bar: float
-    alpha_bar: float
-    f_sup: float
-    exclusion_radius: float
-
-
 def compute_M_many(f: polysys.PolynomialSystem, X: np.ndarray, ar=EXACT) -> np.ndarray:
     """Batched scaled tangent Jacobians diag(1/sqrt(d_i)) Df(x) H: (m, n, n)."""
     X = np.atleast_2d(X)
@@ -123,10 +113,6 @@ def compute_M_many(f: polysys.PolynomialSystem, X: np.ndarray, ar=EXACT) -> np.n
             acc = ar.sum(ar.mul(jac[:, i, k], H[:, k, j]) for k in range(f.n_vars))
             M[:, i, j] = ar.mul(acc, inv_sqrt_d[i])
     return M
-
-
-def compute_M(f: polysys.PolynomialSystem, x, ar=EXACT) -> np.ndarray:
-    return compute_M_many(f, np.asarray(x, dtype=float)[None, :], ar)[0]
 
 
 def _sigma_min_2x2(M: np.ndarray) -> np.ndarray:
@@ -185,44 +171,6 @@ def sigma_min_many(M: np.ndarray, ar=EXACT) -> np.ndarray:
     return ar.const(s)
 
 
-def sigma_min(M: np.ndarray) -> float:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("sigma_min expects a square matrix")
-    return float(sigma_min_many(M[None, :, :])[0])
-
-
-def point_data(f: polysys.PolynomialSystem, x) -> PointData:
-    """All certification quantities at x, for a normalized system."""
-    x = np.asarray(x, dtype=float)
-    _, f_sup = polysys.evaluate(f, x)
-    M = compute_M(f, x)
-    smin = sigma_min(M)
-    n = f.n
-    D32 = f.D**1.5
-    if smin > 0:
-        mu = math.sqrt(n) / smin
-        beta = mu * f_sup
-        gamma = 0.5 * D32 * mu
-        alpha = beta * gamma
-    else:
-        mu = math.inf
-        gamma = math.inf
-        beta = math.inf if f_sup > 0 else 0.0
-        alpha = math.inf if f_sup > 0 else 0.0
-    excl = min(f_sup / math.sqrt(f.D), math.sqrt(2.0))
-    return PointData(
-        M=M,
-        sigma_min=smin,
-        mu_norm=mu,
-        beta_bar=beta,
-        gamma_bar=gamma,
-        alpha_bar=alpha,
-        f_sup=f_sup,
-        exclusion_radius=excl,
-    )
-
-
 def newton_step(f: polysys.PolynomialSystem, x):
     """One Newton step on the sphere: exp_x(-Df(x)|_T^{-1} f(x)).
 
@@ -232,14 +180,15 @@ def newton_step(f: polysys.PolynomialSystem, x):
     """
     x = np.asarray(x, dtype=float)
     x = x / np.linalg.norm(x)
-    vals, _ = polysys.evaluate(f, x)
-    H = sphere.tangent_basis(x)
-    M = compute_M(f, x)
-    if sigma_min(M) == 0.0:
+    X = x[None, :]
+    vals, _ = polysys.evaluate_many(f, X)
+    H = sphere.tangent_basis_many(X)[0]
+    M = compute_M_many(f, X)
+    if sigma_min_many(M)[0] == 0.0:
         raise SingularJacobianError("tangent Jacobian is singular at this point")
-    A = np.sqrt(np.asarray(f.degrees, dtype=float))[:, None] * M
+    A = np.sqrt(np.asarray(f.degrees, dtype=float))[:, None] * M[0]
     Q, R, perm = scipy.linalg.qr(A, pivoting=True)
-    y = Q.T @ vals
+    y = Q.T @ vals[0]
     w_p = scipy.linalg.solve_triangular(R, y)
     w = np.empty_like(w_p)
     w[perm] = w_p

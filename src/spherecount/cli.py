@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import alpha, engine, polysys, sphere
-from .rounding import required_precision
+from .rounding import EXACT, required_precision
 
 
 def _finite_or_null(obj):
@@ -90,13 +90,17 @@ def cmd_refine(args) -> int:
         raise polysys.SystemFormatError(
             f"start point has {len(start)} coordinates, expected {f.n_vars}"
         )
-    if abs(np.linalg.norm(start) - 1.0) > 1e-6:
+    if not np.all(np.isfinite(start)):
+        raise polysys.SystemFormatError("start point has non-finite coordinates")
+    if not abs(np.linalg.norm(start) - 1.0) <= 1e-6:
         raise polysys.SystemFormatError("start point must lie on the unit sphere")
     start = start / np.linalg.norm(start)
     fn = f.normalized()
-    consts = alpha.theory_constants()
-    data = alpha.point_data(fn, start)
-    if not data.alpha_bar < consts.alpha_star:
+    # The start is certified by the grid's exact-mode vertex test.
+    X = start[None, :]
+    _, f_sup = polysys.evaluate_many(fn, X)
+    smin = alpha.sigma_min_many(alpha.compute_M_many(fn, X))
+    if not engine.vertex_test(fn, f_sup, smin, EXACT)[0]:
         print("warning: uncertified start (alpha_bar >= alpha_star)", file=sys.stderr)
     refined = alpha.newton_refine(fn, start, max_steps=args.max_steps, beta_tol=args.beta_tol)
     doc = {

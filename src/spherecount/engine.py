@@ -176,6 +176,20 @@ def _mode_constants(ar) -> tuple[float, float, float, bool]:
     return consts.alpha_bullet, 1.5, 2.0, False
 
 
+def vertex_test(f: polysys.PolynomialSystem, f_sup, smin, ar) -> np.ndarray:
+    """The mode's alpha test at points with residuals f_sup and sigma_min smin.
+
+    n ||f(x)||_inf D^{3/2} < a sigma_min^2, with the vertex alpha a of
+    `_mode_constants`, through the provider.  In exact mode (a = 2 alpha_star)
+    this is alpha_bar < alpha_star without divisions, so it fails at a
+    singular point (sigma_min = 0) instead of evaluating 0 * inf.
+    """
+    vertex_alpha = _mode_constants(ar)[0]
+    n, D = float(f.n), float(f.D)
+    lhs = ar.mul(ar.mul(ar.const(n), f_sup), ar.mul(ar.const(D), ar.sqrt(ar.const(D))))
+    return lhs < ar.mul(ar.const(vertex_alpha), ar.mul(smin, smin))
+
+
 def build_graph(
     f: polysys.PolynomialSystem,
     spec: sphere.CubeGridSpec,
@@ -194,23 +208,21 @@ def build_graph(
     holds (the nominal grid, or the given rows and their antipodes) and to
     the V^2 entries of the vertices' distance matrix.
 
-    Vertices pass n ||f(x)||_inf D^{3/2} < a sigma_min^2 and carry the radius
-    c sigma sqrt(n) ||f(x)||_inf / sigma_min, with (a, c) = (2 alpha_star, 1)
-    in exact mode and (alpha_bullet, 3/2) in rounded mode; every operation
-    goes through the provider.  Edges join vertices with d(x, y) <= r_x + r_y,
-    distances in the mode's arithmetic.
+    Vertices pass `vertex_test` and carry the radius
+    c sigma sqrt(n) ||f(x)||_inf / sigma_min, with c = 1 in exact mode and
+    3/2 in rounded mode; every operation goes through the provider.  Edges
+    join vertices with d(x, y) <= r_x + r_y, distances in the mode's
+    arithmetic.
     """
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("build_graph expects a normalized system")
-    vertex_alpha, slack, _, _ = _mode_constants(ar)
+    slack = _mode_constants(ar)[1]
     if rows is None:
         rows = _canonical_rows(spec, cap)
     else:
         sphere.check_cap(spec, 2 * len(rows), cap)
     X, f_sup, smin = _grid_point_data(f, spec, rows, ar, workers)
-    n, D = float(f.n), float(f.D)
-    lhs = ar.mul(ar.mul(ar.const(n), f_sup), ar.mul(ar.const(D), ar.sqrt(ar.const(D))))
-    vertex_mask = lhs < ar.mul(ar.const(vertex_alpha), ar.mul(smin, smin))
+    vertex_mask = vertex_test(f, f_sup, smin, ar)
 
     # Each canonical vertex stands for itself and its antipode; list both
     # in grid_lattice order.
@@ -223,7 +235,7 @@ def build_graph(
     sign = np.repeat([1.0, -1.0], len(canon))[order]
     Xv = X[source] * sign[:, None]
     sigma = alpha.theory_constants().sigma
-    coef = ar.mul(ar.mul(ar.const(slack), ar.const(sigma)), ar.sqrt(ar.const(n)))
+    coef = ar.mul(ar.mul(ar.const(slack), ar.const(sigma)), ar.sqrt(ar.const(float(f.n))))
     radii = ar.div(ar.mul(coef, f_sup[source]), smin[source])
 
     if len(Xv):

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .alpha import compute_M, sigma_min
-from .polysys import Monomial, Polynomial, PolynomialSystem, evaluate
+from .alpha import compute_M_many, sigma_min_many
+from .polysys import Monomial, Polynomial, PolynomialSystem, evaluate_many
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +246,8 @@ def make_linear_product_system(
         system = PolynomialSystem(tuple(degrees), polys)
         if min_sigma is not None:
             fn = system.normalized()
-            worst = min(
-                sigma_min(compute_M(fn, np.array(r, float) / np.linalg.norm(r)))
-                for r in distinct
-            )
-            if worst < min_sigma:
+            R = np.array([np.array(r, float) / np.linalg.norm(r) for r in distinct])
+            if np.min(sigma_min_many(compute_M_many(fn, R))) < min_sigma:
                 continue
         return system, len(distinct), distinct
     raise RuntimeError(f"no admissible system found for seed {seed}")
@@ -262,8 +259,8 @@ def verify_zero(f: PolynomialSystem, z, tol: float = 1e-8) -> bool:
     True iff ||f(z)||_inf <= tol and sigma_min of the scaled tangent
     Jacobian at z exceeds tol.
     """
-    z = np.asarray(z, dtype=float)
-    _, sup = evaluate(f, z)
-    if sup > tol:
+    Z = np.asarray(z, dtype=float)[None, :]
+    _, sup = evaluate_many(f, Z)
+    if sup[0] > tol:
         return False
-    return sigma_min(compute_M(f, z)) > tol
+    return bool(sigma_min_many(compute_M_many(f, Z))[0] > tol)

@@ -310,12 +310,6 @@ def evaluate_many(f: PolynomialSystem, X: np.ndarray, ar=EXACT):
     return vals, sup
 
 
-def evaluate(f: PolynomialSystem, x, ar=EXACT):
-    """Evaluate at a single point; returns (vector in R^n, sup norm)."""
-    vals, sup = evaluate_many(f, np.asarray(x, dtype=float)[None, :], ar)
-    return vals[0], float(sup[0])
-
-
 def jacobian_many(f: PolynomialSystem, X: np.ndarray, ar=EXACT) -> np.ndarray:
     """Batched Jacobian Df(x): shape (m, n, n+1)."""
     X = np.atleast_2d(X)

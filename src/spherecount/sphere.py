@@ -194,19 +194,14 @@ def exp_map(x, h, tol: float = 1e-10) -> np.ndarray:
     return np.cos(t) * x + (np.sin(t) / t) * h
 
 
-def tangent_basis(x, ar=EXACT) -> np.ndarray:
-    """Orthonormal basis of T_x S^n from the Householder reflection.
-
-    Returns the (n+1) x n matrix of the first n columns of I - 2 y y^T with
-    y = (x - e_last) / ||x - e_last||; that reflection swaps e_last and x.
-    When x is within 1e-8 of e_last the formula degenerates and the identity
-    columns are returned directly.
-    """
-    return tangent_basis_many(np.asarray(x, dtype=float)[None, :], ar)[0]
-
-
 def tangent_basis_many(X: np.ndarray, ar=EXACT) -> np.ndarray:
-    """Batched Householder tangent bases: (m, n+1, n)."""
+    """Orthonormal bases of T_x S^n from the Householder reflection: (m, n+1, n).
+
+    Each basis is the (n+1) x n matrix of the first n columns of I - 2 y y^T
+    with y = (x - e_last) / ||x - e_last||; that reflection swaps e_last and
+    x.  When x is within 1e-8 of e_last the formula degenerates and the
+    identity columns are returned directly.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, dim = X.shape
     n = dim - 1

@@ -8,11 +8,12 @@ the desk-scale grid budget.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from spherecount import engine, oracle, sphere
+
+from util import is_squarefree
 
 UNIVARIATE_RNG_SEED = 20260826
 UNIVARIATE_SIZE = 20
@@ -29,18 +30,6 @@ MULTIVARIATE_SPEC = [
 # inside the default grid cap; higher degrees are exact-mode only (the
 # rounded halting mesh is ~4x finer and exceeds the cap -- see notes).
 ROUNDED_FEASIBLE_DEGREES = {(1, 1)}
-
-
-def dense_rational(poly):
-    dense = [Fraction(0)] * (poly.degree + 1)
-    for e, c in zip(poly.exponents, poly.coefficients):
-        dense[int(e[1])] += Fraction(c)
-    return dense
-
-
-def is_squarefree(poly):
-    p = oracle._poly_trim(dense_rational(poly))
-    return len(oracle._squarefree_part(p)) == len(p)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -16,7 +16,6 @@ import pytest
 
 from spherecount import alpha, cli, engine, oracle, sphere
 from spherecount.polysys import (
-    evaluate,
     evaluate_many,
     jacobian_many,
     parse_system,
@@ -173,9 +172,9 @@ def test_criterion_06_invariants():
         f = random_system(rng, n, [rng.randint(1, 4) for _ in range(n)]).normalized()
         x = nprng.standard_normal(n + 1)
         x /= np.linalg.norm(x)
-        data = alpha.point_data(f, x)
-        ok = ok and data.mu_norm >= 1.0 - 1e-9
-        ok = ok and np.linalg.norm(data.M) <= math.sqrt(n) * (1.0 + 1e-9)
+        M = alpha.compute_M_many(f, x[None, :])
+        ok = ok and math.sqrt(n) / alpha.sigma_min_many(M)[0] >= 1.0 - 1e-9
+        ok = ok and np.linalg.norm(M[0]) <= math.sqrt(n) * (1.0 + 1e-9)
     # rotation invariance of the coefficient norm
     for _ in range(25):
         n = rng.choice([1, 2])
@@ -189,7 +188,7 @@ def test_criterion_06_invariants():
         n = rng.choice([1, 2])
         f = random_system(rng, n, [rng.randint(1, 4) for _ in range(n)])
         x = nprng.standard_normal(n + 1)
-        vals, _ = evaluate(f, x)
+        vals = evaluate_many(f, x[None, :])[0][0]
         J = jacobian_many(f, x[None, :])[0]
         for i, d in enumerate(f.degrees):
             ok = ok and abs(d * vals[i] - float(J[i] @ x)) <= 1e-10

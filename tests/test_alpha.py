@@ -7,17 +7,16 @@ import pytest
 from spherecount.alpha import (
     SingularJacobianError,
     _bisect,
-    compute_M,
+    compute_M_many,
     newton_refine,
     newton_step,
-    point_data,
     psi,
-    sigma_min,
     sigma_min_many,
     theory_constants,
 )
 from spherecount import engine
-from spherecount.polysys import parse_system
+from spherecount.polysys import evaluate_many, parse_system
+from spherecount.rounding import EXACT
 
 from util import distance, random_sphere_point, random_system, svd_sigma_min_many
 
@@ -91,7 +90,7 @@ def test_sigma_min_against_jacobi_oracle():
     for _ in range(100):
         n = rng.randint(1, 4)
         A = rng.standard_normal((n, n))
-        ours = sigma_min(A)
+        ours = sigma_min_many(A[None])[0]
         ref = jacobi_sigma_min(A)
         assert abs(ours - ref) < 1e-9 * max(1.0, np.abs(A).max())
 
@@ -151,10 +150,9 @@ def test_mu_norm_at_least_one_and_M_bounded():
         n = rng.choice([1, 2])
         f = random_system(rng, n, [rng.randint(1, 3) for _ in range(n)]).normalized()
         x = random_sphere_point(rng, n + 1)
-        data = point_data(f, x)
-        assert data.mu_norm >= 1.0 - 1e-9
-        M = compute_M(f, x)
-        assert np.linalg.norm(M) <= math.sqrt(n) * (1.0 + 1e-9)
+        M = compute_M_many(f, x[None, :])
+        assert math.sqrt(n) / sigma_min_many(M)[0] >= 1.0 - 1e-9
+        assert np.linalg.norm(M[0]) <= math.sqrt(n) * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -175,36 +173,49 @@ def test_sigma_min_at_most_one_within_pruning_margin(n):
         X = nprng.standard_normal((20, n + 1))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         X[0] = np.eye(n + 1)[0]
-        for x in X:
-            M = compute_M(f, x)
-            assert np.linalg.norm(M) <= math.sqrt(n) * (1.0 + margin)
-            assert sigma_min(M) <= 1.0 + margin
-    assert abs(sigma_min(compute_M(cases[-1].normalized(), np.eye(n + 1)[0])) - 1.0) <= 4 * EPS
+        M = compute_M_many(f, X)
+        assert np.all(np.linalg.norm(M, axis=(1, 2)) <= math.sqrt(n) * (1.0 + margin))
+        assert np.all(sigma_min_many(M) <= 1.0 + margin)
+    M = compute_M_many(cases[-1].normalized(), np.eye(n + 1)[:1])
+    assert abs(sigma_min_many(M)[0] - 1.0) <= 4 * EPS
 
 
-def test_point_data_fields_consistent():
+def _vertex_test_at(f, X):
+    _, f_sup = evaluate_many(f, X)
+    smin = sigma_min_many(compute_M_many(f, X))
+    return f_sup, smin, engine.vertex_test(f, f_sup, smin, EXACT)
+
+
+def test_vertex_test_certifies_simple_zeros_only():
+    line = parse_system({"n": 1, "degrees": [1], "polys": [[{"J": [0, 1], "c": 1.0}]]})
+    double = parse_system({"n": 1, "degrees": [2], "polys": [[{"J": [0, 2], "c": 1.0}]]})
+    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    # X1: the simple zero (1, 0) passes; (0, 1) has residual 1 and fails.
+    f_sup, smin, passed = _vertex_test_at(line.normalized(), X)
+    assert f_sup.tolist() == [0.0, 1.0] and abs(smin[0] - 1.0) <= 4 * EPS
+    assert passed.tolist() == [True, False]
+    # X1^2: (1, 0) is a singular zero (alpha_bar = 0 * inf), which fails.
+    f_sup, smin, passed = _vertex_test_at(double.normalized(), X)
+    assert f_sup[0] == 0.0 and smin[0] == 0.0
+    assert passed.tolist() == [False, False]
+
+
+def test_vertex_test_is_alpha_bar_below_alpha_star():
+    """Away from the boundary's rounding, the vertex test in exact mode
+    decides alpha_bar = beta_bar gamma_bar < alpha_star."""
     f = parse_system(
-        {"n": 1, "degrees": [1], "polys": [[{"J": [0, 1], "c": 1.0}]]}
+        {"n": 1, "degrees": [2], "polys": [[{"J": [0, 2], "c": 1.0}, {"J": [2, 0], "c": -0.25}]]}
     ).normalized()
-    x = np.array([1.0, 0.0])  # f(x) = 0 component is x1 = 0... x is a zero
-    data = point_data(f, x)
-    assert data.f_sup == 0.0
-    assert data.beta_bar == 0.0
-    assert data.alpha_bar == 0.0
-    y = np.array([0.0, 1.0])
-    dy = point_data(f, y)
-    assert dy.f_sup == 1.0
-    assert dy.alpha_bar >= theory_constants().alpha_star
-
-
-def test_exclusion_radius():
-    f = parse_system(
-        {"n": 1, "degrees": [2], "polys": [[{"J": [2, 0], "c": 1.0}, {"J": [0, 2], "c": 1.0}]]}
-    ).normalized()
-    x = np.array([1.0, 0.0])
-    data = point_data(f, x)
-    expect = min(data.f_sup / math.sqrt(2.0), math.sqrt(2.0))
-    assert abs(data.exclusion_radius - expect) < 1e-15
+    offsets = np.logspace(-6, 0, 200)
+    theta = np.arctan2(1.0, 2.0) + np.concatenate([-offsets, offsets])
+    X = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    f_sup, smin, passed = _vertex_test_at(f, X)
+    mu = math.sqrt(f.n) / smin
+    alpha_bar = (mu * f_sup) * (0.5 * f.D**1.5 * mu)
+    alpha_star = theory_constants().alpha_star
+    assert passed.any() and not passed.all()
+    far = np.abs(alpha_bar / alpha_star - 1.0) > 1e-12
+    assert np.array_equal(passed[far], (alpha_bar < alpha_star)[far])
 
 
 def test_newton_step_closed_form_line():

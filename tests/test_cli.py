@@ -302,6 +302,25 @@ def test_refine_uncertified_warning(system_file, capsys):
     assert "uncertified start" in captured.err
 
 
+def test_refine_singular_start_is_uncertified(system_file, capsys):
+    # (1, 0) is a double zero of X1^2: residual 0, sigma_min 0
+    rc = cli.main(["refine", "--input", system_file(DOUBLE), "--start", "1,0"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "uncertified start" in captured.err
+    assert json.loads(captured.out)["singular"] is True
+
+
+@pytest.mark.parametrize("start", ["nan,1", "inf,0"])
+def test_refine_non_finite_start_rejected(system_file, capsys, start):
+    rc = cli.main(["refine", "--input", system_file(TWOLINES), "--start", start])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "non-finite" in lines[0]
+
+
 def test_refine_off_sphere_rejected(system_file, capsys):
     rc = cli.main(
         ["refine", "--input", system_file(TWOLINES), "--start", "1,1"]

@@ -5,6 +5,11 @@ permutations, and the zero set does not depend on the order of the
 equations, so exclusion pruning must keep these symmetries.  The systems
 are small: binary forms of degree <= 3 and pairs of linear forms in three
 variables, capped at a few levels, with a handful of derandomized examples.
+
+Two metamorphic properties move the zeros off the grid's symmetries: an
+orthogonal change of variables x -> Q x maps the zero rays one-to-one, and
+scaling an equation by a nonzero factor leaves its zero set alone.  They
+run on small oracle systems, whose exact counts the results must match.
 """
 
 import random
@@ -12,12 +17,15 @@ import random
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from spherecount import engine
+from spherecount import engine, oracle
 from spherecount.polysys import Monomial, Polynomial, PolynomialSystem
 
-from util import all_exponents
+from util import all_exponents, compose_orthogonal, is_squarefree, random_orthogonal
 
 MAX_LEVELS = 9
+# The (2, 1) oracle systems halt at k = 10 or 11, a little later once their
+# zeros leave the grid's axes or an equation is rescaled.
+ORACLE_LEVELS = 13
 PROPERTY = settings(
     max_examples=6,
     deadline=None,
@@ -38,6 +46,26 @@ def small_systems(draw):
         assume(any(cs))
         polys.append(Polynomial(d, [Monomial(e, float(c)) for e, c in zip(exps, cs) if c], n + 1))
     return PolynomialSystem(tuple(degrees), polys)
+
+
+@st.composite
+def oracle_systems(draw):
+    """(system, exact count): a squarefree binary form of degree <= 3, or a
+    product of linear forms of degrees (1, 1) or (2, 1) in three variables."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        f, count = oracle.random_binary_system(rng, draw(st.sampled_from([3, 2, 1])))
+        assume(is_squarefree(f.polynomials[0]))
+        return f, count
+    # (degrees, coeff_range, min_sigma) of the multivariate suite in conftest.py
+    degrees, coeff_range, min_sigma = draw(
+        st.sampled_from([((1, 1), 1, 0.90), ((2, 1), 2, 0.62)])
+    )
+    f, count, _ = oracle.make_linear_product_system(
+        degrees, draw(st.integers(0, 3)), coeff_range=coeff_range, min_sigma=min_sigma,
+        max_tries=5000,
+    )
+    return f, count
 
 
 def _transform(f, exponent_map, coefficient_map=lambda J, c: c, order=None):
@@ -89,3 +117,46 @@ def test_equation_permutation_keeps_count(f, rnd: random.Random):
     a, b = _count(f), _count(g)
     if a.status == b.status == "converged":
         assert a.count == b.count
+
+
+def _assert_oracle_count(count, *systems):
+    for f in systems:
+        result = engine.count_roots(f, max_iterations=ORACLE_LEVELS)
+        if result.status == "converged":
+            assert result.count == count
+
+
+@PROPERTY
+@given(oracle_systems(), st.integers(0, 2**32 - 1))
+def test_orthogonal_change_of_variables_keeps_count(case, seed):
+    f, count = case
+    Q = random_orthogonal(random.Random(seed), f.n_vars)
+    _assert_oracle_count(count, f, compose_orthogonal(f, Q))
+
+
+# Nonzero factors of magnitude 1/2 to 2: powers of two, whose normalization
+# is exact, and arbitrary floats.  Their ratio bounds how much one equation
+# can weaken the others' conditioning, and so the levels needed.
+FACTORS = st.builds(
+    lambda sign, size: sign * size,
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.5, 2.0)),
+)
+
+
+@PROPERTY
+@given(oracle_systems(), st.data())
+def test_equation_scaling_keeps_count(case, data):
+    f, count = case
+    scales = [data.draw(FACTORS) for _ in range(f.n)]
+    g = PolynomialSystem(
+        f.degrees,
+        [
+            Polynomial(p.degree,
+                       [Monomial(J, s * c)
+                        for J, c in zip(p.exponents.tolist(), p.coefficients.tolist())],
+                       f.n_vars)
+            for p, s in zip(f.polynomials, scales)
+        ],
+    )
+    _assert_oracle_count(count, f, g)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spherecount import oracle
-from spherecount.polysys import evaluate, parse_system, system_to_document
+from spherecount.polysys import evaluate_many, parse_system, system_to_document
 
 
 def test_sturm_examples():
@@ -194,8 +194,8 @@ def test_linear_product_rays_are_exact_zeros():
         for ray in rays:
             z = np.array(ray, dtype=float)
             z /= np.linalg.norm(z)
-            _, sup = evaluate(fn, z)
-            assert sup < 1e-14
+            _, sup = evaluate_many(fn, z[None, :])
+            assert sup[0] < 1e-14
             assert oracle.verify_zero(fn, z, 1e-8)
         # rays are pairwise non-parallel
         R = np.array(
@@ -207,7 +207,7 @@ def test_linear_product_rays_are_exact_zeros():
 
 
 def test_linear_product_min_sigma_filter():
-    from spherecount.alpha import compute_M, sigma_min
+    from spherecount.alpha import compute_M_many, sigma_min_many
 
     f, count, rays = oracle.make_linear_product_system(
         (1, 1), seed=1, min_sigma=0.5
@@ -215,7 +215,7 @@ def test_linear_product_min_sigma_filter():
     fn = f.normalized()
     for ray in rays:
         z = np.array(ray, float) / np.linalg.norm(ray)
-        assert sigma_min(compute_M(fn, z)) > 0.5
+        assert sigma_min_many(compute_M_many(fn, z[None, :]))[0] > 0.5
 
 
 def test_verify_zero_examples():

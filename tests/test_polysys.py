@@ -10,7 +10,6 @@ from spherecount.polysys import (
     Polynomial,
     PolynomialSystem,
     SystemFormatError,
-    evaluate,
     evaluate_many,
     jacobian_many,
     multinomial,
@@ -109,25 +108,26 @@ def test_evaluate_against_direct_formula():
         n = rng.choice([1, 2])
         f = random_system(rng, n, [rng.randint(1, 4) for _ in range(n)])
         x = random_sphere_point(rng, n + 1)
-        vals, sup = evaluate(f, x)
+        vals, sup = evaluate_many(f, x[None, :])
         for i, poly in enumerate(f.polynomials):
             direct = sum(
                 c * np.prod(x ** np.asarray(e))
                 for e, c in zip(poly.exponents, poly.coefficients)
             )
-            assert abs(vals[i] - direct) < 1e-12
-        assert abs(sup - np.max(np.abs(vals))) == 0.0
+            assert abs(vals[0, i] - direct) < 1e-12
+        assert abs(sup[0] - np.max(np.abs(vals[0]))) == 0.0
 
 
 def test_evaluate_many_matches_scalar():
+    # The kernel is elementwise: a point's values do not depend on the batch.
     rng = random.Random(17)
     f = random_system(rng, 2, [2, 3])
     X = np.stack([random_sphere_point(rng, 3) for _ in range(40)])
     vals, sup = evaluate_many(f, X)
     for i in range(40):
-        vi, si = evaluate(f, X[i])
-        assert np.allclose(vals[i], vi, atol=1e-14)
-        assert abs(sup[i] - si) == 0.0
+        vi, si = evaluate_many(f, X[i : i + 1])
+        assert np.array_equal(vals[i : i + 1], vi)
+        assert np.array_equal(sup[i : i + 1], si)
 
 
 def test_jacobian_against_finite_differences():
@@ -142,7 +142,8 @@ def test_jacobian_against_finite_differences():
             xp, xm = x.copy(), x.copy()
             xp[k] += h
             xm[k] -= h
-            num = (evaluate(f, xp)[0] - evaluate(f, xm)[0]) / (2 * h)
+            vals, _ = evaluate_many(f, np.stack([xp, xm]))
+            num = (vals[0] - vals[1]) / (2 * h)
             assert np.allclose(J[:, k], num, atol=1e-5)
 
 
@@ -154,7 +155,7 @@ def test_euler_identity():
         degrees = [rng.randint(1, 4) for _ in range(n)]
         f = random_system(rng, n, degrees)
         x = random_sphere_point(rng, n + 1)
-        vals, _ = evaluate(f, x)
+        vals = evaluate_many(f, x[None, :])[0][0]
         J = jacobian_many(f, x[None, :])[0]
         lhs = J @ x
         rhs = np.asarray(degrees, dtype=float) * vals
@@ -168,7 +169,9 @@ def test_normalized_system():
     assert abs(fn.norm - 1.0) < 1e-12
     assert abs(fn.original_norm - f.norm) < 1e-12
     x = random_sphere_point(rng, 2)
-    assert abs(evaluate(fn, x)[1] * f.norm - evaluate(f, x)[1]) < 1e-12
+    _, sup_n = evaluate_many(fn, x[None, :])
+    _, sup = evaluate_many(f, x[None, :])
+    assert abs(sup_n[0] * f.norm - sup[0]) < 1e-12
 
 
 def test_system_norm_is_max_of_weyl_norms():

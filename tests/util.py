@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
+from spherecount import oracle
 from spherecount.polysys import Monomial, Polynomial, PolynomialSystem
 from spherecount.rounding import EXACT
 
@@ -29,6 +31,15 @@ def random_system(rng: random.Random, n, degrees, scale=1.0):
         ]
         polys.append(Polynomial(d, monomials, n_vars=n + 1))
     return PolynomialSystem(tuple(degrees), polys)
+
+
+def is_squarefree(poly: Polynomial) -> bool:
+    """Does the dehomogenized binary form p(1, t) have only simple roots?"""
+    dense = [Fraction(0)] * (poly.degree + 1)
+    for e, c in zip(poly.exponents, poly.coefficients):
+        dense[int(e[1])] += Fraction(c)
+    p = oracle._poly_trim(dense)
+    return len(oracle._squarefree_part(p)) == len(p)
 
 
 def random_orthogonal(rng: random.Random, dim):
