@@ -6,8 +6,8 @@ identical runs produce byte-identical files and parse/re-serialize
 round-trips exactly.  They are strict RFC 8259 JSON: a non-finite value
 (an empty minimum, an unbounded condition estimate) is written as null.
 
-Exit codes: 0 success/converged, 1 input or schema error, 2 iteration cap
-reached (the refinement loop did not halt within the budget).
+Exit codes: 0 success/converged, 1 usage, input or schema error, 2
+iteration cap reached (the refinement loop did not halt within the budget).
 """
 
 from __future__ import annotations
@@ -160,8 +160,35 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as every input error
+    does; argparse's own code 2 means "iteration cap reached" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _join_negative_start(argv: list[str]) -> list[str]:
+    """argv with "--start V" written "--start=V" when V begins with a negative
+    number.  argparse reads only a plain number such as -0.6 as a negative
+    value; it takes "-0.6,0.8" for an option and reports a missing value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--start" and arg.startswith("-"):
+            try:
+                float(arg.split(",")[0])
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--start={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spherecount",
         description="Count real zero rays of homogeneous polynomial systems.",
     )
@@ -202,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_start(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (

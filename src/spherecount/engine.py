@@ -10,17 +10,21 @@ number of zero rays is r/2.
 
 Both modes run one set of formulas through the arithmetic provider; they
 differ only in the constants of `_mode_constants`, which rounded mode
-widens to absorb round-off.
+widens to absorb round-off, and in the round-off margin of the pruning
+test below.
 
-The first level evaluates the whole grid.  In exact mode each later level
-evaluates only the children of the points its predecessor left unresolved:
-a point whose residual exceeds, by the Lipschitz bound over its cell plus
-a floating-point margin, both the vertex bound and the next condition (ii)
-threshold certifies every finer grid point in its cell as a non-vertex
-that passes (ii) (`_unresolved_children`).  The skipped points enter
-condition (ii) through that certified lower bound, so the vertices, edges,
-components and halting verdicts are those of the whole grid.  Rounded mode
-evaluates every grid point at every level.
+The first level evaluates the whole grid.  Each later level evaluates only
+the children of the points its predecessor left unresolved: a point whose
+residual exceeds, by the Lipschitz bound over its cell plus a round-off
+margin, both the vertex bound and the next condition (ii) threshold
+certifies every finer grid point in its cell as a non-vertex that passes
+(ii) (`_unresolved_children`).  The margin is derived for host arithmetic
+in exact mode (`_prune_margin`) and for t-bit arithmetic in rounded mode
+(`_rounded_prune_bounds`).  The skipped points enter condition (ii)
+through that certified lower bound, so the vertices, edges, components and
+halting verdicts are those of the whole grid.  When a whole-grid level
+resolves nothing, as at coarse levels and at low precision, the next level
+is the whole grid again, taken without expanding children.
 
 Grid data is computed once per antipodal pair: every certified quantity is
 invariant under x -> -x, so the engine evaluates only canonical points
@@ -158,22 +162,19 @@ def _canonical_rows(spec, cap: int) -> np.ndarray:
     return lattice[sphere.is_canonical(lattice)]
 
 
-def _mode_constants(ar) -> tuple[float, float, float, bool]:
-    """The four constants in which the modes differ, for the provider ar.
+def _mode_constants(ar) -> tuple[float, float, float]:
+    """The three constants in which the modes differ, for the provider ar.
 
-    (vertex alpha, slack, radicand, prunes): the vertex test compares
-    against vertex alpha * sigma_min^2, radii and the condition (i)
-    threshold carry the factor slack, the condition (ii) threshold the
-    factor sqrt(radicand) / 2, and `prunes` says whether levels after the
-    first evaluate only the cells left unresolved (`_unresolved_children`).
-    Exact mode: (2 alpha_star, 1, 1, True).  Rounded mode absorbs round-off
-    with (alpha_bullet, 3/2, 2) and evaluates every grid point, since no
-    margin for its emulated arithmetic is derived.
+    (vertex alpha, slack, radicand): the vertex test compares against
+    vertex alpha * sigma_min^2, radii and the condition (i) threshold carry
+    the factor slack, and the condition (ii) threshold the factor
+    sqrt(radicand) / 2.  Exact mode: (2 alpha_star, 1, 1).  Rounded mode
+    absorbs round-off with (alpha_bullet, 3/2, 2).
     """
     consts = alpha.theory_constants()
     if ar.t is None:
-        return 2.0 * consts.alpha_star, 1.0, 1.0, True
-    return consts.alpha_bullet, 1.5, 2.0, False
+        return 2.0 * consts.alpha_star, 1.0, 1.0
+    return consts.alpha_bullet, 1.5, 2.0
 
 
 def vertex_test(f: polysys.PolynomialSystem, f_sup, smin, ar) -> np.ndarray:
@@ -293,7 +294,7 @@ def _thresholds(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, ar) -> t
     thr_i = c pi eta sqrt(n+1) and thr_ii = (sqrt(r) / 2) pi eta sqrt((n+1) D),
     with the mode's slack c and radicand r from `_mode_constants`.
     """
-    _, slack, radicand, _ = _mode_constants(ar)
+    _, slack, radicand = _mode_constants(ar)
 
     def threshold(factor, m: int):
         # factor * pi * eta * sqrt(m), in this order, through the provider
@@ -375,6 +376,142 @@ def _prune_margin(f: polysys.PolynomialSystem) -> float:
     return 2.0**7 * f.D * (f.n + 1) ** 2 * (f.D + f.S) * 2.0**-53
 
 
+def _gamma(k: float, u: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u), inf once k u >= 1.
+
+    A product of k factors (1 + delta_i)^(+-1) with |delta_i| <= u is
+    1 + theta with |theta| <= gamma_k (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Lemma 3.1), and gamma_j + gamma_k +
+    gamma_j gamma_k <= gamma_(j+k).
+    """
+    return k * u / (1.0 - k * u) if k * u < 1.0 else math.inf
+
+
+def _unit_roundoff(t: int) -> float:
+    """u' with |op~(x) - op(x)| <= u' |op(x)| for every rounded operation.
+
+    Each provider operation is the host operation, rounded to 53 bits, then
+    rounded to t bits, so it errs by at most 2^-t (1 + 2^-53) + 2^-53
+    <= 2^-t + 2^-52 relative.  From t = 53 on the second rounding is the
+    identity and u' = 2^-53.
+    """
+    return 2.0**-53 if t >= 53 else 2.0**-t + 2.0**-52
+
+
+def _round_off_bounds(f: polysys.PolynomialSystem, t: int) -> tuple[float, float]:
+    """(e_f, d_s): round-off bounds of the grid data at t significand bits.
+
+    With g_k = gamma_k at u' = `_unit_roundoff(t)`, n equations, largest
+    degree D and at most S monomials per equation.  The normalized system
+    is stored in doubles, so each ||f_i|| <= N = 1 + (S+3) 2^-53.
+
+    * Projection.  `sphere.project_many` rounds the grid point Y to t bits,
+      Y~ = Y (1 + delta) coordinatewise, which moves Y / ||Y|| by at most
+      2 u'.  The norm ||Y~|| is a left fold of n+1 rounded squares and a
+      rounded sqrt, and each coordinate a rounded quotient, so the computed
+      point is x = (Y~ / ||Y~||)(1 + theta_(n+3)) coordinatewise:
+      ||x - phi(Y)|| <= g_(n+3) + 2 u' <= g_(n+5) and ||x|| <= 1 + g_(n+3).
+    * Residual.  A term c_J x^J is one rounded constant and d_i rounded
+      products; the left fold of S terms adds S-1 roundings, so the
+      computed f_i(x) errs by at most g_(D+S) sum_J |c_J x^J|
+      <= g_(D+S) ||f_i|| ||x||^D (Cauchy-Schwarz with the multinomial
+      weights of the Weyl norm).  Moving x to phi(Y) changes f_i by at most
+      ||Df_i|| ||x - phi(Y)|| with ||Df_i(z)|| <= D ||f_i|| ||z||^(D-1)
+      (Kostlan).  So a computed f_sup is within
+          e_f = N (1 + g_(n+3))^D (g_(D+S) + D g_(n+5))
+      of ||f(phi(Y))||_inf, and within e_f of r = ||f(x / ||x||)||_inf:
+      the rescaling costs N ((1 + g_(n+3))^D - 1) <= N D g_(n+3) (1 + g_(n+3))^D.
+    * sigma_min cap.  The computed Householder basis H~ is the first n
+      columns of the exact reflection P for the computed vector
+      v = x - e_last (orthogonal for any v) plus an error of Frobenius norm
+      h = sqrt(n) u' + 2 g_(2n+8), so ||H~||_2 <= 1 + h and
+      ||H~||_F <= sqrt(n) + h.  P need not map e_last to x / ||x|| (near
+      e_last the computed norm of x moves it), so the rows of M are bounded
+      through the whole gradient: with Euler's Df_i(x) x = d_i f_i(x) and
+      the tangential bound ||Df_i(x)|_T|| <= sqrt(d_i) ||f_i||,
+      ||Df_i(x0)|| <= sqrt(d_i) N sqrt(1 + D r^2) at x0 = x / ||x||.  The
+      computed Jacobian row errs by g_(D+S) ||Dg(|x|)|| <= g_(D+S) d_i N ||x||^(d_i-1)
+      (g = sum_J |c_J| X^J has the Weyl norm of f_i; the table's c_J J_k
+      costs one more rounding), the products with H~ add g_(n+1) ||H~||_F
+      relative and the factor 1 / sqrt(d_i) g_4.  sigma_min(M) is at most
+      any row norm; the host kernel adds at most 8 n eps ||M||_F
+      <= 8 n^(3/2) eps max_i ||M_i|| (eps = 2^-52, `alpha.sigma_min_many`)
+      and the result is rounded once.  So the computed sigma_min
+      <= (1 + d_s) sqrt(1 + D r^2) with
+          1 + d_s = (1 + u')(1 + 8 n^(3/2) 2^-52)(1 + g_4)
+                    (1 + h + g_(n+1) (sqrt(n) + h)) (1 + g_(n+3))^(D-1)
+                    N (1 + sqrt(D) g_(D+S)).
+
+    Both are inf when u' is too coarse for the gamma bounds (k u' >= 1).
+    Underflow adds at most a few multiples of 2^-1074, far below either.
+    """
+    u = _unit_roundoff(t)
+    n, D, S = f.n, f.D, f.S
+    norm = 1.0 + (S + 3) * 2.0**-53
+    e_f = norm * (1.0 + _gamma(n + 3, u)) ** D * (_gamma(D + S, u) + D * _gamma(n + 5, u))
+    h = math.sqrt(n) * u + 2.0 * _gamma(2 * n + 8, u)
+    cap = (
+        (1.0 + u) * (1.0 + 8.0 * n**1.5 * 2.0**-52) * (1.0 + _gamma(4, u))
+        * (1.0 + h + _gamma(n + 1, u) * (math.sqrt(n) + h))
+        * (1.0 + _gamma(n + 3, u)) ** (D - 1) * norm * (1.0 + math.sqrt(D) * _gamma(D + S, u))
+    )
+    return e_f, cap - 1.0
+
+
+def _rounded_prune_bounds(f: polysys.PolynomialSystem, t: int,
+                          vertex_alpha: float) -> tuple[float, float]:
+    """(margin, floor) of the rounded-mode pruning test at t significand bits.
+
+    A point p resolves its cell when b(p) = f_sup(p) - 2 sqrt(D) rho - margin
+    exceeds max(floor, thr_ii(k+1)) (`_unresolved_children`).  With e_f and
+    d_s of `_round_off_bounds`, u' = `_unit_roundoff(t)` and g_k = gamma_k:
+
+    (a) Residuals.  A descendant q of p has computed residual
+        f_sup(q) >= ||f(phi(q))||_inf - e_f >= ||f(phi(p))||_inf
+        - 2 N sqrt(D) rho - e_f >= f_sup(p) - 2 sqrt(D) rho - 2 e_f - e_c,
+        where N = 1 + (S+3) 2^-53 bounds ||f_i|| in the Lipschitz constant
+        and e_c below takes the excess 2 (N - 1) sqrt(D) rho.  So b(p) is
+        a lower bound of every descendant's computed residual when
+        margin = 2 e_f + e_c: e_f enters once for p and once for q.
+    (b) Vertex floor.  The computed vertex test at q is
+        n f_sup D^(3/2) (1 + theta_7) < alpha_bullet sigma^2 (1 + theta_3)
+        (rounded constants, products and sqrt), with sigma
+        <= (1 + d_s) sqrt(1 + D r^2) and r <= f_sup + e_f.  It fails
+        when w(f_sup) = f_sup - a (1 + D (f_sup + e_f)^2) >= 0, where
+        a = alpha_bullet (1 + d_s)^2 (1 + g_10) / (n D^(3/2)): the cap
+        enters multiplicatively, not linearized.  w is concave, so it is
+        >= 0 on [floor, F] when it is at both ends, with F = N + e_f the
+        largest computed residual.  floor = a (1 + D (2a + e_f)^2) gives
+        w(floor) = a D ((2a + e_f)^2 - (floor + e_f)^2) >= 0 when
+        floor <= 2a; when that or w(F) >= 0 fails, floor is inf.
+    (c) The test itself.  `_unresolved_children` computes b(p) in host
+        doubles, so its error stays at 2^-53: b(p) takes seven roundings on
+        quantities below 2 + 2 sqrt(D) rho_1 (rho_1 = (pi/4) sqrt(n+1)
+        bounds every rho, and a resolved point has margin < f_sup <= F < 2),
+        and the floor and margin come from fewer than 100 host roundings.
+        e_c = 2^-45 (1 + (S+12) sqrt(D) rho_1) covers these and the
+        Lipschitz excess of (a).  The rounded thr_ii halves exactly from
+        one level to the next: eta is a power of two, which commutes with
+        each rounding.
+
+    So a resolved p leaves every descendant a computed non-vertex whose
+    computed residual exceeds b(p) > thr_ii(k+1) >= thr_ii(k+j), j >= 1.
+    At 12 bits, D = 6 and S = 7 this is a margin of about 0.025 and a
+    floor of about 1.05 alpha_bullet / (n D^(3/2)).
+    """
+    e_f, d_s = _round_off_bounds(f, t)
+    u = _unit_roundoff(t)
+    n, D, S = f.n, f.D, f.S
+    a = vertex_alpha * (1.0 + d_s) ** 2 * (1.0 + _gamma(10, u)) / (n * D**1.5)
+    floor = a * (1.0 + D * (2.0 * a + e_f) ** 2)
+    top = 1.0 + (S + 3) * 2.0**-53 + e_f
+    if not (floor <= 2.0 * a and top >= a * (1.0 + D * (top + e_f) ** 2)):
+        floor = math.inf
+    rho_1 = 0.25 * math.pi * math.sqrt(n + 1)
+    e_c = 2.0**-45 * (1.0 + (S + 12) * math.sqrt(D) * rho_1)
+    return 2.0 * e_f + e_c, floor
+
+
 def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
                          cap: int = sphere.DEFAULT_GRID_CAP):
     """Rows the next level must evaluate, and the next level's inherited bound.
@@ -385,22 +522,35 @@ def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
     bound d(phi(y), phi(z)) <= (pi/2) ||y - z|| within angle
     2 rho_{k+1} = 2 (pi/2) 2^-(k+1) sqrt(n+1) of it.  As ||f(x)||_inf is
     sqrt(D)-Lipschitz, each has residual above
-    b(p) = f_sup(p) - 2 sqrt(D) rho_{k+1} - margin (`_prune_margin`).  When
-    b(p) > max(2 alpha_star / (n D^{3/2}), thr_ii(k+1)), p resolves its cell
-    for good: as sigma_min <= 1 no descendant passes the vertex test, and
-    each passes condition (ii) at level k+1 and, as thr_ii halves with eta,
-    at every later level.  The next level evaluates the children of the
-    unresolved points only.  Every grid point it skips has a resolved
+    b(p) = f_sup(p) - 2 sqrt(D) rho_{k+1} - margin.  When
+    b(p) > max(floor, thr_ii(k+1)), p resolves its cell for good: no
+    descendant passes the vertex test, and each passes condition (ii) at
+    level k+1 and, as thr_ii halves with eta, at every later level.  In
+    exact mode the margin is `_prune_margin` and the floor
+    2 alpha_star / (n D^{3/2}), as sigma_min <= 1; rounded mode takes both
+    from `_rounded_prune_bounds`.  The next level evaluates the children of
+    the unresolved points only.  Every grid point it skips has a resolved
     ancestor, so its residual is above the smallest b(p) over all resolved
     points, which the returned bound carries.
+
+    A level that evaluated the whole grid and resolved nothing passes on
+    the whole next grid, `_canonical_rows(finer)`: the same rows as the
+    children of all its rows, without expanding 3^(n+1) candidates each.
+    An empty level stays empty.
     """
     vertex_alpha = _mode_constants(ar)[0]
     finer = sphere.CubeGridSpec(n=graph.spec.n, k=graph.spec.k + 1)
     n, D = f.n, f.D
     rho = 0.5 * math.pi * finer.eta * math.sqrt(n + 1)
-    bound = graph.f_sup - 2.0 * math.sqrt(D) * rho - _prune_margin(f)
+    if ar.t is None:
+        margin, floor = _prune_margin(f), vertex_alpha / (n * (D * math.sqrt(D)))
+    else:
+        margin, floor = _rounded_prune_bounds(f, ar.t, vertex_alpha)
+    bound = graph.f_sup - 2.0 * math.sqrt(D) * rho - margin
     _, thr_ii = _thresholds(f, finer, ar)
-    resolved = bound > max(vertex_alpha / (n * (D * math.sqrt(D))), float(thr_ii))
+    resolved = bound > max(floor, float(thr_ii))
+    if not resolved.any() and 2 * len(graph.rows) == graph.grid_size:
+        return _canonical_rows(finer, cap), graph.inherited_fsup
     inherited = min(graph.inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
     return sphere.children(graph.spec, graph.rows[~resolved], cap), inherited
 
@@ -409,12 +559,10 @@ def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
             cap: int = sphere.DEFAULT_GRID_CAP):
     """Yield (graph, components, report) for each level from initial_level(n) on.
 
-    The first level evaluates the whole grid.  When the mode prunes
-    (`_mode_constants`), each later level evaluates only the children of
-    the points its predecessor left unresolved (`_unresolved_children`);
-    otherwise every level evaluates the whole grid.
+    The first level evaluates the whole grid; each later level evaluates
+    only the children of the points its predecessor left unresolved
+    (`_unresolved_children`).
     """
-    prunes = _mode_constants(ar)[3]
     rows, inherited = None, math.inf
     k = initial_level(fn.n)
     while True:
@@ -423,8 +571,7 @@ def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
                             inherited_fsup=inherited)
         comps = connected_components(graph)
         yield graph, comps, halting_report(fn, graph, comps, ar)
-        if prunes:
-            rows, inherited = _unresolved_children(fn, graph, ar, cap)
+        rows, inherited = _unresolved_children(fn, graph, ar, cap)
         k += 1
 
 

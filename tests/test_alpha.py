@@ -14,9 +14,9 @@ from spherecount.alpha import (
     sigma_min_many,
     theory_constants,
 )
-from spherecount import engine
+from spherecount import engine, sphere
 from spherecount.polysys import evaluate_many, parse_system
-from spherecount.rounding import EXACT
+from spherecount.rounding import EXACT, Arithmetic
 
 from util import distance, random_sphere_point, random_system, svd_sigma_min_many
 
@@ -178,6 +178,43 @@ def test_sigma_min_at_most_one_within_pruning_margin(n):
         assert np.all(sigma_min_many(M) <= 1.0 + margin)
     M = compute_M_many(cases[-1].normalized(), np.eye(n + 1)[:1])
     assert abs(sigma_min_many(M)[0] - 1.0) <= 4 * EPS
+
+
+def _eye_system(n):
+    """Linear forms e_1..e_n, which reach sigma_min = 1 at x = e_0."""
+    return parse_system({
+        "n": n, "degrees": [1] * n,
+        "polys": [[{"J": [int(j == i + 1) for j in range(n + 1)], "c": 1.0}] for i in range(n)],
+    })
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rounded_grid_data_within_round_off_bounds(n):
+    """The ingredients of the rounded pruning margin: at t bits the computed
+    residual is within e_f of the true one (the exact-mode value is within
+    e_f at 53 bits of it), and the computed sigma_min is at most
+    (1 + d_s) sqrt(1 + D r^2) with r <= f_sup + e_f."""
+    rng = random.Random(7100 + n)
+    cases = [random_system(rng, n, [rng.randint(1, 4) for _ in range(n)]) for _ in range(12)]
+    cases.append(_eye_system(n))
+    spec = sphere.CubeGridSpec(n=n, k={1: 6, 2: 3, 3: 2}[n])
+    rows = engine._canonical_rows(spec, sphere.DEFAULT_GRID_CAP)
+    for f in cases:
+        f = f.normalized()
+        _, exact_fsup, _ = engine._grid_point_data(f, spec, rows, EXACT, 1)
+        e_exact, _ = engine._round_off_bounds(f, 53)
+        for t in (12, 24, 53):
+            e_f, d_s = engine._round_off_bounds(f, t)
+            _, f_sup, smin = engine._grid_point_data(f, spec, rows, Arithmetic(t), 1)
+            assert np.all(np.abs(f_sup - exact_fsup) <= e_f + e_exact)
+            assert np.all(smin <= (1.0 + d_s) * np.sqrt(1.0 + f.D * (f_sup + e_f) ** 2))
+    # The linear forms reach the cap up to d_s: sigma_min = 1 at e_0, which
+    # the computed value can exceed (1 + 2^-11 at 12 bits for n = 1).
+    f = cases[-1].normalized()
+    e0 = np.array([[2**spec.k] + [0] * n])
+    for t in (12, 24, 53):
+        smin = engine._grid_point_data(f, spec, e0, Arithmetic(t), 1)[2][0]
+        assert abs(smin - 1.0) <= engine._round_off_bounds(f, t)[1]
 
 
 def _vertex_test_at(f, X):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spherecount import cli
+from spherecount.polysys import system_to_document
 
 
 TWOLINES = {
@@ -270,6 +271,20 @@ def test_count_deterministic_across_workers(system_file, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("bits", ["53", "24"])
+def test_count_rounded_degree_21(multivariate_suite, system_file, capsys, bits):
+    """Rounded mode counts a degree-(2,1) system: pruned levels keep its
+    halting level (k = 11) within the grid cap."""
+    (case,) = [c for c in multivariate_suite if c["degrees"] == (2, 1) and c["seed"] == 0]
+    path = system_file(system_to_document(case["system"]))
+    rc = cli.main(["count", "--input", path, "--mode", "rounded", "--bits", bits,
+                   "--workers", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["status"] == "converged"
+    assert doc["count"] == case["count"] == 2
+    assert doc["iterations"][-1]["k"] == 11
+
+
 def test_refine_closed_form(system_file, capsys):
     # Newton for X1 - 0.1 X0 from (1, 0) lands on (1, 0.1)/sqrt(1.01)
     rc = cli.main(
@@ -319,6 +334,38 @@ def test_refine_non_finite_start_rejected(system_file, capsys, start):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "non-finite" in lines[0]
+
+
+@pytest.mark.parametrize("flag", [["--start", "-0.6,0.8"], ["--start=-0.6,0.8"]])
+def test_refine_start_with_leading_minus(system_file, capsys, flag):
+    rc = cli.main(["refine", "--input", system_file(TWOLINES), *flag])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "uncertified start" in captured.err
+    point = json.loads(captured.out)["final_point"]
+    assert np.allclose(np.abs(point), np.array([2.0, 1.0]) / math.sqrt(5.0), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["refine", "--input", "system.json", "--start"],
+        ["refine", "--input", "system.json", "--start", "-x,1"],
+        ["count"],
+        ["count", "--input", "system.json", "--bits", "twelve"],
+        ["count", "--input", "system.json", "--colour"],
+        ["solve", "--input", "system.json"],
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    """Exit 2 means "iteration cap reached"; a usage error is an input error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: spherecount") and ": error: " in lines[-1]
 
 
 def test_refine_off_sphere_rejected(system_file, capsys):

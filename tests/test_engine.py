@@ -103,8 +103,8 @@ def test_double_root_never_halts():
 
 
 def test_grid_cap_is_clean():
-    # Rounded levels hold the whole grid, pruned exact levels only the
-    # points they evaluate; either way the loop stops cleanly at the cap.
+    # The whole-grid first level, then the points each pruned level
+    # evaluates, count against the cap; the loop stops cleanly at it.
     for mode, bits, cap in (("rounded", 24, 1000), ("exact", None, 1000)):
         r = engine.count_roots(system(DOUBLE), mode=mode, bits=bits,
                                max_iterations=24, grid_cap=cap)
@@ -357,8 +357,12 @@ def test_mode_formulas_match_longhand(multivariate_suite, degrees, seed, mode, b
 
 def _uniform_grid(monkeypatch):
     """Turn pruning off: every level evaluates the whole grid."""
-    real = engine._mode_constants
-    monkeypatch.setattr(engine, "_mode_constants", lambda ar: real(ar)[:3] + (False,))
+
+    def whole_next_grid(f, graph, ar, cap=sphere.DEFAULT_GRID_CAP):
+        finer = CubeGridSpec(n=graph.spec.n, k=graph.spec.k + 1)
+        return engine._canonical_rows(finer, cap), math.inf
+
+    monkeypatch.setattr(engine, "_unresolved_children", whole_next_grid)
 
 
 def _assert_pruning_keeps_decisions(pruned, uniform):
@@ -376,27 +380,44 @@ def _assert_pruning_keeps_decisions(pruned, uniform):
         assert len(graph.rows) <= len(ugraph.rows) == ugraph.grid_size // 2
 
 
-PRUNE_CASES = [((2, 1), 0)] + [((1, 1), seed) for seed in range(4)]
+PRUNE_CASES = [((2, 1), 0, "exact", None)] + [
+    ((1, 1), seed, mode, bits)
+    for mode, bits in (("exact", None), ("rounded", 53), ("rounded", 24), ("rounded", 12))
+    for seed in range(4)
+]
 
 
 @pytest.mark.parametrize(
-    "degrees, seed", PRUNE_CASES, ids=[f"{d[0]}{d[1]}-seed{s}" for d, s in PRUNE_CASES]
+    "degrees, seed, mode, bits", PRUNE_CASES,
+    ids=[f"{d[0]}{d[1]}-seed{s}" + (f"-{m}{b}" if b else "") for d, s, m, b in PRUNE_CASES],
 )
-def test_pruned_levels_match_uniform_grid(multivariate_suite, monkeypatch, degrees, seed):
+def test_pruned_levels_match_uniform_grid(multivariate_suite, monkeypatch, degrees, seed,
+                                          mode, bits):
     """Exclusion pruning takes every decision the whole grid takes, level by level."""
     f = _suite_system(multivariate_suite, degrees, seed)
-    pruned = _levels_to_halt(f, EXACT)
+    ar = make_arithmetic(mode, bits)
+    pruned = _levels_to_halt(f, ar)
     _uniform_grid(monkeypatch)
-    uniform = _levels_to_halt(f, EXACT)
+    uniform = _levels_to_halt(f, ar)
     _assert_pruning_keeps_decisions(pruned, uniform)
     assert len(pruned[-1][1].rows) < len(uniform[-1][1].rows)
 
 
-def test_pruned_levels_match_uniform_grid_univariate(univariate_suite, monkeypatch):
-    pruned = [_levels_to_halt(case["system"], EXACT) for case in univariate_suite]
+def _assert_univariate_pruning_keeps_decisions(suite, monkeypatch, ar):
+    pruned = [_levels_to_halt(case["system"], ar) for case in suite]
     _uniform_grid(monkeypatch)
-    for case, levels in zip(univariate_suite, pruned):
-        _assert_pruning_keeps_decisions(levels, _levels_to_halt(case["system"], EXACT))
+    for case, levels in zip(suite, pruned):
+        _assert_pruning_keeps_decisions(levels, _levels_to_halt(case["system"], ar))
+
+
+def test_pruned_levels_match_uniform_grid_univariate(univariate_suite, monkeypatch):
+    _assert_univariate_pruning_keeps_decisions(univariate_suite, monkeypatch, EXACT)
+
+
+@pytest.mark.parametrize("bits", [53, 24, 12])
+def test_pruned_levels_match_uniform_grid_univariate_rounded(univariate_suite, monkeypatch, bits):
+    _assert_univariate_pruning_keeps_decisions(univariate_suite, monkeypatch,
+                                               make_arithmetic("rounded", bits))
 
 
 def test_level_with_nothing_left_to_evaluate():
@@ -414,8 +435,17 @@ def test_level_with_nothing_left_to_evaluate():
     assert rows.shape == (0, 2) and inherited == 0.5
 
 
-def test_rounded_mode_evaluates_whole_grid(multivariate_suite):
-    f = _suite_system(multivariate_suite, (1, 1), 0)
-    for _, graph, _, _ in _levels_to_halt(f, make_arithmetic("rounded", 24)):
-        assert len(graph.rows) == graph.grid_size // 2
-        assert graph.inherited_fsup == math.inf
+def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_suite):
+    """A whole-grid level that resolves no point hands the next level its
+    whole grid, the rows sphere.children gives for all of the level's rows;
+    at 3 bits no margin is finite, so every level is the whole grid."""
+    f = _suite_system(multivariate_suite, (1, 1), 0).normalized()
+    for ar in (EXACT, make_arithmetic("rounded", 12), make_arithmetic("rounded", 3)):
+        graph = engine.build_graph(f, CubeGridSpec(n=2, k=1), ar)
+        finer = CubeGridSpec(n=2, k=2)
+        rows, inherited = engine._unresolved_children(f, graph, ar)
+        assert np.array_equal(rows, engine._canonical_rows(finer, sphere.DEFAULT_GRID_CAP))
+        assert np.array_equal(rows, sphere.children(graph.spec, graph.rows))
+        assert inherited == math.inf
+    r = engine.count_roots(f, mode="rounded", bits=3, max_iterations=6)
+    assert [lvl.evaluated for lvl in r.trace] == [it.grid_size for it in r.iterations]

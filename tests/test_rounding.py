@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -12,6 +14,8 @@ from spherecount.rounding import (
     required_precision,
     round_value,
 )
+
+from util import frexp_round_value
 
 
 def test_arithmetic_validation():
@@ -51,6 +55,55 @@ def test_round_value_idempotent():
         r = round_value(7, x)
         assert round_value(7, r) == r
         assert abs(r - x) <= abs(x) * 2.0**-7
+
+
+KERNEL_BITS = (2, 12, 24, 52, 53, 60)
+
+
+def _kernel_inputs():
+    """Ties at each width, signed zeros, subnormals, infinities, NaN, the
+    largest double and random values over the whole exponent range."""
+    big, tiny = sys.float_info.max, sys.float_info.min
+    special = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, 1.5e-310, -7.7e-315,
+               math.inf, -math.inf, math.nan, big, -big, 1.0, -1.3, 1.0 / 3.0]
+    # (N + 1/2) 2^-t with 2^(t-1) <= N < 2^t is a tie at t bits; N odd
+    # rounds up, N even down.
+    ties = [s * (2.0 ** (t - 1) + j + 0.5) * 2.0**-t
+            for t in KERNEL_BITS if t < 53 for j in (1, 2) for s in (1.0, -1.0)]
+    rng = np.random.default_rng(17)
+    normal = rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60)
+    subnormal = rng.integers(1, 2**52, 20) * 5e-324
+    return np.concatenate([special, ties, normal, subnormal])
+
+
+def _recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, {str(w.message) for w in seen}
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=np.float64).view(np.int64),
+                          np.asarray(b, dtype=np.float64).view(np.int64))
+
+
+@pytest.mark.parametrize("t", KERNEL_BITS)
+def test_round_value_matches_frexp_reference(t):
+    """Bit for bit the frexp formula, for every input kind, and no warning
+    the formula does not give."""
+    values = _kernel_inputs()
+    for form in (float, np.float64, np.array):
+        for v in values:
+            x = form(v)
+            got, new = _recorded(round_value, t, x)
+            ref, old = _recorded(frexp_round_value, t, x)
+            assert type(got) is float and _same_bits(got, ref), (form, v)
+            assert new <= old
+    got, new = _recorded(round_value, t, values)
+    ref, old = _recorded(frexp_round_value, t, values)
+    assert got.dtype == np.float64 and _same_bits(got, ref) and new <= old
+    assert _same_bits(values, _kernel_inputs())  # the input is not written
 
 
 def test_rounded_ops_match_round_of_host_op():

@@ -123,6 +123,17 @@ def union_find_labels(V, edges):
     return [find(a) for a in range(V)]
 
 
+def frexp_round_value(t, x):
+    """Reference for rounding.round_value: the frexp/rint/ldexp formula on
+    whole arrays, with a float for a scalar or 0-d input."""
+    arr = np.asarray(x, dtype=np.float64)
+    m, e = np.frexp(arr)
+    out = np.ldexp(np.rint(np.ldexp(m, t)), e - t)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
 def svd_sigma_min_many(M, ar=EXACT):
     """Reference for alpha.sigma_min_many: LAPACK's SVD for every n x n batch."""
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)[..., -1]
