@@ -10,21 +10,21 @@ number of zero rays is r/2.
 
 Both modes run one set of formulas through the arithmetic provider; they
 differ only in the constants of `_mode_constants`, which rounded mode
-widens to absorb round-off, and in the round-off margin of the pruning
-test below.
+widens to absorb round-off, and in the provider's unit round-off.
 
 The first level evaluates the whole grid.  Each later level evaluates only
 the children of the points its predecessor left unresolved: a point whose
 residual exceeds, by the Lipschitz bound over its cell plus a round-off
 margin, both the vertex bound and the next condition (ii) threshold
 certifies every finer grid point in its cell as a non-vertex that passes
-(ii) (`_unresolved_children`).  The margin is derived for host arithmetic
-in exact mode (`_prune_margin`) and for t-bit arithmetic in rounded mode
-(`_rounded_prune_bounds`).  The skipped points enter condition (ii)
-through that certified lower bound, so the vertices, edges, components and
-halting verdicts are those of the whole grid.  When a whole-grid level
-resolves nothing, as at coarse levels and at low precision, the next level
-is the whole grid again, taken without expanding children.
+(ii) (`_unresolved_children`).  The margin and the vertex bound come from
+one round-off derivation at the provider's unit round-off
+(`_prune_bounds`); host arithmetic is the case u = 2^-53.  The skipped
+points enter condition (ii) through that certified lower bound, so the
+vertices, edges, components and halting verdicts are those of the whole
+grid.  When a whole-grid level resolves nothing, as at coarse levels and
+at low precision, the next level is the whole grid again, taken without
+expanding children.
 
 Grid data is computed once per antipodal pair: every certified quantity is
 invariant under x -> -x, so the engine evaluates only canonical points
@@ -307,19 +307,16 @@ def _thresholds(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, ar) -> t
     return thr_i, thr_ii
 
 
-def halting_report(
-    f: polysys.PolynomialSystem,
-    graph: ProximityGraph,
-    components: ComponentSet,
-    ar=EXACT,
-) -> IterationReport:
+def halting_report(graph: ProximityGraph, components: ComponentSet,
+                   thr_i, thr_ii) -> IterationReport:
     """Evaluate the two halting conditions at the graph's level.
 
     Condition (i): every cross-component vertex pair is farther apart than
     thr_i.  Condition (ii): every grid point that failed the vertex test has
-    residual above thr_ii (see `_thresholds`).  Grid points the level did
-    not evaluate count through the graph's certified lower bound
-    `inherited_fsup`.  Empty quantifiers pass vacuously.
+    residual above thr_ii.  The thresholds are the level's `_thresholds`.
+    Grid points the level did not evaluate count through the graph's
+    certified lower bound `inherited_fsup`.  Empty quantifiers pass
+    vacuously.
     """
     labels = components.labels
     if graph.n_vertices and len(components.components) > 1:
@@ -329,7 +326,6 @@ def halting_report(
         min_cross = math.inf
     excluded = graph.f_sup[~graph.vertex_mask]
     min_excluded = min(float(np.min(excluded, initial=math.inf)), graph.inherited_fsup)
-    thr_i, thr_ii = _thresholds(f, graph.spec, ar)
     return IterationReport(
         k=graph.spec.k,
         eta=graph.spec.eta,
@@ -343,39 +339,6 @@ def halting_report(
     )
 
 
-def _prune_margin(f: polysys.PolynomialSystem) -> float:
-    """Absolute slack in the pruning test that absorbs floating-point error.
-
-    With u = 2^-53, n equations, largest degree D and at most S monomials
-    per equation, to first order in u (the final constant leaves room for
-    the rest):
-
-    * Residuals.  x = fl(y / ||y||) is within (n+3) u of the exact
-      projection, and ||Df_i(z)|| <= d_i ||z||^(d_i-1) for ||f_i|| <= 1
-      (Kostlan), so that costs D (n+3) u.  Summing S terms c_J x^J of d
-      products each errs by at most (D+S) u sum_J |c_J x^J| <= (D+S) u,
-      by Cauchy-Schwarz with the multinomial weights of the Weyl norm.
-      Normalization leaves ||f_i|| <= 1 + (S+3) u.  So a computed f_sup is
-      within e_f = ((n+4) D + 2S + 3) u <= 4 (n+1)(D+S) u of the exact one.
-    * sigma_min <= 1.  Each row of M has exact norm ||Df_i(x)|_T|| / sqrt(d_i)
-      <= ||f_i|| <= 1, so the exact sigma_min <= ||M||_F / sqrt(n) <= 1.
-      The same bounds applied to the derivative (through ||Dg|| for
-      g = sum_J |c_J| X^J), to the Householder basis and to the products
-      put each computed row within sqrt(D) (D+S+1 + D(n+3) + 8 (n+1)^(3/2)) u
-      of the exact one, and the singular value kernels add at most
-      8 n u ||M||_F, so the computed sigma_min <= 1 + d_s with
-      d_s <= 16 D (n+1)^2 (D+S) u.
-    * The vertex test then fails at every point whose computed residual
-      is at least the computed 2 alpha_star / (n D^{3/2}) (< 0.08) plus
-      0.08 (2 d_s + 10 u), and computing the pruning test itself errs by
-      at most 10 u (2 + 2 sqrt(D) rho_1) <= 83 D (n+1) u.
-
-    Twice e_f (a parent's and a descendant's residual) plus those terms
-    stays below 28 D (n+1)^2 (D+S) u; the margin is 2^7 D (n+1)^2 (D+S) u.
-    """
-    return 2.0**7 * f.D * (f.n + 1) ** 2 * (f.D + f.S) * 2.0**-53
-
-
 def _gamma(k: float, u: float) -> float:
     """Higham's gamma_k = k u / (1 - k u), inf once k u >= 1.
 
@@ -387,25 +350,14 @@ def _gamma(k: float, u: float) -> float:
     return k * u / (1.0 - k * u) if k * u < 1.0 else math.inf
 
 
-def _unit_roundoff(t: int) -> float:
-    """u' with |op~(x) - op(x)| <= u' |op(x)| for every rounded operation.
+def _round_off_bounds(f: polysys.PolynomialSystem, ar) -> tuple[float, float]:
+    """(e_f, d_s): round-off bounds of the grid data computed through ar.
 
-    Each provider operation is the host operation, rounded to 53 bits, then
-    rounded to t bits, so it errs by at most 2^-t (1 + 2^-53) + 2^-53
-    <= 2^-t + 2^-52 relative.  From t = 53 on the second rounding is the
-    identity and u' = 2^-53.
-    """
-    return 2.0**-53 if t >= 53 else 2.0**-t + 2.0**-52
-
-
-def _round_off_bounds(f: polysys.PolynomialSystem, t: int) -> tuple[float, float]:
-    """(e_f, d_s): round-off bounds of the grid data at t significand bits.
-
-    With g_k = gamma_k at u' = `_unit_roundoff(t)`, n equations, largest
+    With g_k = gamma_k at u' = `ar.unit_roundoff`, n equations, largest
     degree D and at most S monomials per equation.  The normalized system
     is stored in doubles, so each ||f_i|| <= N = 1 + (S+3) 2^-53.
 
-    * Projection.  `sphere.project_many` rounds the grid point Y to t bits,
+    * Projection.  `sphere.project_many` rounds the grid point Y once,
       Y~ = Y (1 + delta) coordinatewise, which moves Y / ||Y|| by at most
       2 u'.  The norm ||Y~|| is a left fold of n+1 rounded squares and a
       rounded sqrt, and each coordinate a rounded quotient, so the computed
@@ -445,7 +397,7 @@ def _round_off_bounds(f: polysys.PolynomialSystem, t: int) -> tuple[float, float
     Both are inf when u' is too coarse for the gamma bounds (k u' >= 1).
     Underflow adds at most a few multiples of 2^-1074, far below either.
     """
-    u = _unit_roundoff(t)
+    u = ar.unit_roundoff
     n, D, S = f.n, f.D, f.S
     norm = 1.0 + (S + 3) * 2.0**-53
     e_f = norm * (1.0 + _gamma(n + 3, u)) ** D * (_gamma(D + S, u) + D * _gamma(n + 5, u))
@@ -458,13 +410,14 @@ def _round_off_bounds(f: polysys.PolynomialSystem, t: int) -> tuple[float, float
     return e_f, cap - 1.0
 
 
-def _rounded_prune_bounds(f: polysys.PolynomialSystem, t: int,
-                          vertex_alpha: float) -> tuple[float, float]:
-    """(margin, floor) of the rounded-mode pruning test at t significand bits.
+def _prune_bounds(f: polysys.PolynomialSystem, ar) -> tuple[float, float]:
+    """(margin, floor) of the pruning test for the provider ar.
 
     A point p resolves its cell when b(p) = f_sup(p) - 2 sqrt(D) rho - margin
     exceeds max(floor, thr_ii(k+1)) (`_unresolved_children`).  With e_f and
-    d_s of `_round_off_bounds`, u' = `_unit_roundoff(t)` and g_k = gamma_k:
+    d_s of `_round_off_bounds`, u' = `ar.unit_roundoff`, g_k = gamma_k and
+    the vertex alpha a0 of `_mode_constants`; host arithmetic is the case
+    u' = 2^-53:
 
     (a) Residuals.  A descendant q of p has computed residual
         f_sup(q) >= ||f(phi(q))||_inf - e_f >= ||f(phi(p))||_inf
@@ -474,11 +427,11 @@ def _rounded_prune_bounds(f: polysys.PolynomialSystem, t: int,
         a lower bound of every descendant's computed residual when
         margin = 2 e_f + e_c: e_f enters once for p and once for q.
     (b) Vertex floor.  The computed vertex test at q is
-        n f_sup D^(3/2) (1 + theta_7) < alpha_bullet sigma^2 (1 + theta_3)
+        n f_sup D^(3/2) (1 + theta_7) < a0 sigma^2 (1 + theta_3)
         (rounded constants, products and sqrt), with sigma
         <= (1 + d_s) sqrt(1 + D r^2) and r <= f_sup + e_f.  It fails
         when w(f_sup) = f_sup - a (1 + D (f_sup + e_f)^2) >= 0, where
-        a = alpha_bullet (1 + d_s)^2 (1 + g_10) / (n D^(3/2)): the cap
+        a = a0 (1 + d_s)^2 (1 + g_10) / (n D^(3/2)): the cap
         enters multiplicatively, not linearized.  w is concave, so it is
         >= 0 on [floor, F] when it is at both ends, with F = N + e_f the
         largest computed residual.  floor = a (1 + D (2a + e_f)^2) gives
@@ -490,19 +443,21 @@ def _rounded_prune_bounds(f: polysys.PolynomialSystem, t: int,
         bounds every rho, and a resolved point has margin < f_sup <= F < 2),
         and the floor and margin come from fewer than 100 host roundings.
         e_c = 2^-45 (1 + (S+12) sqrt(D) rho_1) covers these and the
-        Lipschitz excess of (a).  The rounded thr_ii halves exactly from
+        Lipschitz excess of (a).  The computed thr_ii halves exactly from
         one level to the next: eta is a power of two, which commutes with
         each rounding.
 
     So a resolved p leaves every descendant a computed non-vertex whose
     computed residual exceeds b(p) > thr_ii(k+1) >= thr_ii(k+j), j >= 1.
     At 12 bits, D = 6 and S = 7 this is a margin of about 0.025 and a
-    floor of about 1.05 alpha_bullet / (n D^(3/2)).
+    floor of about 1.05 a0 / (n D^(3/2)).  At host precision, n <= 4,
+    D <= 8 and S <= 84, the margin is below 2e-11 and the floor at most
+    2.4% above a0 / (n D^(3/2)) (the most at n = D = 1).
     """
-    e_f, d_s = _round_off_bounds(f, t)
-    u = _unit_roundoff(t)
+    e_f, d_s = _round_off_bounds(f, ar)
+    u = ar.unit_roundoff
     n, D, S = f.n, f.D, f.S
-    a = vertex_alpha * (1.0 + d_s) ** 2 * (1.0 + _gamma(10, u)) / (n * D**1.5)
+    a = _mode_constants(ar)[0] * (1.0 + d_s) ** 2 * (1.0 + _gamma(10, u)) / (n * D**1.5)
     floor = a * (1.0 + D * (2.0 * a + e_f) ** 2)
     top = 1.0 + (S + 3) * 2.0**-53 + e_f
     if not (floor <= 2.0 * a and top >= a * (1.0 + D * (top + e_f) ** 2)):
@@ -513,8 +468,10 @@ def _rounded_prune_bounds(f: polysys.PolynomialSystem, t: int,
 
 
 def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
-                         cap: int = sphere.DEFAULT_GRID_CAP):
+                         thr_ii, cap: int = sphere.DEFAULT_GRID_CAP):
     """Rows the next level must evaluate, and the next level's inherited bound.
+
+    thr_ii is the condition (ii) threshold of the next level, k+1.
 
     The descendants of an evaluated level-k point p (its children 2p + e,
     e in {-1, 0, 1}^(n+1), their children, and so on) lie on the cube
@@ -525,29 +482,22 @@ def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
     b(p) = f_sup(p) - 2 sqrt(D) rho_{k+1} - margin.  When
     b(p) > max(floor, thr_ii(k+1)), p resolves its cell for good: no
     descendant passes the vertex test, and each passes condition (ii) at
-    level k+1 and, as thr_ii halves with eta, at every later level.  In
-    exact mode the margin is `_prune_margin` and the floor
-    2 alpha_star / (n D^{3/2}), as sigma_min <= 1; rounded mode takes both
-    from `_rounded_prune_bounds`.  The next level evaluates the children of
-    the unresolved points only.  Every grid point it skips has a resolved
-    ancestor, so its residual is above the smallest b(p) over all resolved
-    points, which the returned bound carries.
+    level k+1 and, as thr_ii halves with eta, at every later level.  Both
+    modes take the margin and the floor from one derivation at the
+    provider's unit round-off, `_prune_bounds`.  The next level evaluates
+    the children of the unresolved points only.  Every grid point it skips
+    has a resolved ancestor, so its residual is above the smallest b(p)
+    over all resolved points, which the returned bound carries.
 
     A level that evaluated the whole grid and resolved nothing passes on
     the whole next grid, `_canonical_rows(finer)`: the same rows as the
     children of all its rows, without expanding 3^(n+1) candidates each.
     An empty level stays empty.
     """
-    vertex_alpha = _mode_constants(ar)[0]
     finer = sphere.CubeGridSpec(n=graph.spec.n, k=graph.spec.k + 1)
-    n, D = f.n, f.D
-    rho = 0.5 * math.pi * finer.eta * math.sqrt(n + 1)
-    if ar.t is None:
-        margin, floor = _prune_margin(f), vertex_alpha / (n * (D * math.sqrt(D)))
-    else:
-        margin, floor = _rounded_prune_bounds(f, ar.t, vertex_alpha)
-    bound = graph.f_sup - 2.0 * math.sqrt(D) * rho - margin
-    _, thr_ii = _thresholds(f, finer, ar)
+    rho = 0.5 * math.pi * finer.eta * math.sqrt(f.n + 1)
+    margin, floor = _prune_bounds(f, ar)
+    bound = graph.f_sup - 2.0 * math.sqrt(f.D) * rho - margin
     resolved = bound > max(floor, float(thr_ii))
     if not resolved.any() and 2 * len(graph.rows) == graph.grid_size:
         return _canonical_rows(finer, cap), graph.inherited_fsup
@@ -557,22 +507,25 @@ def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
 
 def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
             cap: int = sphere.DEFAULT_GRID_CAP):
-    """Yield (graph, components, report) for each level from initial_level(n) on.
+    """Yield (graph, components, report, trace) for each level from
+    initial_level(n) on.
 
     The first level evaluates the whole grid; each later level evaluates
     only the children of the points its predecessor left unresolved
     (`_unresolved_children`).
     """
     rows, inherited = None, math.inf
-    k = initial_level(fn.n)
+    spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
+    thr_i, thr_ii = _thresholds(fn, spec, ar)
     while True:
-        spec = sphere.CubeGridSpec(n=fn.n, k=k)
         graph = build_graph(fn, spec, ar, workers=workers, cap=cap, rows=rows,
                             inherited_fsup=inherited)
         comps = connected_components(graph)
-        yield graph, comps, halting_report(fn, graph, comps, ar)
-        rows, inherited = _unresolved_children(fn, graph, ar, cap)
-        k += 1
+        report = halting_report(graph, comps, thr_i, thr_ii)
+        yield graph, comps, report, LevelTrace(2 * len(graph.rows), float(thr_i), float(thr_ii))
+        spec = sphere.CubeGridSpec(n=fn.n, k=spec.k + 1)
+        thr_i, thr_ii = _thresholds(fn, spec, ar)
+        rows, inherited = _unresolved_children(fn, graph, ar, thr_ii, cap)
 
 
 def initial_level(n: int) -> int:
@@ -603,10 +556,14 @@ def count_roots(
     Runs the refinement loop from the coarsest admissible mesh, halving eta
     until both halting conditions pass, then returns r/2 together with a
     Newton-refined approximate zero per component.  Ill-posed systems never
-    halt; max_iterations converts that into status "iteration-cap-reached".
+    halt; max_iterations, or a later level beyond grid_cap, converts that
+    into status "iteration-cap-reached".  A first level beyond grid_cap
+    raises sphere.GridTooLargeError, as no level ran.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     ar = make_arithmetic(mode, bits)
     fn = f.normalized()
     levels = _levels(fn, ar, workers=workers, cap=grid_cap)
@@ -616,14 +573,15 @@ def count_roots(
     count, status, comp_records = None, "iteration-cap-reached", []
     for _ in range(max_iterations):
         try:
-            graph, comps, report = next(levels)
+            graph, comps, report, level_trace = next(levels)
         except sphere.GridTooLargeError:
             # Point budget exhausted before halting: same clean failure as
-            # running out of refinement levels.
+            # running out of refinement levels, once a level has run.
+            if not reports:
+                raise
             break
         reports.append(report)
-        thr_i, thr_ii = _thresholds(fn, graph.spec, ar)
-        trace.append(LevelTrace(2 * len(graph.rows), float(thr_i), float(thr_ii)))
+        trace.append(level_trace)
         kappa_hat = max(kappa_hat, _kappa_level_estimate(graph.f_sup, graph.sigma_min, fn.n))
         if report.condition_i_pass and report.condition_ii_pass:
             r = len(comps.components)
@@ -669,6 +627,8 @@ def estimate_kappa(
     max over grid points of min{mu_norm(f, x), 1 / ||f(x)||_inf}; every
     grid point is evaluated.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     fn = f.normalized()
     _, f_sup, smin = _grid_point_data(fn, spec, _canonical_rows(spec, cap), EXACT, workers)
     return _kappa_level_estimate(f_sup, smin, fn.n)

@@ -66,6 +66,19 @@ class Arithmetic:
         if self.t is not None and self.t < 2:
             raise ValueError(f"significand bit count must be >= 2, got {self.t}")
 
+    @property
+    def unit_roundoff(self) -> float:
+        """u' with |op~(x) - op(x)| <= u' |op(x)| for every operation.
+
+        Each operation is the host operation, rounded to 53 bits, then
+        rounded to t bits, so it errs by at most 2^-t (1 + 2^-53) + 2^-53
+        <= 2^-t + 2^-52 relative.  At host precision and from t = 53 on the
+        second rounding is the identity and u' = 2^-53.
+        """
+        if self.t is None or self.t >= 53:
+            return 2.0**-53
+        return 2.0**-self.t + 2.0**-52
+
     def _round(self, x):
         # round_value is looked up at each call, so a wrapper installed on
         # the module attribute sees every rounding.

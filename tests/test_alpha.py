@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -155,31 +156,6 @@ def test_mu_norm_at_least_one_and_M_bounded():
         assert np.linalg.norm(M[0]) <= math.sqrt(n) * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_sigma_min_at_most_one_within_pruning_margin(n):
-    """Exclusion pruning relies on sigma_min(M) <= ||M||_F / sqrt(n) <= 1
-    for normalized systems; the computed value may exceed 1 only by
-    less than the margin the pruning test carries."""
-    rng = random.Random(7000 + n)
-    nprng = np.random.default_rng(7000 + n)
-    cases = [random_system(rng, n, [rng.randint(1, 4) for _ in range(n)]) for _ in range(60)]
-    # Linear forms e_1..e_n reach sigma_min = 1 at x = e_0.
-    eye = {"n": n, "degrees": [1] * n,
-           "polys": [[{"J": [int(j == i + 1) for j in range(n + 1)], "c": 1.0}] for i in range(n)]}
-    cases.append(parse_system(eye))
-    for f in cases:
-        f = f.normalized()
-        margin = engine._prune_margin(f)
-        X = nprng.standard_normal((20, n + 1))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        X[0] = np.eye(n + 1)[0]
-        M = compute_M_many(f, X)
-        assert np.all(np.linalg.norm(M, axis=(1, 2)) <= math.sqrt(n) * (1.0 + margin))
-        assert np.all(sigma_min_many(M) <= 1.0 + margin)
-    M = compute_M_many(cases[-1].normalized(), np.eye(n + 1)[:1])
-    assert abs(sigma_min_many(M)[0] - 1.0) <= 4 * EPS
-
-
 def _eye_system(n):
     """Linear forms e_1..e_n, which reach sigma_min = 1 at x = e_0."""
     return parse_system({
@@ -188,12 +164,43 @@ def _eye_system(n):
     })
 
 
+def _near_pole(n):
+    """Projected grid points at and next to the Householder pole e_last, at
+    levels where the basis formula is regular and where it degenerates."""
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+    rows = [np.hstack((steps, np.full((len(steps), 1), 2**k))) * 2.0**-k for k in (4, 20, 30)]
+    return sphere.project_many(np.vstack(rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sigma_min_within_round_off_cap_at_host_precision(n):
+    """The vertex floor of exclusion pruning rests on the computed
+    sigma_min <= (1 + d_s) sqrt(1 + D (f_sup + e_f)^2) at host precision,
+    which holds whether or not the computed basis is tangent."""
+    rng = random.Random(7000 + n)
+    nprng = np.random.default_rng(7000 + n)
+    cases = [random_system(rng, n, [rng.randint(1, 4) for _ in range(n)]) for _ in range(60)]
+    cases.append(_eye_system(n))
+    for f in cases:
+        f = f.normalized()
+        e_f, d_s = engine._round_off_bounds(f, EXACT)
+        X = nprng.standard_normal((20, n + 1))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X[0] = np.eye(n + 1)[0]
+        X = np.vstack((X, _near_pole(n)))
+        _, f_sup = evaluate_many(f, X)
+        smin = sigma_min_many(compute_M_many(f, X))
+        assert np.all(smin <= (1.0 + d_s) * np.sqrt(1.0 + f.D * (f_sup + e_f) ** 2))
+    M = compute_M_many(cases[-1].normalized(), np.eye(n + 1)[:1])
+    assert abs(sigma_min_many(M)[0] - 1.0) <= 4 * EPS
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rounded_grid_data_within_round_off_bounds(n):
-    """The ingredients of the rounded pruning margin: at t bits the computed
-    residual is within e_f of the true one (the exact-mode value is within
-    e_f at 53 bits of it), and the computed sigma_min is at most
-    (1 + d_s) sqrt(1 + D r^2) with r <= f_sup + e_f."""
+    """The ingredients of the pruning margin, through each provider: the
+    computed residual is within e_f of the true one (the host-precision
+    value is within its own e_f of it), and the computed sigma_min is at
+    most (1 + d_s) sqrt(1 + D r^2) with r <= f_sup + e_f."""
     rng = random.Random(7100 + n)
     cases = [random_system(rng, n, [rng.randint(1, 4) for _ in range(n)]) for _ in range(12)]
     cases.append(_eye_system(n))
@@ -202,19 +209,19 @@ def test_rounded_grid_data_within_round_off_bounds(n):
     for f in cases:
         f = f.normalized()
         _, exact_fsup, _ = engine._grid_point_data(f, spec, rows, EXACT, 1)
-        e_exact, _ = engine._round_off_bounds(f, 53)
-        for t in (12, 24, 53):
-            e_f, d_s = engine._round_off_bounds(f, t)
-            _, f_sup, smin = engine._grid_point_data(f, spec, rows, Arithmetic(t), 1)
+        e_exact, _ = engine._round_off_bounds(f, EXACT)
+        for ar in (EXACT, Arithmetic(12), Arithmetic(24), Arithmetic(53)):
+            e_f, d_s = engine._round_off_bounds(f, ar)
+            _, f_sup, smin = engine._grid_point_data(f, spec, rows, ar, 1)
             assert np.all(np.abs(f_sup - exact_fsup) <= e_f + e_exact)
             assert np.all(smin <= (1.0 + d_s) * np.sqrt(1.0 + f.D * (f_sup + e_f) ** 2))
     # The linear forms reach the cap up to d_s: sigma_min = 1 at e_0, which
     # the computed value can exceed (1 + 2^-11 at 12 bits for n = 1).
     f = cases[-1].normalized()
     e0 = np.array([[2**spec.k] + [0] * n])
-    for t in (12, 24, 53):
-        smin = engine._grid_point_data(f, spec, e0, Arithmetic(t), 1)[2][0]
-        assert abs(smin - 1.0) <= engine._round_off_bounds(f, t)[1]
+    for ar in (EXACT, Arithmetic(12), Arithmetic(24), Arithmetic(53)):
+        smin = engine._grid_point_data(f, spec, e0, ar, 1)[2][0]
+        assert abs(smin - 1.0) <= engine._round_off_bounds(f, ar)[1]
 
 
 def _vertex_test_at(f, X):

@@ -114,6 +114,32 @@ def test_count_iteration_cap_exit_code(system_file, capsys):
     assert doc["count"] is None or isinstance(doc["count"], int)
 
 
+def test_count_grid_cap_below_first_level(system_file, capsys):
+    # The first level of the README's example has 16 grid points: with a
+    # smaller cap no level runs, so there is no document, only an error.
+    for cap in ("0", "15"):
+        rc = cli.main(["count", "--input", system_file(TWOLINES), "--grid-cap", cap])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "cap" in captured.err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command", [["count"], ["kappa", "--level", "3"], ["sweep", "--bits", "24"]],
+    ids=["count", "kappa", "sweep"],
+)
+def test_workers_below_one_rejected(system_file, capsys, command, workers):
+    rc = cli.main(command[:1] + ["--input", system_file(TWOLINES), "--workers", workers]
+                  + command[1:])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: workers must be >= 1\n"
+
+
 def test_count_missing_file(tmp_path, capsys):
     rc = cli.main(["count", "--input", str(tmp_path / "nope.json")])
     assert rc == 1

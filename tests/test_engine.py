@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spherecount import alpha, engine, oracle, sphere
+from spherecount.cli import canonical_json
 from spherecount.polysys import parse_system
 from spherecount.rounding import EXACT, make_arithmetic
 from spherecount.sphere import CubeGridSpec, lattice_index
@@ -112,6 +114,19 @@ def test_grid_cap_is_clean():
         assert 0 < len(r.iterations) < 24
 
 
+def test_grid_cap_below_first_level_raises():
+    """A cap below the first level's whole grid runs no level, so it is an
+    error, not a run that reached its cap; a cap the first level fits ends
+    at a later level as iteration-cap-reached."""
+    f = system(TWOLINES)
+    first = CubeGridSpec(n=1, k=engine.initial_level(1)).point_count()
+    for cap in (0, first - 1):
+        with pytest.raises(sphere.GridTooLargeError):
+            engine.count_roots(f, grid_cap=cap)
+    r = engine.count_roots(f, grid_cap=first)
+    assert r.status == "iteration-cap-reached" and len(r.iterations) == 1
+
+
 def test_vertex_pairs_count_toward_the_cap():
     """The dense distance matrix of V vertices holds V^2 entries."""
     f = system(TWOLINES).normalized()
@@ -191,6 +206,35 @@ def test_determinism_across_workers():
     assert docs[0] == docs[1]
 
 
+def test_thread_pool_keeps_documents(multivariate_suite, monkeypatch):
+    """With 64-row chunks the levels run on the thread pool, and the count
+    documents and the kappa estimate are byte-identical with 1 and 4 workers."""
+    monkeypatch.setattr(engine, "_CHUNK", 64)
+    chunks_mapped = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def map(self, fn, chunks, **kwargs):
+            chunks_mapped.append(len(chunks))
+            return super().map(fn, chunks, **kwargs)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
+    f = _suite_system(multivariate_suite, (1, 1), 0)
+    runs = {
+        "exact": lambda w: canonical_json(engine.count_roots(f, workers=w).to_dict()),
+        "rounded24": lambda w: canonical_json(
+            engine.count_roots(f, mode="rounded", bits=24, workers=w).to_dict()),
+        "kappa": lambda w: engine.estimate_kappa(f, CubeGridSpec(n=2, k=4), workers=w).hex(),
+    }
+    for name, run in runs.items():
+        outputs = []
+        for w in (1, 4):
+            chunks_mapped.clear()
+            outputs.append(run(w))
+            assert bool(chunks_mapped) == (w > 1), name
+        assert min(chunks_mapped) > 1 and max(chunks_mapped) > 4, name
+        assert outputs[0] == outputs[1], name
+
+
 def test_rounded_mode_agrees_on_easy_system():
     f = system(TWOLINES)
     exact = engine.count_roots(f)
@@ -236,7 +280,7 @@ def _levels_to_halt(f, ar, max_levels=24):
     """(fn, graph, components, report) per level until both conditions pass."""
     fn = f.normalized()
     out = []
-    for _, (graph, comps, report) in zip(range(max_levels), engine._levels(fn, ar)):
+    for _, (graph, comps, report, _) in zip(range(max_levels), engine._levels(fn, ar)):
         out.append((fn, graph, comps, report))
         if report.condition_i_pass and report.condition_ii_pass:
             return out
@@ -328,7 +372,8 @@ def _halting_verdicts(f, spec, ar, min_cross, min_excluded):
         distances=np.array([[0.0, min_cross], [min_cross, 0.0]]),
         edges=np.zeros((0, 2), dtype=np.int64),
     )
-    report = engine.halting_report(f, graph, engine.connected_components(graph), ar)
+    thr_i, thr_ii = engine._thresholds(f, spec, ar)
+    report = engine.halting_report(graph, engine.connected_components(graph), thr_i, thr_ii)
     return report.condition_i_pass, report.condition_ii_pass
 
 
@@ -358,7 +403,7 @@ def test_mode_formulas_match_longhand(multivariate_suite, degrees, seed, mode, b
 def _uniform_grid(monkeypatch):
     """Turn pruning off: every level evaluates the whole grid."""
 
-    def whole_next_grid(f, graph, ar, cap=sphere.DEFAULT_GRID_CAP):
+    def whole_next_grid(f, graph, ar, thr_ii, cap=sphere.DEFAULT_GRID_CAP):
         finer = CubeGridSpec(n=graph.spec.n, k=graph.spec.k + 1)
         return engine._canonical_rows(finer, cap), math.inf
 
@@ -426,12 +471,14 @@ def test_level_with_nothing_left_to_evaluate():
     f = system(CIRCLE).normalized()
     spec = CubeGridSpec(n=1, k=4)
     graph = engine.build_graph(f, spec, rows=np.zeros((0, 2), dtype=np.int64), inherited_fsup=0.5)
-    report = engine.halting_report(f, graph, engine.connected_components(graph))
+    report = engine.halting_report(graph, engine.connected_components(graph),
+                                   *engine._thresholds(f, spec, EXACT))
     assert graph.n_vertices == 0 and report.grid_size == spec.point_count()
     assert report.min_excluded_fsup == 0.5
     assert report.condition_i_pass and report.condition_ii_pass
     assert engine._kappa_level_estimate(graph.f_sup, graph.sigma_min, 1) == -math.inf
-    rows, inherited = engine._unresolved_children(f, graph, EXACT)
+    _, thr_ii = engine._thresholds(f, CubeGridSpec(n=1, k=5), EXACT)
+    rows, inherited = engine._unresolved_children(f, graph, EXACT, thr_ii)
     assert rows.shape == (0, 2) and inherited == 0.5
 
 
@@ -443,7 +490,8 @@ def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_su
     for ar in (EXACT, make_arithmetic("rounded", 12), make_arithmetic("rounded", 3)):
         graph = engine.build_graph(f, CubeGridSpec(n=2, k=1), ar)
         finer = CubeGridSpec(n=2, k=2)
-        rows, inherited = engine._unresolved_children(f, graph, ar)
+        rows, inherited = engine._unresolved_children(f, graph, ar,
+                                                      engine._thresholds(f, finer, ar)[1])
         assert np.array_equal(rows, engine._canonical_rows(finer, sphere.DEFAULT_GRID_CAP))
         assert np.array_equal(rows, sphere.children(graph.spec, graph.rows))
         assert inherited == math.inf

@@ -25,6 +25,16 @@ def test_arithmetic_validation():
         Arithmetic(1)
 
 
+def test_unit_roundoff():
+    """2^-53 where the second rounding is the identity, else the double
+    rounding bound 2^-t + 2^-52."""
+    assert EXACT.unit_roundoff == 2.0**-53
+    assert Arithmetic(53).unit_roundoff == 2.0**-53
+    assert Arithmetic(60).unit_roundoff == 2.0**-53
+    assert Arithmetic(24).unit_roundoff == 2.0**-24 + 2.0**-52
+    assert Arithmetic(2).unit_roundoff == 0.25 + 2.0**-52
+
+
 def test_round_value_examples():
     assert round_value(3, 1.3) == 1.25
     assert round_value(3, 1.0 / 3.0) == 0.3125
