@@ -102,17 +102,12 @@ def theory_constants() -> TheoryConstants:
 def compute_M_many(f: polysys.PolynomialSystem, X: np.ndarray, ar=EXACT) -> np.ndarray:
     """Batched scaled tangent Jacobians diag(1/sqrt(d_i)) Df(x) H: (m, n, n)."""
     X = np.atleast_2d(X)
-    m = X.shape[0]
-    n = f.n
     jac = polysys.jacobian_many(f, X, ar)
     H = sphere.tangent_basis_many(X, ar)
-    inv_sqrt_d = [ar.div(ar.const(1.0), ar.sqrt(ar.const(float(d)))) for d in f.degrees]
-    M = np.empty((m, n, n))
-    for i in range(n):
-        for j in range(n):
-            acc = ar.sum(ar.mul(jac[:, i, k], H[:, k, j]) for k in range(f.n_vars))
-            M[:, i, j] = ar.mul(acc, inv_sqrt_d[i])
-    return M
+    inv_sqrt_d = ar.div(ar.const(1.0), ar.sqrt(ar.const(np.array(f.degrees, dtype=float))))
+    # Entry (i, j) is the left fold over k of jac_ik H_kj, as one (m, n, n) array.
+    DfH = ar.sum(ar.mul(jac[:, :, k, None], H[:, None, k, :]) for k in range(f.n_vars))
+    return ar.mul(DfH, inv_sqrt_d[:, None])
 
 
 def _sigma_min_2x2(M: np.ndarray) -> np.ndarray:

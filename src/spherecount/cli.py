@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import alpha, engine, polysys, sphere
-from .rounding import EXACT, required_precision
+from .rounding import EXACT, make_arithmetic, required_precision
 
 
 def _finite_or_null(obj):
@@ -81,6 +81,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    if args.max_steps < 0:
+        raise ValueError(f"--max-steps must be >= 0, got {args.max_steps}")
     f = _load_system(args.input)
     try:
         start = np.array([float(v) for v in args.start.split(",")])
@@ -130,6 +132,8 @@ def cmd_kappa(args) -> int:
 def cmd_sweep(args) -> int:
     f = _load_system(args.input)
     bits_list = [int(v) for v in args.bits.split(",") if v.strip()] if args.bits.strip() else []
+    for t in bits_list:  # reject a bad bit count before the first pass
+        make_arithmetic("rounded", t)
     exact = engine.count_roots(f, mode="exact", max_iterations=args.max_iter, workers=args.workers)
     if exact.status != "converged":
         print("error: exact-mode run did not converge; sweep requires it", file=sys.stderr)

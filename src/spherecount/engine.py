@@ -239,18 +239,14 @@ def build_graph(
     coef = ar.mul(ar.mul(ar.const(slack), ar.const(sigma)), ar.sqrt(ar.const(float(f.n))))
     radii = ar.div(ar.mul(coef, f_sup[source]), smin[source])
 
-    if len(Xv):
-        if len(Xv) ** 2 > cap:
-            raise sphere.GridTooLargeError(
-                f"level k={spec.k} has {len(Xv)} vertices: {len(Xv) ** 2} distances, "
-                f"cap is {cap}"
-            )
-        dist = sphere.pairwise_distances(Xv, ar)
-        iu, ju = np.triu_indices(len(Xv), k=1)
-        keep = (dist <= ar.add(radii[:, None], radii[None, :]))[iu, ju]
-        edges = np.stack([iu[keep], ju[keep]], axis=1)
-    else:
-        dist, edges = np.zeros((0, 0)), np.zeros((0, 2), dtype=np.int64)
+    if len(Xv) ** 2 > cap:
+        raise sphere.GridTooLargeError(
+            f"level k={spec.k} has {len(Xv)} vertices: {len(Xv) ** 2} distances, "
+            f"cap is {cap}"
+        )
+    dist = sphere.pairwise_distances(Xv, ar)
+    # Row-major pairs i < j, the order the edge list is documented in.
+    edges = np.argwhere(np.triu(dist <= ar.add(radii[:, None], radii[None, :]), 1))
 
     return ProximityGraph(
         spec=spec,
@@ -319,11 +315,8 @@ def halting_report(graph: ProximityGraph, components: ComponentSet,
     vacuously.
     """
     labels = components.labels
-    if graph.n_vertices and len(components.components) > 1:
-        cross = labels[:, None] != labels[None, :]
-        min_cross = float(np.min(graph.distances[cross]))
-    else:
-        min_cross = math.inf
+    cross = labels[:, None] != labels[None, :]
+    min_cross = float(np.min(graph.distances, where=cross, initial=math.inf))
     excluded = graph.f_sup[~graph.vertex_mask]
     min_excluded = min(float(np.min(excluded, initial=math.inf)), graph.inherited_fsup)
     return IterationReport(

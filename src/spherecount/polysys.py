@@ -3,10 +3,12 @@
 A system f = (f_1, ..., f_n) lives in R[X_0, ..., X_n] with f_i homogeneous
 of degree d_i.  Monomials are stored sparsely and sorted lexicographically
 by exponent vector, which makes iteration deterministic and duplicate
-detection trivial.  Evaluation is monomial-wise (per-monomial power
-products), matching the cost model of the round-off analysis; every scalar
-operation routes through an arithmetic provider so the same code runs in
-exact and rounded mode.
+detection trivial.  Evaluation is monomial-wise, matching the cost model of
+the round-off analysis: each term c_J X^J is its rounded coefficient times
+d rounded factors, read from a factor table built once per polynomial and
+per derivative, and the terms are added in the provider's one summation
+order.  Every operation routes through an arithmetic provider, one call per
+whole array, so the same code runs in exact and rounded mode.
 """
 
 from __future__ import annotations
@@ -60,6 +62,17 @@ class Monomial:
         return f"Monomial({self.exponents}, {self.coefficient})"
 
 
+def _factor_table(exponents: np.ndarray, degree: int) -> np.ndarray:
+    """(S, degree) indices of the variables each term multiplies, in order.
+
+    Row s lists X_0 J_0 times, then X_1 J_1 times, and so on, for the
+    exponent vector J of term s; every term of a homogeneous polynomial of
+    degree d has exactly d factors.
+    """
+    S, n_vars = exponents.shape
+    return np.repeat(np.tile(np.arange(n_vars), S), exponents.ravel()).reshape(S, degree)
+
+
 def multinomial(d: int, J) -> int:
     """Exact integer multinomial coefficient d! / (J_0! ... J_n!)."""
     out = 1
@@ -73,7 +86,7 @@ def multinomial(d: int, J) -> int:
 class Polynomial:
     """One homogeneous polynomial: sorted sparse monomials plus cached data."""
 
-    __slots__ = ("degree", "exponents", "coefficients", "multinomials")
+    __slots__ = ("degree", "exponents", "coefficients", "multinomials", "factors")
 
     def __init__(self, degree: int, monomials: list[Monomial], n_vars: int, index: int = 0):
         self.degree = int(degree)
@@ -95,15 +108,17 @@ class Polynomial:
                 )
             seen[m.exponents] = m.coefficient
         ordered = sorted(seen.items())
-        if ordered:
-            self.exponents = np.array([J for J, _ in ordered], dtype=np.int64)
-            self.coefficients = np.array([c for _, c in ordered], dtype=np.float64)
-        else:
-            self.exponents = np.zeros((0, n_vars), dtype=np.int64)
-            self.coefficients = np.zeros(0, dtype=np.float64)
-        self.multinomials = np.array(
-            [float(multinomial(self.degree, J)) for J, _ in ordered], dtype=np.float64
-        )
+        try:
+            exponents = np.array([J for J, _ in ordered], dtype=np.int64)
+            multinomials = [float(multinomial(self.degree, J)) for J, _ in ordered]
+        except OverflowError as exc:
+            raise SystemFormatError(
+                f"polynomial {index}: an exponent or multinomial coefficient is too large ({exc})"
+            ) from exc
+        self.exponents = exponents.reshape(len(ordered), n_vars)
+        self.coefficients = np.array([c for _, c in ordered], dtype=np.float64)
+        self.multinomials = np.array(multinomials, dtype=np.float64)
+        self.factors = _factor_table(self.exponents, self.degree)
 
     @property
     def n_monomials(self) -> int:
@@ -190,26 +205,17 @@ class PolynomialSystem:
         return PolynomialSystem(self.degrees, polys, original_norm=self.norm)
 
     def derivative_tables(self):
-        """Per (i, k): sparse monomial data of dX_k f_i, built on first use."""
+        """Per (i, k): (coefficients, factor table) of dX_k f_i, built on first use."""
         if self._derivatives is None:
             tables = []
             for poly in self.polynomials:
                 row = []
                 for k in range(self.n_vars):
-                    exps = []
-                    coeffs = []
-                    for J, c in zip(poly.exponents.tolist(), poly.coefficients.tolist()):
-                        if J[k] > 0:
-                            J2 = list(J)
-                            J2[k] -= 1
-                            exps.append(J2)
-                            coeffs.append(c * J[k])
-                    row.append(
-                        (
-                            np.array(exps, dtype=np.int64).reshape(len(exps), self.n_vars),
-                            np.array(coeffs, dtype=np.float64),
-                        )
-                    )
+                    keep = poly.exponents[:, k] > 0
+                    exps = poly.exponents[keep]  # a copy, so the decrement below is local
+                    coeffs = poly.coefficients[keep] * exps[:, k]
+                    exps[:, k] -= 1
+                    row.append((coeffs, _factor_table(exps, poly.degree - 1)))
                 tables.append(row)
             self._derivatives = tables
         return self._derivatives
@@ -278,23 +284,23 @@ def system_to_document(f: PolynomialSystem) -> dict:
     }
 
 
-def _eval_monomials(exps, coeffs, X, ar):
-    """Sum of c_J * X^J over given monomials, one rounded op at a time.
+def _eval_monomials(coeffs, factors, X, ar):
+    """Sum of c_J * X^J over the terms of a factor table, one rounded op per array.
 
-    X has shape (m, n+1); returns shape (m,).
+    X has shape (m, n+1); returns shape (m,).  The (S, m) array of terms
+    starts at the rounded coefficients and is multiplied by one factor
+    column of the table at a time, so term s of point j is
+    ((c_s x_a) x_b) ... in the table's order; `Arithmetic.sum` then adds the
+    rows.  Term-major, each factor is one gather of contiguous rows of X.T.
     """
     m = X.shape[0]
     if len(coeffs) == 0:
         return np.zeros(m)
-
-    def term(J, c):
-        out = np.full(m, ar.const(c))
-        for k, e in enumerate(J):
-            for _ in range(e):
-                out = ar.mul(out, X[:, k])
-        return out
-
-    return ar.sum(term(J, c) for J, c in zip(exps.tolist(), coeffs.tolist()))
+    XT = X.T
+    terms = np.broadcast_to(ar.const(coeffs)[:, None], (len(coeffs), m))
+    for r in range(factors.shape[1]):
+        terms = ar.mul(terms, XT[factors[:, r]])
+    return ar.sum(terms)
 
 
 def evaluate_many(f: PolynomialSystem, X: np.ndarray, ar=EXACT):
@@ -305,7 +311,7 @@ def evaluate_many(f: PolynomialSystem, X: np.ndarray, ar=EXACT):
     X = np.atleast_2d(X)
     vals = np.empty((X.shape[0], f.n))
     for i, poly in enumerate(f.polynomials):
-        vals[:, i] = _eval_monomials(poly.exponents, poly.coefficients, X, ar)
+        vals[:, i] = _eval_monomials(poly.coefficients, poly.factors, X, ar)
     sup = np.max(np.abs(vals), axis=1)
     return vals, sup
 
@@ -317,7 +323,5 @@ def jacobian_many(f: PolynomialSystem, X: np.ndarray, ar=EXACT) -> np.ndarray:
     out = np.empty((X.shape[0], f.n, f.n_vars))
     for i in range(f.n):
         for k in range(f.n_vars):
-            exps, coeffs = tables[i][k]
-            out[:, i, k] = _eval_monomials(exps, coeffs, X, ar)
+            out[:, i, k] = _eval_monomials(*tables[i][k], X, ar)
     return out
-

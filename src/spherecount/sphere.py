@@ -160,10 +160,10 @@ def project_many(Y: np.ndarray, ar=EXACT) -> np.ndarray:
     """phi(y) = y / ||y||_2 for a batch of cube points (m, n+1)."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     Yr = ar.const(Y)
-    nrm = ar.sqrt(ar.sum(ar.mul(Yr[:, k], Yr[:, k]) for k in range(Y.shape[1])))
+    nrm = ar.sqrt(ar.sum(ar.mul(Yr, Yr).T))
     if np.any(nrm == 0):
         raise ValueError("cannot project the zero vector")
-    return np.stack([ar.div(Yr[:, k], nrm) for k in range(Y.shape[1])], axis=1)
+    return ar.div(Yr, nrm[:, None])
 
 
 def pairwise_distances(X: np.ndarray, ar=EXACT) -> np.ndarray:
@@ -173,10 +173,9 @@ def pairwise_distances(X: np.ndarray, ar=EXACT) -> np.ndarray:
     the clamp to [-1, 1] is exact.
     """
     X = np.atleast_2d(X)
-    dim = X.shape[1]
     # A generator, so only one (m, m) term is held beside the partial sum.
-    dots = ar.sum(ar.mul(X[:, k][:, None], X[None, :, k]) for k in range(dim))
-    nrm = ar.sqrt(ar.sum(ar.mul(X[:, k], X[:, k]) for k in range(dim)))
+    dots = ar.sum(ar.mul(X[:, k][:, None], X[None, :, k]) for k in range(X.shape[1]))
+    nrm = ar.sqrt(ar.sum(ar.mul(X, X).T))
     a = ar.div(dots, ar.mul(nrm[:, None], nrm[None, :]))
     a = np.clip(a, -1.0, 1.0)
     return np.asarray(ar.arccos(a))
@@ -203,21 +202,12 @@ def tangent_basis_many(X: np.ndarray, ar=EXACT) -> np.ndarray:
     identity columns are returned directly.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    m, dim = X.shape
-    n = dim - 1
-    diff = ar.sub(X, np.eye(dim)[-1])
-    nrm = ar.sqrt(ar.sum(ar.mul(diff[:, k], diff[:, k]) for k in range(dim)))
+    eye = np.eye(X.shape[1])
+    diff = ar.sub(X, eye[-1])
+    nrm = ar.sqrt(ar.sum(ar.mul(diff, diff).T))
     degenerate = np.asarray(nrm) < 1e-8
-    safe = np.where(degenerate, 1.0, nrm)
-    Y = np.stack([ar.div(diff[:, k], safe) for k in range(dim)], axis=1)
-    H = np.empty((m, dim, n))
-    two = ar.const(2.0)
-    for kk in range(dim):
-        for j in range(n):
-            val = ar.mul(two, ar.mul(Y[:, kk], Y[:, j]))
-            base = 1.0 if kk == j else 0.0
-            H[:, kk, j] = ar.sub(np.full(m, base), val)
-    if np.any(degenerate):
-        H[degenerate] = np.eye(dim)[:, :n]
+    Y = ar.div(diff, np.where(degenerate, 1.0, nrm)[:, None])
+    n = X.shape[1] - 1
+    H = ar.sub(eye[:, :n], ar.mul(ar.const(2.0), ar.mul(Y[:, :, None], Y[:, None, :n])))
+    H[degenerate] = eye[:, :n]
     return H
-

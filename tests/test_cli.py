@@ -227,6 +227,22 @@ def test_count_extreme_coefficients(system_file, capsys, monomials):
     assert doc["count"] == 1
 
 
+@pytest.mark.parametrize(
+    "degree, J",
+    [(1100, [550, 550]), (10**20, [10**20, 0])],
+    ids=["multinomial", "exponent"],
+)
+def test_count_oversized_degree_is_schema_error(system_file, capsys, degree, J):
+    # The multinomial 1100! / (550!)^2 is beyond the double range; 10^20 is
+    # beyond the 64-bit exponent array.
+    doc = {"n": 1, "degrees": [degree], "polys": [[{"J": J, "c": 1}]]}
+    rc = cli.main(["count", "--input", system_file(doc)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: polynomial 0: ") and captured.err.count("\n") == 1
+
+
 def test_count_norm_beyond_double_range(system_file, capsys):
     # The Weyl norm, ~2.4e308, overflows; the count does not depend on it.
     doc = {"n": 1, "degrees": [1], "polys": [[{"J": [0, 1], "c": 1.7e308}, {"J": [1, 0], "c": 1.7e308}]]}
@@ -394,6 +410,17 @@ def test_usage_errors_exit_1(capsys, argv):
     assert lines[0].startswith("usage: spherecount") and ": error: " in lines[-1]
 
 
+def test_refine_negative_max_steps_rejected(system_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli.alpha, "newton_refine", None)  # must not be reached
+    rc = cli.main(
+        ["refine", "--input", system_file(TWOLINES), "--start", "1,0", "--max-steps", "-3"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: --max-steps must be >= 0, got -3\n"
+
+
 def test_refine_off_sphere_rejected(system_file, capsys):
     rc = cli.main(
         ["refine", "--input", system_file(TWOLINES), "--start", "1,1"]
@@ -454,6 +481,15 @@ def test_sweep_document(system_file, capsys):
         assert row["u"] == math.ldexp(1.0, -row["bits"])
         assert row["status"] == "converged"
         assert row["agrees_with_exact"] is True
+
+
+def test_sweep_rejects_bad_bits_before_any_pass(system_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli.engine, "count_roots", None)  # must not be reached
+    rc = cli.main(["sweep", "--input", system_file(TWOLINES), "--bits", "24,1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: significand bit count must be >= 2, got 1\n"
 
 
 def test_sweep_empty_bits(system_file, capsys):

@@ -1,18 +1,23 @@
-"""Symmetries of the counting loop, as hypothesis properties (exact mode).
+"""Symmetries of the counting loop, as hypothesis properties.
 
 The cube grid maps onto itself under coordinate sign flips and coordinate
 permutations, and the zero set does not depend on the order of the
 equations, so exclusion pruning must keep these symmetries.  The systems
 are small: binary forms of degree <= 3 and pairs of linear forms in three
 variables, capped at a few levels, with a handful of derandomized examples.
+Sign flips are also run in rounded mode: rounding to nearest is symmetric
+about zero, but see `test_sign_flip_keeps_count_at_12_bits`.
 
 Two metamorphic properties move the zeros off the grid's symmetries: an
 orthogonal change of variables x -> Q x maps the zero rays one-to-one, and
 scaling an equation by a nonzero factor leaves its zero set alone.  They
-run on small oracle systems, whose exact counts the results must match.
+run on small oracle systems, whose exact counts the results must match;
+the orthogonal change also at 53 and 24 bits.
 """
 
 import random
+
+import pytest
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -82,20 +87,53 @@ def _transform(f, exponent_map, coefficient_map=lambda J, c: c, order=None):
     return PolynomialSystem([f.degrees[i] for i in order], [polys[i] for i in order])
 
 
-def _count(f):
-    return engine.count_roots(f, max_iterations=MAX_LEVELS)
+def _count(f, bits=None, levels=MAX_LEVELS):
+    mode = "exact" if bits is None else "rounded"
+    return engine.count_roots(f, mode=mode, bits=bits, max_iterations=levels)
+
+
+def _flip(f, j):
+    """The system x -> f(x with x_j negated): c -> c (-1)^J_j."""
+    return _transform(f, lambda J: J, lambda J, c: -c if J[j] % 2 else c)
+
+
+def _assert_sign_flip_keeps_every_report(f, j, bits=None):
+    """x_j -> -x_j maps the grid onto itself and every residual bit for bit,
+    so the reports, pruning included, must not change.  sigma_min is kept
+    only up to rounding (see `test_sign_flip_keeps_count_at_12_bits`), which
+    has not moved a vertex in these examples down to 24 bits."""
+    a, b = _count(f, bits), _count(_flip(f, j), bits)
+    assert a.iterations == b.iterations
+    assert (a.status, a.count) == (b.status, b.count)
 
 
 @PROPERTY
 @given(small_systems(), st.data())
 def test_sign_flip_keeps_every_report(f, data):
-    """x_j -> -x_j maps the grid onto itself and every residual bit for bit
-    (c -> c (-1)^J_j), so the reports, pruning included, must not change."""
-    j = data.draw(st.integers(0, f.n))
-    g = _transform(f, lambda J: J, lambda J, c: -c if J[j] % 2 else c)
-    a, b = _count(f), _count(g)
-    assert a.iterations == b.iterations
-    assert (a.status, a.count) == (b.status, b.count)
+    _assert_sign_flip_keeps_every_report(f, data.draw(st.integers(0, f.n)))
+
+
+@pytest.mark.parametrize("bits", [53, 24])
+@PROPERTY
+@given(small_systems(), st.data())
+def test_sign_flip_keeps_every_report_rounded(bits, f, data):
+    _assert_sign_flip_keeps_every_report(f, data.draw(st.integers(0, f.n)), bits)
+
+
+@PROPERTY
+@given(small_systems(), st.data())
+def test_sign_flip_keeps_count_at_12_bits(f, data):
+    """Only the count is kept at 12 bits.  The engine evaluates each grid
+    point's canonical representative, and the flip of the first coordinate
+    can turn it into the antipode of the image (the flip of the last
+    coordinate moves the Householder pole e_last).  The tangent basis there
+    is another one, so sigma_min differs by rounding, and at 12 bits that
+    moves some vertices near the alpha threshold: f = (3 X1 - 2 X0,
+    2 X2 - 3 X1 - 2 X0) has 14 vertices at k = 7, and 16 once X0 or X2 is
+    flipped."""
+    a, b = _count(f, 12), _count(_flip(f, data.draw(st.integers(0, f.n))), 12)
+    if a.status == b.status == "converged":
+        assert a.count == b.count
 
 
 @PROPERTY
@@ -119,9 +157,9 @@ def test_equation_permutation_keeps_count(f, rnd: random.Random):
         assert a.count == b.count
 
 
-def _assert_oracle_count(count, *systems):
+def _assert_oracle_count(count, *systems, bits=None):
     for f in systems:
-        result = engine.count_roots(f, max_iterations=ORACLE_LEVELS)
+        result = _count(f, bits, ORACLE_LEVELS)
         if result.status == "converged":
             assert result.count == count
 
@@ -132,6 +170,15 @@ def test_orthogonal_change_of_variables_keeps_count(case, seed):
     f, count = case
     Q = random_orthogonal(random.Random(seed), f.n_vars)
     _assert_oracle_count(count, f, compose_orthogonal(f, Q))
+
+
+@pytest.mark.parametrize("bits", [53, 24])
+@PROPERTY
+@given(oracle_systems(), st.integers(0, 2**32 - 1))
+def test_orthogonal_change_of_variables_keeps_count_rounded(bits, case, seed):
+    f, count = case
+    Q = random_orthogonal(random.Random(seed), f.n_vars)
+    _assert_oracle_count(count, f, compose_orthogonal(f, Q), bits=bits)
 
 
 # Nonzero factors of magnitude 1/2 to 2: powers of two, whose normalization

@@ -138,3 +138,90 @@ def svd_sigma_min_many(M, ar=EXACT):
     """Reference for alpha.sigma_min_many: LAPACK's SVD for every n x n batch."""
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)[..., -1]
     return ar.const(s)
+
+
+# References for the whole-array point kernel: the per-column, per-term
+# loops it replaced.  Each element takes the same rounded operations in the
+# same order, so the kernel must match them bit for bit.
+
+
+def _column_monomials(exps, coeffs, X, ar):
+    m = X.shape[0]
+    if len(coeffs) == 0:
+        return np.zeros(m)
+
+    def term(J, c):
+        out = np.full(m, ar.const(c))
+        for k, e in enumerate(J):
+            for _ in range(e):
+                out = ar.mul(out, X[:, k])
+        return out
+
+    return ar.sum(term(J, c) for J, c in zip(exps.tolist(), coeffs.tolist()))
+
+
+def column_evaluate_many(f, X, ar=EXACT):
+    """Reference for polysys.evaluate_many: one term at a time."""
+    X = np.atleast_2d(X)
+    vals = np.empty((X.shape[0], f.n))
+    for i, poly in enumerate(f.polynomials):
+        vals[:, i] = _column_monomials(poly.exponents, poly.coefficients, X, ar)
+    return vals, np.max(np.abs(vals), axis=1)
+
+
+def column_jacobian_many(f, X, ar=EXACT):
+    """Reference for polysys.jacobian_many: dX_k f_i has the terms c_J J_k X^(J - e_k)."""
+    X = np.atleast_2d(X)
+    out = np.empty((X.shape[0], f.n, f.n_vars))
+    for i, poly in enumerate(f.polynomials):
+        for k in range(f.n_vars):
+            exps, coeffs = [], []
+            for J, c in zip(poly.exponents.tolist(), poly.coefficients.tolist()):
+                if J[k] > 0:
+                    exps.append(J[:k] + [J[k] - 1] + J[k + 1:])
+                    coeffs.append(c * J[k])
+            exps = np.array(exps, dtype=np.int64).reshape(len(exps), f.n_vars)
+            out[:, i, k] = _column_monomials(exps, np.array(coeffs), X, ar)
+    return out
+
+
+def column_project_many(Y, ar=EXACT):
+    """Reference for sphere.project_many: one coordinate at a time."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Yr = ar.const(Y)
+    nrm = ar.sqrt(ar.sum(ar.mul(Yr[:, k], Yr[:, k]) for k in range(Y.shape[1])))
+    return np.stack([ar.div(Yr[:, k], nrm) for k in range(Y.shape[1])], axis=1)
+
+
+def column_tangent_basis_many(X, ar=EXACT):
+    """Reference for sphere.tangent_basis_many: one entry of H at a time."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    m, dim = X.shape
+    n = dim - 1
+    diff = ar.sub(X, np.eye(dim)[-1])
+    nrm = ar.sqrt(ar.sum(ar.mul(diff[:, k], diff[:, k]) for k in range(dim)))
+    degenerate = np.asarray(nrm) < 1e-8
+    safe = np.where(degenerate, 1.0, nrm)
+    Y = np.stack([ar.div(diff[:, k], safe) for k in range(dim)], axis=1)
+    H = np.empty((m, dim, n))
+    two = ar.const(2.0)
+    for kk in range(dim):
+        for j in range(n):
+            val = ar.mul(two, ar.mul(Y[:, kk], Y[:, j]))
+            H[:, kk, j] = ar.sub(np.full(m, 1.0 if kk == j else 0.0), val)
+    H[degenerate] = np.eye(dim)[:, :n]
+    return H
+
+
+def column_compute_M_many(f, X, ar=EXACT):
+    """Reference for alpha.compute_M_many: one entry of M at a time."""
+    X = np.atleast_2d(X)
+    jac = column_jacobian_many(f, X, ar)
+    H = column_tangent_basis_many(X, ar)
+    inv_sqrt_d = [ar.div(ar.const(1.0), ar.sqrt(ar.const(float(d)))) for d in f.degrees]
+    M = np.empty((X.shape[0], f.n, f.n))
+    for i in range(f.n):
+        for j in range(f.n):
+            acc = ar.sum(ar.mul(jac[:, i, k], H[:, k, j]) for k in range(f.n_vars))
+            M[:, i, j] = ar.mul(acc, inv_sqrt_d[i])
+    return M
