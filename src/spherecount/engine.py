@@ -9,8 +9,9 @@ component count r is even (components pair up under x -> -x) and the
 number of zero rays is r/2.
 
 Both modes run one set of formulas through the arithmetic provider; they
-differ only in the constants of `_mode_constants`, which rounded mode
-widens to absorb round-off, and in the provider's unit round-off.
+differ only in the inputs of `_run_constants`, which rounded mode widens
+to absorb round-off, and in the provider's unit round-off.  A run computes
+its constants once; a level's thresholds are those at eta = 1 times eta.
 
 The first level evaluates the whole grid.  Each later level evaluates only
 the children of the points its predecessor left unresolved: a point whose
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,33 +164,54 @@ def _canonical_rows(spec, cap: int) -> np.ndarray:
     return lattice[sphere.is_canonical(lattice)]
 
 
-def _mode_constants(ar) -> tuple[float, float, float]:
-    """The three constants in which the modes differ, for the provider ar.
+@dataclass(frozen=True)
+class _RunConstants:
+    """The scalars a run's levels share, each rounded through the provider."""
 
-    (vertex alpha, slack, radicand): the vertex test compares against
-    vertex alpha * sigma_min^2, radii and the condition (i) threshold carry
-    the factor slack, and the condition (ii) threshold the factor
-    sqrt(radicand) / 2.  Exact mode: (2 alpha_star, 1, 1).  Rounded mode
-    absorbs round-off with (alpha_bullet, 3/2, 2).
+    n: float                     # n, the number of equations
+    d32: float                   # D (x) sqrt(D)
+    vertex_alpha: float          # a: vertices have n f_sup D^{3/2} < a sigma_min^2
+    radius_coef: float           # (c (x) sigma) (x) sqrt(n)
+    thr_i: float                 # (c (x) pi) (x) sqrt(n+1), condition (i) at eta = 1
+    thr_ii: float                # ((sqrt(r) / 2) (x) pi) (x) sqrt((n+1) D), (ii) at eta = 1
+    margin: float                # pruning margin and vertex floor, `_prune_bounds`
+    floor: float
+
+
+@lru_cache(maxsize=8)
+def _run_constants(f: polysys.PolynomialSystem, ar) -> _RunConstants:
+    """The constants of a run on the normalized system f with provider ar.
+
+    The modes differ in the vertex alpha a, the slack c of radii and thr_i,
+    and the radicand r of thr_ii: (2 alpha_star, 1, 1) in exact mode, and
+    (alpha_bullet, 3/2, 2) in rounded mode, which absorbs round-off.
     """
     consts = alpha.theory_constants()
     if ar.t is None:
-        return 2.0 * consts.alpha_star, 1.0, 1.0
-    return consts.alpha_bullet, 1.5, 2.0
+        a, slack, radicand = 2.0 * consts.alpha_star, 1.0, 1.0
+    else:
+        a, slack, radicand = consts.alpha_bullet, 1.5, 2.0
+    n, D, pi = ar.const(float(f.n)), ar.const(float(f.D)), ar.const(math.pi)
+    return _RunConstants(
+        n, ar.mul(D, ar.sqrt(D)), ar.const(a),
+        ar.mul(ar.mul(ar.const(slack), ar.const(consts.sigma)), ar.sqrt(n)),
+        ar.mul(ar.mul(ar.const(slack), pi), ar.sqrt(ar.const(f.n + 1.0))),
+        ar.mul(ar.mul(ar.div(ar.sqrt(ar.const(radicand)), 2.0), pi),
+               ar.sqrt(ar.const((f.n + 1.0) * f.D))),
+        *_prune_bounds(f, ar, a),
+    )
 
 
 def vertex_test(f: polysys.PolynomialSystem, f_sup, smin, ar) -> np.ndarray:
     """The mode's alpha test at points with residuals f_sup and sigma_min smin.
 
     n ||f(x)||_inf D^{3/2} < a sigma_min^2, with the vertex alpha a of
-    `_mode_constants`, through the provider.  In exact mode (a = 2 alpha_star)
+    `_run_constants`, through the provider.  In exact mode (a = 2 alpha_star)
     this is alpha_bar < alpha_star without divisions, so it fails at a
     singular point (sigma_min = 0) instead of evaluating 0 * inf.
     """
-    vertex_alpha = _mode_constants(ar)[0]
-    n, D = float(f.n), float(f.D)
-    lhs = ar.mul(ar.mul(ar.const(n), f_sup), ar.mul(ar.const(D), ar.sqrt(ar.const(D))))
-    return lhs < ar.mul(ar.const(vertex_alpha), ar.mul(smin, smin))
+    c = _run_constants(f, ar)
+    return ar.mul(ar.mul(c.n, f_sup), c.d32) < ar.mul(c.vertex_alpha, ar.mul(smin, smin))
 
 
 def build_graph(
@@ -217,7 +240,6 @@ def build_graph(
     """
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("build_graph expects a normalized system")
-    slack = _mode_constants(ar)[1]
     if rows is None:
         rows = _canonical_rows(spec, cap)
     else:
@@ -235,9 +257,7 @@ def build_graph(
     source = np.concatenate((canon, canon))[order]
     sign = np.repeat([1.0, -1.0], len(canon))[order]
     Xv = X[source] * sign[:, None]
-    sigma = alpha.theory_constants().sigma
-    coef = ar.mul(ar.mul(ar.const(slack), ar.const(sigma)), ar.sqrt(ar.const(float(f.n))))
-    radii = ar.div(ar.mul(coef, f_sup[source]), smin[source])
+    radii = ar.div(ar.mul(_run_constants(f, ar).radius_coef, f_sup[source]), smin[source])
 
     if len(Xv) ** 2 > cap:
         raise sphere.GridTooLargeError(
@@ -288,19 +308,11 @@ def _thresholds(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, ar) -> t
     """(thr_i, thr_ii) at the level of spec, computed through the provider.
 
     thr_i = c pi eta sqrt(n+1) and thr_ii = (sqrt(r) / 2) pi eta sqrt((n+1) D),
-    with the mode's slack c and radicand r from `_mode_constants`.
+    with the mode's slack c and radicand r: those of `_run_constants` times
+    eta, a power of two, which commutes with each rounding.
     """
-    _, slack, radicand = _mode_constants(ar)
-
-    def threshold(factor, m: int):
-        # factor * pi * eta * sqrt(m), in this order, through the provider
-        pi = ar.const(math.pi)
-        return ar.mul(ar.mul(ar.mul(factor, pi), ar.const(spec.eta)), ar.sqrt(ar.const(float(m))))
-
-    dim = spec.n + 1
-    thr_i = threshold(ar.const(slack), dim)
-    thr_ii = threshold(ar.div(ar.sqrt(ar.const(radicand)), ar.const(2.0)), dim * f.D)
-    return thr_i, thr_ii
+    c = _run_constants(f, ar)
+    return c.thr_i * spec.eta, c.thr_ii * spec.eta
 
 
 def halting_report(graph: ProximityGraph, components: ComponentSet,
@@ -403,13 +415,13 @@ def _round_off_bounds(f: polysys.PolynomialSystem, ar) -> tuple[float, float]:
     return e_f, cap - 1.0
 
 
-def _prune_bounds(f: polysys.PolynomialSystem, ar) -> tuple[float, float]:
+def _prune_bounds(f: polysys.PolynomialSystem, ar, a0: float) -> tuple[float, float]:
     """(margin, floor) of the pruning test for the provider ar.
 
     A point p resolves its cell when b(p) = f_sup(p) - 2 sqrt(D) rho - margin
     exceeds max(floor, thr_ii(k+1)) (`_unresolved_children`).  With e_f and
     d_s of `_round_off_bounds`, u' = `ar.unit_roundoff`, g_k = gamma_k and
-    the vertex alpha a0 of `_mode_constants`; host arithmetic is the case
+    the mode's vertex alpha a0 (unrounded); host arithmetic is the case
     u' = 2^-53:
 
     (a) Residuals.  A descendant q of p has computed residual
@@ -450,7 +462,7 @@ def _prune_bounds(f: polysys.PolynomialSystem, ar) -> tuple[float, float]:
     e_f, d_s = _round_off_bounds(f, ar)
     u = ar.unit_roundoff
     n, D, S = f.n, f.D, f.S
-    a = _mode_constants(ar)[0] * (1.0 + d_s) ** 2 * (1.0 + _gamma(10, u)) / (n * D**1.5)
+    a = a0 * (1.0 + d_s) ** 2 * (1.0 + _gamma(10, u)) / (n * D**1.5)
     floor = a * (1.0 + D * (2.0 * a + e_f) ** 2)
     top = 1.0 + (S + 3) * 2.0**-53 + e_f
     if not (floor <= 2.0 * a and top >= a * (1.0 + D * (top + e_f) ** 2)):
@@ -477,10 +489,11 @@ def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
     descendant passes the vertex test, and each passes condition (ii) at
     level k+1 and, as thr_ii halves with eta, at every later level.  Both
     modes take the margin and the floor from one derivation at the
-    provider's unit round-off, `_prune_bounds`.  The next level evaluates
-    the children of the unresolved points only.  Every grid point it skips
-    has a resolved ancestor, so its residual is above the smallest b(p)
-    over all resolved points, which the returned bound carries.
+    provider's unit round-off, `_prune_bounds`, through `_run_constants`.
+    The next level evaluates the children of the unresolved points only.
+    Every grid point it skips has a resolved ancestor, so its residual is
+    above the smallest b(p) over all resolved points, which the returned
+    bound carries.
 
     A level that evaluated the whole grid and resolved nothing passes on
     the whole next grid, `_canonical_rows(finer)`: the same rows as the
@@ -489,9 +502,9 @@ def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
     """
     finer = sphere.CubeGridSpec(n=graph.spec.n, k=graph.spec.k + 1)
     rho = 0.5 * math.pi * finer.eta * math.sqrt(f.n + 1)
-    margin, floor = _prune_bounds(f, ar)
-    bound = graph.f_sup - 2.0 * math.sqrt(f.D) * rho - margin
-    resolved = bound > max(floor, float(thr_ii))
+    c = _run_constants(f, ar)
+    bound = graph.f_sup - 2.0 * math.sqrt(f.D) * rho - c.margin
+    resolved = bound > max(c.floor, float(thr_ii))
     if not resolved.any() and 2 * len(graph.rows) == graph.grid_size:
         return _canonical_rows(finer, cap), graph.inherited_fsup
     inherited = min(graph.inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
@@ -509,16 +522,15 @@ def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
     """
     rows, inherited = None, math.inf
     spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
-    thr_i, thr_ii = _thresholds(fn, spec, ar)
     while True:
         graph = build_graph(fn, spec, ar, workers=workers, cap=cap, rows=rows,
                             inherited_fsup=inherited)
         comps = connected_components(graph)
+        thr_i, thr_ii = _thresholds(fn, spec, ar)
         report = halting_report(graph, comps, thr_i, thr_ii)
         yield graph, comps, report, LevelTrace(2 * len(graph.rows), float(thr_i), float(thr_ii))
         spec = sphere.CubeGridSpec(n=fn.n, k=spec.k + 1)
-        thr_i, thr_ii = _thresholds(fn, spec, ar)
-        rows, inherited = _unresolved_children(fn, graph, ar, thr_ii, cap)
+        rows, inherited = _unresolved_children(fn, graph, ar, _thresholds(fn, spec, ar)[1], cap)
 
 
 def initial_level(n: int) -> int:
@@ -541,8 +553,6 @@ def count_roots(
     max_iterations: int = 24,
     workers: int = 1,
     grid_cap: int = sphere.DEFAULT_GRID_CAP,
-    refine_steps: int = 30,
-    beta_tol: float = 1e-12,
 ) -> CountResult:
     """Count the real zero rays of f by iterative grid refinement.
 
@@ -584,16 +594,13 @@ def count_roots(
                 )
             for members in comps.components:
                 rep_point = graph.vertex_points[members[0]]
-                refined = alpha.newton_refine(
-                    fn, rep_point, max_steps=refine_steps, beta_tol=beta_tol
-                )
+                refined = alpha.newton_refine(fn, rep_point)
                 comp_records.append(
                     {
                         "representative": [float(v) for v in rep_point],
                         "zero": [float(v) for v in refined.point],
                         "beta": float(refined.beta_trace[-1]) if refined.beta_trace else 0.0,
                         "beta_trace": [float(b) for b in refined.beta_trace],
-                        "envelope_ok": bool(refined.envelope_ok),
                     }
                 )
             count, status = r // 2, "converged"

@@ -134,13 +134,11 @@ def binary_form_ray_count(poly: Polynomial) -> int:
     return count
 
 
-def random_binary_form(
-    rng: random.Random, degree: int, coeff_range: int = 4, allow_zero_poly: bool = False
-) -> Polynomial:
-    """Random binary form with small integer coefficients (never identically 0)."""
+def random_binary_form(rng: random.Random, degree: int) -> Polynomial:
+    """Random binary form with integer coefficients in [-4, 4] (never identically 0)."""
     while True:
-        coeffs = [rng.randint(-coeff_range, coeff_range) for _ in range(degree + 1)]
-        if any(coeffs) or allow_zero_poly:
+        coeffs = [rng.randint(-4, 4) for _ in range(degree + 1)]
+        if any(coeffs):
             break
     monomials = [
         Monomial((degree - j, j), float(c)) for j, c in enumerate(coeffs) if c != 0
@@ -148,9 +146,9 @@ def random_binary_form(
     return Polynomial(degree, monomials, n_vars=2)
 
 
-def random_binary_system(rng: random.Random, degree: int, coeff_range: int = 4):
+def random_binary_system(rng: random.Random, degree: int):
     """(system, exact ray count) for a random single binary form."""
-    poly = random_binary_form(rng, degree, coeff_range)
+    poly = random_binary_form(rng, degree)
     system = PolynomialSystem((degree,), [poly])
     return system, binary_form_ray_count(poly)
 

@@ -108,13 +108,18 @@ class Polynomial:
                 )
             seen[m.exponents] = m.coefficient
         ordered = sorted(seen.items())
+        if len(ordered) * self.degree > 10**8:
+            raise SystemFormatError(
+                f"polynomial {index}: {len(ordered)} terms of degree {self.degree} need "
+                f"{len(ordered) * self.degree:,} factor-table entries, more than 10^8 (800 MB)"
+            )
         try:
-            exponents = np.array([J for J, _ in ordered], dtype=np.int64)
             multinomials = [float(multinomial(self.degree, J)) for J, _ in ordered]
         except OverflowError as exc:
             raise SystemFormatError(
-                f"polynomial {index}: an exponent or multinomial coefficient is too large ({exc})"
+                f"polynomial {index}: a multinomial coefficient is too large ({exc})"
             ) from exc
+        exponents = np.array([J for J, _ in ordered], dtype=np.int64)
         self.exponents = exponents.reshape(len(ordered), n_vars)
         self.coefficients = np.array([c for _, c in ordered], dtype=np.float64)
         self.multinomials = np.array(multinomials, dtype=np.float64)

@@ -25,30 +25,20 @@ import numpy as np
 def round_value(t: int, x):
     """Round the significand of x to t bits, nearest-even ties.
 
-    Accepts scalars or arrays; a scalar or 0-d array gives a float.  Zero,
-    infinities and NaN pass through; a value that rounds past the largest
-    double becomes an infinity.  The result is ldexp(rint(ldexp(m, t)), e - t)
-    with (m, e) = frexp(x), so for t >= 53 it is x itself: m has 53 bits.
+    One path for scalars and arrays: a float64 copy of x, at least 1-d,
+    becomes ldexp(rint(ldexp(m, t)), e - t) with (m, e) = frexp(x), in
+    place; for t >= 53 that is x itself (m has 53 bits).  A scalar or 0-d
+    array gives a float.  Zero, infinities and NaN pass through; a value
+    that rounds past the largest double becomes an infinity.
     """
-    if isinstance(x, float):  # Python floats and np.float64
-        m, e = math.frexp(x)
-        if t >= 53 or m == 0.0 or not math.isfinite(m):
-            return float(x)
-        try:
-            # round() is ties-to-even, and its integer is exact as a double.
-            return math.ldexp(round(math.ldexp(m, t)), e - t)
-        except OverflowError:
-            return math.copysign(math.inf, m)
-    if t >= 53:
-        return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=np.float64)
-    out = np.array(x, dtype=np.float64)
-    if out.ndim == 0:
-        return round_value(t, float(out))
-    m, e = np.frexp(out)
-    np.ldexp(m, t, out=m)
-    np.rint(m, out=m)
-    e -= t
-    return np.ldexp(m, e, out=out)
+    out = np.array(x, dtype=np.float64, ndmin=1)
+    if t < 53:
+        m, e = np.frexp(out)
+        np.ldexp(m, t, out=m)
+        np.rint(m, out=m)
+        e -= t
+        np.ldexp(m, e, out=out)
+    return out if np.ndim(x) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -84,8 +74,7 @@ class Arithmetic:
         # the module attribute sees every rounding.
         return x if self.t is None else round_value(self.t, x)
 
-    def const(self, x):
-        return self._round(x)
+    const = _round
 
     def add(self, a, b):
         return self._round(np.add(a, b))

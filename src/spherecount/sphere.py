@@ -208,6 +208,6 @@ def tangent_basis_many(X: np.ndarray, ar=EXACT) -> np.ndarray:
     degenerate = np.asarray(nrm) < 1e-8
     Y = ar.div(diff, np.where(degenerate, 1.0, nrm)[:, None])
     n = X.shape[1] - 1
-    H = ar.sub(eye[:, :n], ar.mul(ar.const(2.0), ar.mul(Y[:, :, None], Y[:, None, :n])))
+    H = ar.sub(eye[:, :n], ar.mul(2.0, ar.mul(Y[:, :, None], Y[:, None, :n])))
     H[degenerate] = eye[:, :n]
     return H

@@ -233,14 +233,37 @@ def test_count_extreme_coefficients(system_file, capsys, monomials):
     ids=["multinomial", "exponent"],
 )
 def test_count_oversized_degree_is_schema_error(system_file, capsys, degree, J):
-    # The multinomial 1100! / (550!)^2 is beyond the double range; 10^20 is
-    # beyond the 64-bit exponent array.
+    # The multinomial 1100! / (550!)^2 is beyond the double range; degree
+    # 10^20 (also beyond a 64-bit exponent) exceeds the factor-table limit.
     doc = {"n": 1, "degrees": [degree], "polys": [[{"J": J, "c": 1}]]}
     rc = cli.main(["count", "--input", system_file(doc)])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("error: polynomial 0: ") and captured.err.count("\n") == 1
+
+
+def test_count_huge_degree_is_schema_error(system_file, capsys):
+    # Its factor table would take 8 TiB; it is refused before allocation.
+    degree = 2**40
+    doc = {"n": 1, "degrees": [degree], "polys": [[{"J": [degree, 0], "c": 1}]]}
+    rc = cli.main(["count", "--input", system_file(doc)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: polynomial 0: ") and captured.err.count("\n") == 1
+    assert "more than 10^8" in captured.err
+
+
+def test_count_high_degree_binomial_parses(system_file, capsys):
+    # Within the factor-table limit: the document passes the schema and is
+    # normalized, and the run stops at the grid cap, before any evaluation.
+    degree = 2**20
+    doc = {"n": 1, "degrees": [degree],
+           "polys": [[{"J": [degree, 0], "c": 1}, {"J": [0, degree], "c": -1}]]}
+    rc = cli.main(["count", "--input", system_file(doc), "--grid-cap", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: level k=1 needs 16 grid points, cap is 0\n"
 
 
 def test_count_norm_beyond_double_range(system_file, capsys):

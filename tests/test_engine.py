@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from spherecount.polysys import parse_system
 from spherecount.rounding import EXACT, make_arithmetic
 from spherecount.sphere import CubeGridSpec, lattice_index
 
-from util import svd_sigma_min_many, union_find_labels
+from util import random_system, svd_sigma_min_many, union_find_labels
 
 
 def system(doc):
@@ -344,14 +345,15 @@ def _longhand_vertices_and_radii(f, graph, ar):
 
 
 def _longhand_thresholds(n, D, eta, ar):
-    """(thr_i, thr_ii) as each mode wrote them out separately."""
+    """(thr_i, thr_ii) as each mode wrote them out separately; eta may be an
+    array of meshes."""
     dim, dimD = float(n + 1), float((n + 1) * D)
     if ar.t is not None:
         pi = ar.const(math.pi)
         thr_i = ar.mul(ar.mul(ar.mul(ar.const(1.5), pi), ar.const(eta)), ar.sqrt(ar.const(dim)))
         half_sqrt2 = ar.div(ar.sqrt(ar.const(2.0)), ar.const(2.0))
         thr_ii = ar.mul(ar.mul(ar.mul(half_sqrt2, pi), ar.const(eta)), ar.sqrt(ar.const(dimD)))
-        return float(thr_i), float(thr_ii)
+        return thr_i, thr_ii
     return math.pi * eta * math.sqrt(dim), 0.5 * math.pi * eta * math.sqrt(dimD)
 
 
@@ -398,6 +400,22 @@ def test_mode_formulas_match_longhand(multivariate_suite, degrees, seed, mode, b
         assert _halting_verdicts(fn, graph.spec, ar, *above) == (True, True)
         assert report.condition_i_pass == (report.min_intercomponent_distance > thr_i)
         assert report.condition_ii_pass == (report.min_excluded_fsup > thr_ii)
+
+
+def test_thresholds_match_longhand_at_every_level():
+    """The thresholds scaled from eta = 1 equal the longhand ones bit for
+    bit at every depth, width and shape: eta is a power of two."""
+    rng = random.Random(10)
+    for t in (None, 53, 24, 12, 3, 2):
+        ar = EXACT if t is None else make_arithmetic("rounded", t)
+        for n in (1, 2, 3):
+            for D in range(1, 7):
+                degrees = [D] + [rng.randint(1, D) for _ in range(n - 1)]
+                fn = random_system(rng, n, degrees).normalized()
+                specs = [CubeGridSpec(n=n, k=k) for k in range(1, 41)]
+                got = np.array([engine._thresholds(fn, spec, ar) for spec in specs]).T
+                want = _longhand_thresholds(n, D, np.array([spec.eta for spec in specs]), ar)
+                assert np.array_equal(_bits(got), _bits(want)), (t, n, degrees)
 
 
 def _uniform_grid(monkeypatch):
