@@ -47,20 +47,22 @@ def main():
         f"(grid vertex test: {'certified' if certified else 'uncertified'})\n"
     )
 
-    result = newton_refine(f, start)
-    b0 = result.beta_trace[0]
+    # newton_refine takes a batch of start points; this one is a one-row batch.
+    result = newton_refine(f, X)
+    trace = result.beta_trace[0]
+    b0 = trace[0]
     print(f"{'k':>3} {'beta_k':>14} {'envelope':>14} {'digits':>7}")
     print("-" * 42)
-    for k, b in enumerate(result.beta_trace):
+    for k, b in enumerate(trace):
         env = 0.5 ** (2**k - 1) * b0
         digits = "-" if b == 0 else f"{-np.log10(b):.1f}"
         print(f"{k:>3} {b:>14.6e} {env:>14.6e} {digits:>7}")
 
-    z = result.point
+    z = result.point[0]
     print(f"\nrefined point: ({z[0]:.15f}, {z[1]:.15f})")
     print(f"true zero:     ({true_zero[0]:.15f}, {true_zero[1]:.15f})")
     print(f"distance to true zero: {np.linalg.norm(z - true_zero):.2e}")
-    print(f"envelope satisfied: {result.envelope_ok}")
+    print(f"envelope satisfied: {result.envelope_ok[0]}")
 
 
 if __name__ == "__main__":

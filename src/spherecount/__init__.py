@@ -9,10 +9,8 @@ an emulated reduced-precision mode are supported.
 
 from .alpha import (
     RefineResult,
-    SingularJacobianError,
     TheoryConstants,
     newton_refine,
-    newton_step,
     theory_constants,
 )
 from .engine import (
@@ -42,11 +40,7 @@ from .rounding import (
     required_precision,
     round_value,
 )
-from .sphere import (
-    CubeGridSpec,
-    GridTooLargeError,
-    exp_map,
-)
+from .sphere import CubeGridSpec, GridTooLargeError
 
 __all__ = [
     "Arithmetic",
@@ -61,18 +55,15 @@ __all__ = [
     "PolynomialSystem",
     "ProximityGraph",
     "RefineResult",
-    "SingularJacobianError",
     "SystemFormatError",
     "TheoryConstants",
     "build_graph",
     "connected_components",
     "count_roots",
     "estimate_kappa",
-    "exp_map",
     "initial_level",
     "make_arithmetic",
     "newton_refine",
-    "newton_step",
     "parse_system",
     "required_precision",
     "round_value",

@@ -16,23 +16,22 @@ divisions, as the grid's vertex test `engine.vertex_test`; it fails at a
 singular zero (sigma_min = 0).  The universal constants are recomputed at
 import time by bisection and checked against their printed decimal
 expansions in the test suite.
+
+`newton_refine` runs Newton's method on the sphere for a batch of points:
+each step takes M and sigma_min for every running row from the kernel and
+solves all the tangent systems with one batched `np.linalg.solve`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import polysys, sphere
 from .rounding import EXACT
-
-
-class SingularJacobianError(RuntimeError):
-    """Newton step requested at a point with singular tangent Jacobian."""
 
 
 def psi(u: float) -> float:
@@ -166,76 +165,83 @@ def sigma_min_many(M: np.ndarray, ar=EXACT) -> np.ndarray:
     return ar.const(s)
 
 
-def newton_step(f: polysys.PolynomialSystem, x):
-    """One Newton step on the sphere: exp_x(-Df(x)|_T^{-1} f(x)).
-
-    Returns (next point, beta) where beta = ||step|| = d(x, N_f(x)).
-    The n x n tangent system diag(sqrt(d_i)) M w = f(x) is solved by QR with
-    column pivoting; no inverse is formed.
-    """
-    x = np.asarray(x, dtype=float)
-    x = x / np.linalg.norm(x)
-    X = x[None, :]
-    vals, _ = polysys.evaluate_many(f, X)
-    H = sphere.tangent_basis_many(X)[0]
-    M = compute_M_many(f, X)
-    if sigma_min_many(M)[0] == 0.0:
-        raise SingularJacobianError("tangent Jacobian is singular at this point")
-    A = np.sqrt(np.asarray(f.degrees, dtype=float))[:, None] * M[0]
-    Q, R, perm = scipy.linalg.qr(A, pivoting=True)
-    y = Q.T @ vals[0]
-    w_p = scipy.linalg.solve_triangular(R, y)
-    w = np.empty_like(w_p)
-    w[perm] = w_p
-    v = -H @ w
-    # The tangent basis loses orthogonality to x near its reflection pole;
-    # project the normal component back out before the exponential.
-    v -= np.dot(v, x) * x
-    beta = float(np.linalg.norm(v))
-    return sphere.exp_map(x, v), beta
-
-
 @dataclass
 class RefineResult:
-    point: np.ndarray
-    beta_trace: list[float] = field(default_factory=list)
-    envelope_ok: bool = True
-    singular: bool = False
+    """Per-row outcome of `newton_refine` on an (m, n+1) batch."""
+
+    point: np.ndarray              # (m, n+1) last iterates
+    beta_trace: list[list[float]]  # per row, the step lengths beta_0, beta_1, ...
+    envelope_ok: np.ndarray        # (m,) bool: the trace decays within the envelope
+    singular: np.ndarray           # (m,) bool: stopped where sigma_min(M) = 0
 
     @property
     def steps(self) -> int:
-        return len(self.beta_trace)
+        """Newton steps taken, summed over the rows."""
+        return sum(map(len, self.beta_trace))
+
+
+def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, each rounded as np.dot of the two rows.
+
+    A 1 x k by k x 1 matmul runs the host's dot product; np.sum would add
+    in another order, and a one-row Newton step would round differently.
+    """
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def _within_envelope(trace: list[float]) -> bool:
+    """beta_k <= (1/2)^(2^k - 1) * beta_0 * 1.1 for every k (vacuous if beta_0 = 0)."""
+    return not (trace and trace[0] > 0) or all(
+        b <= 0.5 ** (2**k - 1) * trace[0] * 1.1 for k, b in enumerate(trace)
+    )
 
 
 def newton_refine(
     f: polysys.PolynomialSystem,
-    x,
+    X,
     max_steps: int = 30,
     beta_tol: float = 1e-12,
 ) -> RefineResult:
-    """Iterate Newton steps until beta <= beta_tol or max_steps.
+    """Newton's method on the sphere from each row of X, all rows at once.
+
+    A step at x (renormalized) solves the tangent system
+    diag(sqrt(d_i)) M w = f(x), with M from `compute_M_many`, so that H w is
+    Df(x)|_T^{-1} f(x); then v = -H w, beta = ||v|| = d(x, N_f(x)), and
+    x moves along the geodesic cos(beta) x + sin(beta) v / beta.  A row
+    stops once beta <= beta_tol, after max_steps, or where sigma_min(M) = 0:
+    it is then flagged singular and keeps its last iterate.  Every step acts
+    on the rows still running, one array operation each, and each row's
+    result is bit for bit that of refining it alone.
 
     The caller is expected to have certified alpha_bar below the mode's
-    threshold; the trace is checked against the quadratic-convergence
-    envelope beta_k <= (1/2)^(2^k - 1) * beta_0 * 1.1 and the result is
-    flagged when the envelope is violated.
+    threshold; each trace is checked against the quadratic-convergence
+    envelope beta_k <= (1/2)^(2^k - 1) * beta_0 * 1.1.
     """
-    x = np.asarray(x, dtype=float)
-    result = RefineResult(point=x)
+    X = np.array(X, dtype=float, ndmin=2)
+    traces: list[list[float]] = [[] for _ in X]
+    singular = np.zeros(len(X), dtype=bool)
+    active = np.arange(len(X))
+    sqrt_d = np.sqrt(np.asarray(f.degrees, dtype=float))[:, None]
     for _ in range(max_steps):
-        try:
-            x, beta = newton_step(f, x)
-        except SingularJacobianError:
-            result.singular = True
-            return result
-        result.beta_trace.append(beta)
-        result.point = x
-        if beta <= beta_tol:
+        if not len(active):
             break
-    trace = result.beta_trace
-    if trace and trace[0] > 0:
-        for k, b in enumerate(trace):
-            if b > 0.5 ** (2**k - 1) * trace[0] * 1.1:
-                result.envelope_ok = False
-                break
-    return result
+        x = X[active] / np.sqrt(_row_dot(X[active], X[active]))[:, None]
+        vals, _ = polysys.evaluate_many(f, x)
+        M = compute_M_many(f, x)
+        regular = sigma_min_many(M) != 0.0
+        singular[active[~regular]] = True
+        active, x, vals, M = active[regular], x[regular], vals[regular], M[regular]
+        w = np.linalg.solve(sqrt_d * M, vals[:, :, None])
+        v = -(sphere.tangent_basis_many(x) @ w)[:, :, 0]
+        # The tangent basis loses orthogonality to x near its reflection pole;
+        # project the normal component back out before the geodesic step.
+        v -= _row_dot(v, x)[:, None] * x
+        beta = np.sqrt(_row_dot(v, v))
+        moved = beta[:, None] > 0
+        t = np.where(moved, beta[:, None], 1.0)
+        X[active] = np.where(moved, np.cos(t) * x + (np.sin(t) / t) * v, x)
+        for row, b in zip(active, beta.tolist()):
+            traces[row].append(b)
+        active = active[beta > beta_tol]
+    envelope_ok = np.array([_within_envelope(trace) for trace in traces], dtype=bool)
+    return RefineResult(X, traces, envelope_ok, singular)

@@ -104,13 +104,14 @@ def cmd_refine(args) -> int:
     smin = alpha.sigma_min_many(alpha.compute_M_many(fn, X))
     if not engine.vertex_test(fn, f_sup, smin, EXACT)[0]:
         print("warning: uncertified start (alpha_bar >= alpha_star)", file=sys.stderr)
-    refined = alpha.newton_refine(fn, start, max_steps=args.max_steps, beta_tol=args.beta_tol)
+    refined = alpha.newton_refine(fn, X, max_steps=args.max_steps, beta_tol=args.beta_tol)
+    trace = refined.beta_trace[0]
     doc = {
-        "final_point": [float(v) for v in refined.point],
-        "beta_trace": [float(b) for b in refined.beta_trace],
-        "steps": max(0, len(refined.beta_trace) - 1),
-        "envelope": "satisfied" if refined.envelope_ok else "violated",
-        "singular": bool(refined.singular),
+        "final_point": refined.point[0].tolist(),
+        "beta_trace": trace,
+        "steps": max(0, len(trace) - 1),
+        "envelope": "satisfied" if refined.envelope_ok[0] else "violated",
+        "singular": bool(refined.singular[0]),
     }
     sys.stdout.write(canonical_json(doc))
     return 0
@@ -132,17 +133,17 @@ def cmd_kappa(args) -> int:
 def cmd_sweep(args) -> int:
     f = _load_system(args.input)
     bits_list = [int(v) for v in args.bits.split(",") if v.strip()] if args.bits.strip() else []
-    for t in bits_list:  # reject a bad bit count before the first pass
-        make_arithmetic("rounded", t)
-    exact = engine.count_roots(f, mode="exact", max_iterations=args.max_iter, workers=args.workers)
+    # Every provider is made, and so every bit count checked, before the first pass.
+    providers = [make_arithmetic("rounded", t) for t in bits_list]
+    fn = f.normalized()
+    # Only the counts are tabulated, so no pass refines its zeros.
+    exact, _ = engine.count_levels(fn, EXACT, max_iterations=args.max_iter, workers=args.workers)
     if exact.status != "converged":
         print("error: exact-mode run did not converge; sweep requires it", file=sys.stderr)
         return 2
     rows = []
-    for t in bits_list:
-        res = engine.count_roots(
-            f, mode="rounded", bits=t, max_iterations=args.max_iter, workers=args.workers
-        )
+    for t, ar in zip(bits_list, providers):
+        res, _ = engine.count_levels(fn, ar, max_iterations=args.max_iter, workers=args.workers)
         count = res.count if res.status == "converged" else None
         rows.append(
             {

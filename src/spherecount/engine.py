@@ -285,22 +285,29 @@ def build_graph(
 
 
 def connected_components(graph: ProximityGraph) -> ComponentSet:
-    """Partition of the vertex list; ids are smallest member indices."""
-    V = graph.n_vertices
-    labels = np.arange(V)
-    if len(graph.edges):
-        # Imported on first use: scipy.sparse adds ~45 ms and ~5 MB to start-up,
-        # and most coarse levels have no edges.
-        from scipy.sparse import coo_matrix, csgraph
+    """Partition of the vertex list; ids are smallest member indices.
 
-        i, j = graph.edges.T
-        adj = coo_matrix((np.ones(len(i)), (i, j)), shape=(V, V))
-        _, raw = csgraph.connected_components(adj, directed=False)
-        # first[c] is the smallest vertex carrying scipy's label c.
-        _, first = np.unique(raw, return_index=True)
-        labels = first[raw]
+    Hook and compress (Shiloach and Vishkin, J. Algorithms 3, 1982): each
+    round hooks the larger root of every edge whose ends have different
+    roots onto the smaller, then replaces each label by its label's label
+    until nothing changes.  Labels only decrease and every label is a root
+    after compression, so the rounds end with each vertex labelled by the
+    smallest member of its component.
+    """
+    labels = np.arange(graph.n_vertices)
+    i, j = graph.edges.T
+    while True:
+        a, b = labels[i], labels[j]
+        # An edge whose ends share a root keeps them together for good.
+        live = a != b
+        if not live.any():
+            break
+        i, j, a, b = i[live], j[live], a[live], b[live]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := labels[labels], labels):
+            labels = up
     order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if V else []
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(labels) else []
     return ComponentSet(labels=labels, components=[g.tolist() for g in groups])
 
 
@@ -540,10 +547,57 @@ def initial_level(n: int) -> int:
 
 
 def _kappa_level_estimate(f_sup: np.ndarray, smin: np.ndarray, n: int) -> float:
-    with np.errstate(divide="ignore"):
+    # Quotients the selects discard may divide by 0, and 1 / (a subnormal) overflows.
+    with np.errstate(divide="ignore", over="ignore"):
         mu = np.where(smin > 0, math.sqrt(n) / smin, np.inf)
         inv_res = np.where(f_sup > 0, 1.0 / f_sup, np.inf)
     return float(np.max(np.minimum(mu, inv_res), initial=-math.inf))
+
+
+def count_levels(
+    fn: polysys.PolynomialSystem,
+    ar=EXACT,
+    max_iterations: int = 24,
+    workers: int = 1,
+    grid_cap: int = sphere.DEFAULT_GRID_CAP,
+) -> tuple[CountResult, np.ndarray]:
+    """The level loop of `count_roots` on the normalized system fn, without
+    Newton refinement: the result has no components, and the second value
+    holds the first vertex of each component at halt (no rows otherwise).
+    `sweep`, which reads only counts and the condition estimate, runs this.
+    """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    levels = _levels(fn, ar, workers=workers, cap=grid_cap)
+    result = CountResult(count=None, status="iteration-cap-reached",
+                         original_norm=fn.original_norm)
+    representatives = np.empty((0, fn.n_vars))
+    for _ in range(max_iterations):
+        try:
+            graph, comps, report, level_trace = next(levels)
+        except sphere.GridTooLargeError:
+            # Point budget exhausted before halting: same clean failure as
+            # running out of refinement levels, once a level has run.
+            if not result.iterations:
+                raise
+            break
+        result.iterations.append(report)
+        result.trace.append(level_trace)
+        result.kappa_lower_bound = max(
+            result.kappa_lower_bound, _kappa_level_estimate(graph.f_sup, graph.sigma_min, fn.n)
+        )
+        if report.condition_i_pass and report.condition_ii_pass:
+            r = len(comps.components)
+            if r % 2 != 0:
+                raise InternalConsistencyError(
+                    f"odd component count {r} at halt; antipodal symmetry violated"
+                )
+            representatives = graph.vertex_points[[c[0] for c in comps.components]]
+            result.count, result.status = r // 2, "converged"
+            break
+    return result, representatives
 
 
 def count_roots(
@@ -558,62 +612,21 @@ def count_roots(
 
     Runs the refinement loop from the coarsest admissible mesh, halving eta
     until both halting conditions pass, then returns r/2 together with a
-    Newton-refined approximate zero per component.  Ill-posed systems never
-    halt; max_iterations, or a later level beyond grid_cap, converts that
-    into status "iteration-cap-reached".  A first level beyond grid_cap
-    raises sphere.GridTooLargeError, as no level ran.
+    Newton-refined approximate zero per component, all refined in one batch.
+    Ill-posed systems never halt; max_iterations, or a later level beyond
+    grid_cap, converts that into status "iteration-cap-reached".  A first
+    level beyond grid_cap raises sphere.GridTooLargeError, as no level ran.
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     ar = make_arithmetic(mode, bits)
     fn = f.normalized()
-    levels = _levels(fn, ar, workers=workers, cap=grid_cap)
-    reports: list[IterationReport] = []
-    trace: list[LevelTrace] = []
-    kappa_hat = 1.0
-    count, status, comp_records = None, "iteration-cap-reached", []
-    for _ in range(max_iterations):
-        try:
-            graph, comps, report, level_trace = next(levels)
-        except sphere.GridTooLargeError:
-            # Point budget exhausted before halting: same clean failure as
-            # running out of refinement levels, once a level has run.
-            if not reports:
-                raise
-            break
-        reports.append(report)
-        trace.append(level_trace)
-        kappa_hat = max(kappa_hat, _kappa_level_estimate(graph.f_sup, graph.sigma_min, fn.n))
-        if report.condition_i_pass and report.condition_ii_pass:
-            r = len(comps.components)
-            if r % 2 != 0:
-                raise InternalConsistencyError(
-                    f"odd component count {r} at halt; antipodal symmetry violated"
-                )
-            for members in comps.components:
-                rep_point = graph.vertex_points[members[0]]
-                refined = alpha.newton_refine(fn, rep_point)
-                comp_records.append(
-                    {
-                        "representative": [float(v) for v in rep_point],
-                        "zero": [float(v) for v in refined.point],
-                        "beta": float(refined.beta_trace[-1]) if refined.beta_trace else 0.0,
-                        "beta_trace": [float(b) for b in refined.beta_trace],
-                    }
-                )
-            count, status = r // 2, "converged"
-            break
-    return CountResult(
-        count=count,
-        status=status,
-        components=comp_records,
-        iterations=reports,
-        kappa_lower_bound=kappa_hat,
-        original_norm=fn.original_norm,
-        trace=trace,
-    )
+    result, representatives = count_levels(fn, ar, max_iterations, workers, grid_cap)
+    refined = alpha.newton_refine(fn, representatives)
+    result.components = [
+        {"representative": rep.tolist(), "zero": zero.tolist(),
+         "beta": trace[-1] if trace else 0.0, "beta_trace": trace}
+        for rep, zero, trace in zip(representatives, refined.point, refined.beta_trace)
+    ]
+    return result
 
 
 def estimate_kappa(

@@ -1,4 +1,4 @@
-"""Geometry on S^n: the projected cube grid, distances, exp map, tangent bases.
+"""Geometry on S^n: the projected cube grid, distances and tangent bases.
 
 The grid of mesh eta = 2^-k lives on the cube surface {||y||_inf = 1} in
 R^{n+1}: lattice points i * 2^-k with at least one coordinate equal to +-1.
@@ -179,18 +179,6 @@ def pairwise_distances(X: np.ndarray, ar=EXACT) -> np.ndarray:
     a = ar.div(dots, ar.mul(nrm[:, None], nrm[None, :]))
     a = np.clip(a, -1.0, 1.0)
     return np.asarray(ar.arccos(a))
-
-
-def exp_map(x, h, tol: float = 1e-10) -> np.ndarray:
-    """exp_x(h) = cos(||h||) x + sin(||h||)/||h|| h for tangent h at x."""
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if abs(float(np.dot(x, h))) > tol:
-        raise ValueError(f"h is not tangent at x: <h, x> = {np.dot(x, h)}")
-    t = float(np.linalg.norm(h))
-    if t == 0.0:
-        return x.copy()
-    return np.cos(t) * x + (np.sin(t) / t) * h
 
 
 def tangent_basis_many(X: np.ndarray, ar=EXACT) -> np.ndarray:

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from spherecount.alpha import (
-    SingularJacobianError,
     _bisect,
     compute_M_many,
     newton_refine,
-    newton_step,
     psi,
     sigma_min_many,
     theory_constants,
@@ -262,47 +260,92 @@ def test_vertex_test_is_alpha_bar_below_alpha_star():
     assert np.array_equal(passed[far], (alpha_bar < alpha_star)[far])
 
 
-def test_newton_step_closed_form_line():
-    # f = X1 - 0.1 X0 has the zero ray (1, 0.1)/sqrt(1.01)
-    f = parse_system(
-        {"n": 1, "degrees": [1], "polys": [[{"J": [0, 1], "c": 1.0}, {"J": [1, 0], "c": -0.1}]]}
-    ).normalized()
+LINE_SHIFTED = {  # X1 - 0.1 X0: the zero ray (1, 0.1) / sqrt(1.01)
+    "n": 1, "degrees": [1], "polys": [[{"J": [0, 1], "c": 1.0}, {"J": [1, 0], "c": -0.1}]]
+}
+DOUBLE = {"n": 1, "degrees": [2], "polys": [[{"J": [0, 2], "c": 1.0}]]}  # X1^2
+
+
+def test_newton_refine_closed_form_line():
+    f = parse_system(LINE_SHIFTED).normalized()
     zero = np.array([1.0, 0.1]) / math.sqrt(1.01)
-    x = np.array([1.0, 0.0])
-    for _ in range(6):
-        x, beta = newton_step(f, x)
-    assert distance(x, zero) < 1e-12
+    res = newton_refine(f, np.array([[1.0, 0.0]]), max_steps=6)
+    assert res.point.shape == (1, 2)
+    assert distance(res.point[0], zero) < 1e-12
 
 
 def test_newton_refine_quadratic_envelope():
-    rng = random.Random(57)
     f = parse_system(
         {"n": 1, "degrees": [2], "polys": [[{"J": [0, 2], "c": 1.0}, {"J": [2, 0], "c": -0.25}]]}
     ).normalized()
     zero = np.array([2.0, 1.0]) / math.sqrt(5.0)
     start = zero + np.array([-0.01, 0.02])
     start /= np.linalg.norm(start)
-    res = newton_refine(f, start)
-    assert res.envelope_ok and not res.singular
-    assert distance(res.point, zero) < 1e-10
-    b0 = res.beta_trace[0]
-    for k, bk in enumerate(res.beta_trace):
-        assert bk <= 0.5 ** (2**k - 1) * b0 * 1.1 + 1e-300
+    res = newton_refine(f, start[None, :])
+    assert res.envelope_ok.tolist() == [True] and res.singular.tolist() == [False]
+    assert distance(res.point[0], zero) < 1e-10
+    trace = res.beta_trace[0]
+    assert res.steps == len(trace)
+    for k, bk in enumerate(trace):
+        assert bk <= 0.5 ** (2**k - 1) * trace[0] * 1.1 + 1e-300
 
 
 def test_newton_refine_at_exact_zero():
     f = parse_system(
         {"n": 1, "degrees": [1], "polys": [[{"J": [0, 1], "c": 1.0}]]}
     ).normalized()
-    res = newton_refine(f, np.array([1.0, 0.0]))
-    assert res.beta_trace == [0.0]
-    assert np.array_equal(res.point, np.array([1.0, 0.0]))
+    res = newton_refine(f, np.array([[1.0, 0.0]]))
+    assert res.beta_trace == [[0.0]]
+    assert np.array_equal(res.point, np.array([[1.0, 0.0]]))
 
 
-def test_newton_step_singular():
+def test_newton_refine_singular_start():
     # f = X1^2 at (1, 0): the tangent derivative vanishes identically
-    f = parse_system(
-        {"n": 1, "degrees": [2], "polys": [[{"J": [0, 2], "c": 1.0}]]}
-    ).normalized()
-    with pytest.raises(SingularJacobianError):
-        newton_step(f, np.array([1.0, 0.0]))
+    f = parse_system(DOUBLE).normalized()
+    res = newton_refine(f, np.array([[1.0, 0.0]]))
+    assert res.singular.tolist() == [True]
+    assert res.beta_trace == [[]] and res.steps == 0
+    assert np.array_equal(res.point, np.array([[1.0, 0.0]]))
+
+
+def test_newton_refine_geodesic_steps():
+    """Each iterate has unit norm and lies beta_k from the one before it."""
+    rng = random.Random(17)
+    f = random_system(rng, 2, (2, 1)).normalized()
+    X = np.array([random_sphere_point(rng, 3) for _ in range(40)])
+    iterates = [X] + [newton_refine(f, X, max_steps=k).point for k in range(1, 5)]
+    traces = newton_refine(f, X, max_steps=4).beta_trace
+    checked = 0
+    for row, trace in enumerate(traces):
+        for k, beta in enumerate(trace):
+            x, y = iterates[k][row], iterates[k + 1][row]
+            assert abs(np.linalg.norm(y) - 1.0) < 1e-12
+            if beta < 3.0:  # the geodesic from x is shortest below pi
+                chord = np.linalg.norm(y - x / np.linalg.norm(x))
+                assert abs(2.0 * math.asin(0.5 * chord) - beta) < 1e-12
+                checked += 1
+    assert checked > 100
+
+
+def test_newton_refine_batch_matches_single_rows():
+    # No term of f_0 has degree 1 in X0, so Df_0 vanishes at e_0 = (1, 0, 0):
+    # M has a zero row there and sigma_min(M) = 0.
+    f = parse_system({"n": 2, "degrees": [2, 2], "polys": [
+        [{"J": [0, 2, 0], "c": 1.0}, {"J": [0, 1, 1], "c": 0.5}, {"J": [0, 0, 2], "c": -0.3}],
+        [{"J": [0, 0, 2], "c": 1.0}, {"J": [0, 1, 1], "c": -0.7}, {"J": [1, 1, 0], "c": 0.2}],
+    ]}).normalized()
+    rng = random.Random(29)
+    X = np.array([random_sphere_point(rng, 3) for _ in range(8)])
+    X[3] = [1.0, 0.0, 0.0]
+    X[6] = [-1.0, 0.0, 0.0]
+    batch = newton_refine(f, X)
+    assert batch.singular.tolist() == [row in (3, 6) for row in range(8)]
+    steps = 0
+    for row, x in enumerate(X):
+        alone = newton_refine(f, x[None, :])
+        assert np.array_equal(alone.point[0], batch.point[row])
+        assert alone.beta_trace[0] == batch.beta_trace[row]
+        assert alone.envelope_ok[0] == batch.envelope_ok[row]
+        assert alone.singular[0] == batch.singular[row]
+        steps += alone.steps
+    assert batch.steps == steps

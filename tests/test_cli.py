@@ -507,7 +507,7 @@ def test_sweep_document(system_file, capsys):
 
 
 def test_sweep_rejects_bad_bits_before_any_pass(system_file, capsys, monkeypatch):
-    monkeypatch.setattr(cli.engine, "count_roots", None)  # must not be reached
+    monkeypatch.setattr(cli.engine, "count_levels", None)  # must not be reached
     rc = cli.main(["sweep", "--input", system_file(TWOLINES), "--bits", "24,1"])
     captured = capsys.readouterr()
     assert rc == 1

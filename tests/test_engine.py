@@ -59,9 +59,17 @@ def test_connected_components_ids_are_smallest_members():
 @pytest.mark.parametrize("V", [1, 5, 50, 3000])
 def test_connected_components_match_union_find(V):
     rng = np.random.default_rng(V)
+    graphs = []
     for E in (0, V // 2, V, 3 * V):
         i, j = rng.integers(0, V, (2, E))
-        edges = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)[i != j]
+        graphs.append(np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)[i != j])
+    # A path through the vertices in random order takes many hook rounds to
+    # collapse; a star whose centre is not its smallest member must still be
+    # labelled by its smallest member.
+    path = rng.permutation(V)
+    graphs.append(np.stack([path[:-1], path[1:]], axis=1))
+    graphs.append(np.array([(V // 2, v) for v in range(V) if v != V // 2]))
+    for edges in graphs:
         comps = engine.connected_components(_edge_graph(V, edges))
         labels = union_find_labels(V, edges)
         assert comps.labels.tolist() == labels
@@ -275,6 +283,16 @@ def test_kappa_monotone_under_refinement():
     ]
     assert vals[0] <= vals[1] + 1e-12
     assert vals[1] <= vals[2] + 1e-12
+
+
+def test_kappa_estimate_of_subnormal_residuals_is_silent():
+    # X0^4096 - X1^4096 has subnormal residuals off its zeros, where 1 / f_sup
+    # overflows; the suite's filterwarnings = error fails on numpy's warning.
+    f = system({"n": 1, "degrees": [4096],
+                "polys": [[{"J": [4096, 0], "c": 1.0}, {"J": [0, 4096], "c": -1.0}]]})
+    result = engine.count_roots(f, max_iterations=3)
+    assert result.status == "iteration-cap-reached"
+    assert result.kappa_lower_bound == math.inf
 
 
 def _levels_to_halt(f, ar, max_levels=24):

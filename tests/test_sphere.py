@@ -10,7 +10,6 @@ from spherecount.sphere import (
     CubeGridSpec,
     GridTooLargeError,
     children,
-    exp_map,
     grid_lattice,
     is_canonical,
     lattice_index,
@@ -203,19 +202,3 @@ def test_tangent_basis_near_pole():
     H = tangent_basis_many(e_last[None, :])[0]
     assert np.allclose(H, np.eye(3)[:, :2], atol=0)
     assert np.max(np.abs(e_last @ H)) == 0.0
-
-
-def test_exp_map_properties():
-    rng = random.Random(17)
-    for _ in range(100):
-        x = random_sphere_point(rng, 3)
-        H = tangent_basis_many(x[None, :])[0]
-        w = np.array([rng.gauss(0, 1) for _ in range(2)])
-        v = H @ (0.5 * w / max(1.0, np.linalg.norm(w)))
-        y = exp_map(x, v)
-        assert abs(np.linalg.norm(y) - 1.0) < 1e-12
-        assert abs(distance(x, y) - np.linalg.norm(v)) < 1e-9
-    x = random_sphere_point(rng, 3)
-    assert np.array_equal(exp_map(x, np.zeros(3)), x)
-    with pytest.raises(ValueError):
-        exp_map(x, x)  # not tangent
