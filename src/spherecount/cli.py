@@ -109,7 +109,7 @@ def cmd_refine(args) -> int:
     doc = {
         "final_point": refined.point[0].tolist(),
         "beta_trace": trace,
-        "steps": max(0, len(trace) - 1),
+        "steps": len(trace),
         "envelope": "satisfied" if refined.envelope_ok[0] else "violated",
         "singular": bool(refined.singular[0]),
     }

@@ -33,6 +33,13 @@ invariant under x -> -x, so the engine evaluates only canonical points
 antipode as its negation.  This halves the work and makes the antipodal
 symmetry of the vertex set, and hence the evenness of r, structural rather
 than numerical.
+
+Each level carries its rows' grid_lattice indices through the loop: a
+whole-grid level's are the positions of its canonical rows
+(`_canonical_rows`), a pruned level's are the keys `sphere.children`
+deduplicates by, and an antipode's index is closed form
+(`sphere.antipode_index`).  So `build_graph` lists the vertices in grid
+order without locating any row in the grid again.
 """
 
 from __future__ import annotations
@@ -158,10 +165,12 @@ def _grid_point_data(f, spec, rows, ar, workers: int):
     return X, f_sup, smin
 
 
-def _canonical_rows(spec, cap: int) -> np.ndarray:
-    """Every canonical row of the level's grid, in grid_lattice order."""
+def _canonical_rows(spec, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every canonical row of the level's grid, in grid_lattice order, and
+    its grid_lattice index."""
     lattice = sphere.grid_lattice(spec, cap=cap)
-    return lattice[sphere.is_canonical(lattice)]
+    index = np.flatnonzero(sphere.is_canonical(lattice))
+    return lattice[index], index
 
 
 @dataclass(frozen=True)
@@ -220,17 +229,19 @@ def build_graph(
     ar=EXACT,
     workers: int = 1,
     cap: int = sphere.DEFAULT_GRID_CAP,
-    rows: np.ndarray | None = None,
+    level: tuple[np.ndarray, np.ndarray] | None = None,
     inherited_fsup: float = math.inf,
 ) -> ProximityGraph:
     """Evaluate a grid level and assemble the proximity graph for the mode.
 
-    f must be normalized (||f|| = 1).  `rows` are the canonical lattice rows
-    to evaluate, in grid_lattice order; None evaluates the whole grid.  The
-    grid points left out must be certified non-vertices whose residuals are
-    at least `inherited_fsup`.  The cap applies to the points the level
-    holds (the nominal grid, or the given rows and their antipodes) and to
-    the V^2 entries of the vertices' distance matrix.
+    f must be normalized (||f|| = 1).  `level` is the pair (rows, index):
+    the canonical lattice rows to evaluate, in grid_lattice order, and
+    their grid_lattice indices, as `sphere.children` and `_canonical_rows`
+    return them; None evaluates the whole grid.  The grid points left out
+    must be certified non-vertices whose residuals are at least
+    `inherited_fsup`.  The cap applies to the points the level holds (the
+    nominal grid, or the given rows and their antipodes) and to the V^2
+    entries of the vertices' distance matrix.
 
     Vertices pass `vertex_test` and carry the radius
     c sigma sqrt(n) ||f(x)||_inf / sigma_min, with c = 1 in exact mode and
@@ -240,9 +251,10 @@ def build_graph(
     """
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("build_graph expects a normalized system")
-    if rows is None:
-        rows = _canonical_rows(spec, cap)
+    if level is None:
+        rows, row_index = _canonical_rows(spec, cap)
     else:
+        rows, row_index = level
         sphere.check_cap(spec, 2 * len(rows), cap)
     X, f_sup, smin = _grid_point_data(f, spec, rows, ar, workers)
     vertex_mask = vertex_test(f, f_sup, smin, ar)
@@ -250,9 +262,7 @@ def build_graph(
     # Each canonical vertex stands for itself and its antipode; list both
     # in grid_lattice order.
     canon = np.flatnonzero(vertex_mask)
-    index = np.concatenate(
-        (sphere.lattice_index(spec, rows[canon]), sphere.lattice_index(spec, -rows[canon]))
-    )
+    index = np.concatenate((row_index[canon], sphere.antipode_index(spec, row_index[canon])))
     order = np.argsort(index)
     source = np.concatenate((canon, canon))[order]
     sign = np.repeat([1.0, -1.0], len(canon))[order]
@@ -481,7 +491,8 @@ def _prune_bounds(f: polysys.PolynomialSystem, ar, a0: float) -> tuple[float, fl
 
 def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
                          thr_ii, cap: int = sphere.DEFAULT_GRID_CAP):
-    """Rows the next level must evaluate, and the next level's inherited bound.
+    """The next level's (rows, index) pair, the rows it must evaluate and
+    their grid_lattice indices, and the next level's inherited bound.
 
     thr_ii is the condition (ii) threshold of the next level, k+1.
 
@@ -527,17 +538,17 @@ def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
     only the children of the points its predecessor left unresolved
     (`_unresolved_children`).
     """
-    rows, inherited = None, math.inf
+    level, inherited = None, math.inf
     spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
     while True:
-        graph = build_graph(fn, spec, ar, workers=workers, cap=cap, rows=rows,
+        graph = build_graph(fn, spec, ar, workers=workers, cap=cap, level=level,
                             inherited_fsup=inherited)
         comps = connected_components(graph)
         thr_i, thr_ii = _thresholds(fn, spec, ar)
         report = halting_report(graph, comps, thr_i, thr_ii)
         yield graph, comps, report, LevelTrace(2 * len(graph.rows), float(thr_i), float(thr_ii))
         spec = sphere.CubeGridSpec(n=fn.n, k=spec.k + 1)
-        rows, inherited = _unresolved_children(fn, graph, ar, _thresholds(fn, spec, ar)[1], cap)
+        level, inherited = _unresolved_children(fn, graph, ar, _thresholds(fn, spec, ar)[1], cap)
 
 
 def initial_level(n: int) -> int:
@@ -643,5 +654,5 @@ def estimate_kappa(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     fn = f.normalized()
-    _, f_sup, smin = _grid_point_data(fn, spec, _canonical_rows(spec, cap), EXACT, workers)
+    _, f_sup, smin = _grid_point_data(fn, spec, _canonical_rows(spec, cap)[0], EXACT, workers)
     return _kappa_level_estimate(f_sup, smin, fn.n)

@@ -45,7 +45,8 @@ def round_value(t: int, x):
 class Arithmetic:
     """Host arithmetic with every result rounded to t significand bits.
 
-    t = None is host precision: no operation rounds.  sqrt and arccos are
+    t = None is host precision: no operation rounds, nor does any from
+    t = 53 on, where the rounding is the identity.  sqrt and arccos are
     computed at host precision and rounded once, which satisfies the
     op~(x) = op(x)(1 + delta) contract.
     """
@@ -70,9 +71,10 @@ class Arithmetic:
         return 2.0**-self.t + 2.0**-52
 
     def _round(self, x):
-        # round_value is looked up at each call, so a wrapper installed on
-        # the module attribute sees every rounding.
-        return x if self.t is None else round_value(self.t, x)
+        # From t = 53 on round_value is the identity, so it is skipped as at
+        # host precision.  It is looked up at each call, so a wrapper
+        # installed on the module attribute sees every rounding.
+        return x if self.t is None or self.t >= 53 else round_value(self.t, x)
 
     const = _round
 

@@ -82,13 +82,25 @@ def grid_lattice(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
     return out
 
 
+def _face_blocks(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, starts) of grid_lattice's face-pair blocks.
+
+    The pair of face j is the blocks (j, +half) and (j, -half), each of
+    size B_j = (side - 1)^j (side + 1)^(n - j); the pair starts at s_j.
+    """
+    side = 2 ** (spec.k + 1)
+    dim = spec.n + 1
+    sizes = np.array([(side - 1) ** j * (side + 1) ** (dim - 1 - j) for j in range(dim)])
+    return sizes, np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
+
+
 def lattice_index(spec: CubeGridSpec, rows: np.ndarray) -> np.ndarray:
     """Position of each lattice row in grid_lattice(spec), in closed form.
 
-    grid_lattice is the face blocks (j, +half), (j, -half) for j = 0..n, each
-    of size B_j = (side - 1)^j (side + 1)^(n - j) and in C order over its
-    coordinate ranges: interior before j, the fixed face coordinate at j,
-    the full range after j.  A row's block is its first coordinate at +-half.
+    grid_lattice is the face blocks (j, +half), (j, -half) for j = 0..n
+    (`_face_blocks`), each in C order over its coordinate ranges: interior
+    before j, the fixed face coordinate at j, the full range after j.  A
+    row's block is its first coordinate at +-half.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, spec.n + 1)
     half = 2**spec.k
@@ -98,8 +110,7 @@ def lattice_index(spec: CubeGridSpec, rows: np.ndarray) -> np.ndarray:
     if np.any(np.abs(rows) > half) or not np.all(on_face.any(axis=1)):
         raise ValueError(f"rows are not on the level-{spec.k} cube surface")
     face = np.argmax(on_face, axis=1)
-    sizes = np.array([(side - 1) ** j * (side + 1) ** (dim - 1 - j) for j in range(dim)])
-    starts = np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
+    sizes, starts = _face_blocks(spec)
     offset = np.zeros(len(rows), dtype=np.int64)
     for j in range(dim):
         before, after = j < face, j > face
@@ -108,6 +119,19 @@ def lattice_index(spec: CubeGridSpec, rows: np.ndarray) -> np.ndarray:
         offset = offset * radix + digit
     minus = rows[np.arange(len(rows)), face] < 0
     return starts[face] + np.where(minus, sizes[face], 0) + offset
+
+
+def antipode_index(spec: CubeGridSpec, index: np.ndarray) -> np.ndarray:
+    """grid_lattice positions of the antipodes of the rows at `index`.
+
+    Negation swaps the blocks (j, +half) and (j, -half) and reverses the C
+    order within them, as it reverses every coordinate range.  So the
+    antipode of position i in the pair of face j (start s_j, block size
+    B_j, `_face_blocks`) is at 2 s_j + 2 B_j - 1 - i.
+    """
+    sizes, starts = _face_blocks(spec)
+    face = np.searchsorted(starts + 2 * sizes, index, side="right")
+    return 2 * (starts + sizes)[face] - 1 - index
 
 
 def is_canonical(rows: np.ndarray) -> np.ndarray:
@@ -120,24 +144,29 @@ def is_canonical(rows: np.ndarray) -> np.ndarray:
     return rows[np.arange(len(rows)), first] > 0
 
 
-def children(spec: CubeGridSpec, rows: np.ndarray, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
+def children(spec: CubeGridSpec, rows: np.ndarray,
+             cap: int = DEFAULT_GRID_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Canonical level-(k+1) rows 2p + {-1, 0, 1}^(n+1) of level-k rows p.
 
     Keeps the children on the level-(k+1) cube surface, replaces each by
     its canonical representative (the antipode's children are the negated
-    children), and returns every row once, in grid_lattice order.  Every
-    level-(k+1) grid point is a child of some level-k grid point.
+    children), and returns every row once, in grid_lattice order, with its
+    level-(k+1) grid_lattice index: the pair (rows, index) the next level
+    evaluates.  Every level-(k+1) grid point is a child of some level-k
+    grid point.
 
     Raises GridTooLargeError when the children and their antipodes exceed
-    `cap` points.  Parents are expanded _CHUNK at a time; the children
-    found so far are deduplicated whenever they pass half the cap or
-    double, so the check is exact and memory stays within about twice the
-    returned rows or the cap, not 3^(n+1) candidates per parent.
+    `cap` points.  Parents are expanded _CHUNK at a time; each chunk's
+    candidates are indexed by one `lattice_index` call and deduplicated by
+    index.  The chunks' children are merged and deduplicated again when
+    they pass half the cap or double, and at the end, which a level whose
+    parents fit in one chunk skips.  So the check is exact and memory stays
+    within about twice the returned rows or the cap, not 3^(n+1)
+    candidates per parent.
     """
     dim = spec.n + 1
     finer = CubeGridSpec(n=spec.n, k=spec.k + 1)
-    steps = np.array(np.meshgrid(*[[-1, 0, 1]] * dim, indexing="ij"), dtype=np.int64)
-    steps = steps.reshape(dim, -1).T
+    steps = np.indices((3,) * dim).reshape(dim, -1).T - 1
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim)
     index, found, held, limit = [], [], 0, cap // 2
     for lo in range(0, max(len(rows), 1), _CHUNK):
@@ -149,11 +178,12 @@ def children(spec: CubeGridSpec, rows: np.ndarray, cap: int = DEFAULT_GRID_CAP) 
         found.append(cand[first])
         held += len(idx)
         if held > limit or lo + _CHUNK >= len(rows):
-            idx, first = np.unique(np.concatenate(index), return_index=True)
-            index, found = [idx], [np.concatenate(found)[first]]
+            if len(index) > 1:
+                idx, first = np.unique(np.concatenate(index), return_index=True)
+                index, found = [idx], [np.concatenate(found)[first]]
             check_cap(finer, 2 * len(idx), cap)
             held, limit = len(idx), max(cap // 2, 2 * len(idx))
-    return found[0]
+    return found[0], index[0]
 
 
 def project_many(Y: np.ndarray, ar=EXACT) -> np.ndarray:

@@ -203,7 +203,7 @@ def test_rounded_grid_data_within_round_off_bounds(n):
     cases = [random_system(rng, n, [rng.randint(1, 4) for _ in range(n)]) for _ in range(12)]
     cases.append(_eye_system(n))
     spec = sphere.CubeGridSpec(n=n, k={1: 6, 2: 3, 3: 2}[n])
-    rows = engine._canonical_rows(spec, sphere.DEFAULT_GRID_CAP)
+    rows, _ = engine._canonical_rows(spec, sphere.DEFAULT_GRID_CAP)
     for f in cases:
         f = f.normalized()
         _, exact_fsup, _ = engine._grid_point_data(f, spec, rows, EXACT, 1)

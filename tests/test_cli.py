@@ -363,7 +363,19 @@ def test_refine_closed_form(system_file, capsys):
     assert doc["envelope"] == "satisfied"
     assert doc["singular"] is False
     assert doc["beta_trace"][-1] <= 1e-12
-    assert doc["steps"] == len(doc["beta_trace"]) - 1
+    # Each beta_k is the length of a step that was taken.
+    assert doc["steps"] == len(doc["beta_trace"])
+
+
+def test_refine_one_step_counts_one(system_file, capsys):
+    """--max-steps 1 takes one Newton step: the point moves, steps is 1."""
+    rc = cli.main(["refine", "--input", system_file(LINE_SHIFTED), "--start", "1,0",
+                   "--max-steps", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["steps"] == len(doc["beta_trace"]) == 1
+    assert doc["beta_trace"][0] > 0
+    assert doc["final_point"] != [1.0, 0.0]
 
 
 def test_refine_uncertified_warning(system_file, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -142,10 +143,11 @@ def test_vertex_pairs_count_toward_the_cap():
     spec = CubeGridSpec(n=1, k=8)
     whole = engine.build_graph(f, spec)
     rows, V = whole.rows[whole.vertex_mask], whole.n_vertices
+    level = (rows, lattice_index(spec, rows))
     assert 2 * len(rows) == V < V * V - 1
-    assert engine.build_graph(f, spec, rows=rows, cap=V * V).n_vertices == V
+    assert engine.build_graph(f, spec, level=level, cap=V * V).n_vertices == V
     with pytest.raises(sphere.GridTooLargeError):
-        engine.build_graph(f, spec, rows=rows, cap=V * V - 1)
+        engine.build_graph(f, spec, level=level, cap=V * V - 1)
 
 
 def test_pruned_levels_are_capped_by_evaluated_points():
@@ -506,7 +508,8 @@ def test_level_with_nothing_left_to_evaluate():
     vertex, and passes condition (ii) on the inherited bound alone."""
     f = system(CIRCLE).normalized()
     spec = CubeGridSpec(n=1, k=4)
-    graph = engine.build_graph(f, spec, rows=np.zeros((0, 2), dtype=np.int64), inherited_fsup=0.5)
+    nothing = (np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    graph = engine.build_graph(f, spec, level=nothing, inherited_fsup=0.5)
     report = engine.halting_report(graph, engine.connected_components(graph),
                                    *engine._thresholds(f, spec, EXACT))
     assert graph.n_vertices == 0 and report.grid_size == spec.point_count()
@@ -514,8 +517,8 @@ def test_level_with_nothing_left_to_evaluate():
     assert report.condition_i_pass and report.condition_ii_pass
     assert engine._kappa_level_estimate(graph.f_sup, graph.sigma_min, 1) == -math.inf
     _, thr_ii = engine._thresholds(f, CubeGridSpec(n=1, k=5), EXACT)
-    rows, inherited = engine._unresolved_children(f, graph, EXACT, thr_ii)
-    assert rows.shape == (0, 2) and inherited == 0.5
+    (rows, index), inherited = engine._unresolved_children(f, graph, EXACT, thr_ii)
+    assert rows.shape == (0, 2) and index.shape == (0,) and inherited == 0.5
 
 
 def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_suite):
@@ -526,10 +529,40 @@ def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_su
     for ar in (EXACT, make_arithmetic("rounded", 12), make_arithmetic("rounded", 3)):
         graph = engine.build_graph(f, CubeGridSpec(n=2, k=1), ar)
         finer = CubeGridSpec(n=2, k=2)
-        rows, inherited = engine._unresolved_children(f, graph, ar,
-                                                      engine._thresholds(f, finer, ar)[1])
-        assert np.array_equal(rows, engine._canonical_rows(finer, sphere.DEFAULT_GRID_CAP))
-        assert np.array_equal(rows, sphere.children(graph.spec, graph.rows))
+        (rows, index), inherited = engine._unresolved_children(
+            f, graph, ar, engine._thresholds(f, finer, ar)[1])
+        whole_rows, whole_index = engine._canonical_rows(finer, sphere.DEFAULT_GRID_CAP)
+        child_rows, child_index = sphere.children(graph.spec, graph.rows)
+        assert np.array_equal(rows, whole_rows) and np.array_equal(rows, child_rows)
+        assert np.array_equal(index, whole_index) and np.array_equal(index, child_index)
+        assert np.array_equal(index, lattice_index(finer, rows))
         assert inherited == math.inf
     r = engine.count_roots(f, mode="rounded", bits=3, max_iterations=6)
     assert [lvl.evaluated for lvl in r.trace] == [it.grid_size for it in r.iterations]
+
+
+def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, monkeypatch):
+    """Each level's rows come with their grid_lattice indices, so
+    sphere.lattice_index runs once per level that expands children, from
+    sphere.children only: never in build_graph."""
+    callers, expansions = [], []
+    lattice_index, children = sphere.lattice_index, sphere.children
+
+    def counted_index(spec, rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return lattice_index(spec, rows)
+
+    def counted_children(*args, **kwargs):
+        expansions.append(args[0].k)
+        return children(*args, **kwargs)
+
+    monkeypatch.setattr(sphere, "lattice_index", counted_index)
+    monkeypatch.setattr(sphere, "children", counted_children)
+    f = _suite_system(multivariate_suite, (1, 1), 0)
+    runs = [(f, "exact", None), (f, "rounded", 24), (univariate_suite[0]["system"], "exact", None)]
+    for g, mode, bits in runs:
+        callers.clear()
+        expansions.clear()
+        assert engine.count_roots(g, mode=mode, bits=bits).status == "converged"
+        assert len(expansions) > 0
+        assert callers == ["children"] * len(expansions)

@@ -9,6 +9,7 @@ from spherecount import sphere
 from spherecount.sphere import (
     CubeGridSpec,
     GridTooLargeError,
+    antipode_index,
     children,
     grid_lattice,
     is_canonical,
@@ -59,6 +60,17 @@ def test_lattice_index_inverts_grid_order(n, ks):
         lattice_index(CubeGridSpec(n=n, k=1), np.zeros((1, n + 1), dtype=np.int64))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_antipode_index_is_the_index_of_the_negated_row(n):
+    for k in (1, 2, 3, 4):
+        spec = CubeGridSpec(n=n, k=k)
+        L = grid_lattice(spec)
+        index = np.arange(len(L))
+        got = antipode_index(spec, index)
+        assert np.array_equal(got, lattice_index(spec, -L))
+        assert np.array_equal(antipode_index(spec, got), index)
+
+
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 1)])
 def test_is_canonical_picks_one_of_each_antipodal_pair(n, k):
     L = grid_lattice(CubeGridSpec(n=n, k=k))
@@ -74,15 +86,17 @@ def test_children_of_every_row_are_the_next_level(n, ks):
     for k in ks:
         L = grid_lattice(CubeGridSpec(n=n, k=k))
         finer = grid_lattice(CubeGridSpec(n=n, k=k + 1))
-        got = children(CubeGridSpec(n=n, k=k), L[is_canonical(L)])
+        got, index = children(CubeGridSpec(n=n, k=k), L[is_canonical(L)])
         assert np.array_equal(got, finer[is_canonical(finer)])
+        assert np.array_equal(index, lattice_index(CubeGridSpec(n=n, k=k + 1), got))
 
 
 def test_children_stay_within_the_parent_cell():
     spec = CubeGridSpec(n=2, k=3)
     L = grid_lattice(spec)
     p = L[is_canonical(L)][[7]]
-    got = children(spec, p)
+    got, index = children(spec, p)
+    assert np.array_equal(index, lattice_index(CubeGridSpec(n=2, k=4), got))
     # Each child or its antipode is 2p + an offset in {-1, 0, 1}^3.
     near = np.minimum(np.abs(got - 2 * p).max(axis=1), np.abs(-got - 2 * p).max(axis=1))
     assert np.all(near <= 1) and len(got) == len({tuple(r) for r in got.tolist()})
@@ -91,17 +105,19 @@ def test_children_stay_within_the_parent_cell():
 
 @pytest.mark.parametrize("chunk", [1, 5, 1 << 15])
 def test_children_by_chunks_and_their_cap(monkeypatch, chunk):
-    """Expanding the parents a few at a time gives the same rows, and the
-    cap refuses exactly the levels whose children and antipodes exceed it."""
+    """Expanding the parents a few at a time gives the same rows and the
+    grid_lattice indices of those rows, and the cap refuses exactly the
+    levels whose children and antipodes exceed it."""
     rng = np.random.RandomState(chunk)
     spec = CubeGridSpec(n=2, k=4)
     L = grid_lattice(spec)
     parents = L[is_canonical(L)]
     parents = parents[np.sort(rng.choice(len(parents), 60, replace=False))]
-    want = children(spec, parents)
+    want, want_index = children(spec, parents)
+    assert np.array_equal(want_index, lattice_index(CubeGridSpec(n=2, k=5), want))
     monkeypatch.setattr(sphere, "_CHUNK", chunk)
-    assert np.array_equal(children(spec, parents), want)
-    assert np.array_equal(children(spec, parents, cap=2 * len(want)), want)
+    for got in (children(spec, parents), children(spec, parents, cap=2 * len(want))):
+        assert np.array_equal(got[0], want) and np.array_equal(got[1], want_index)
     with pytest.raises(GridTooLargeError):
         children(spec, parents, cap=2 * len(want) - 1)
 
