@@ -13,6 +13,7 @@ iteration cap reached (the refinement loop did not halt within the budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -232,9 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it takes about a
+    millisecond, which each in-process `main` call paid before.  The
+    commands look the engine up when called, not when the parser is built."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_start(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_join_negative_start(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (

@@ -40,6 +40,15 @@ whole-grid level's are the positions of its canonical rows
 deduplicates by, and an antipode's index is closed form
 (`sphere.antipode_index`).  So `build_graph` lists the vertices in grid
 order without locating any row in the grid again.
+
+The graph layer never holds the V x V distance matrix; no array in it has
+more than one row block times V entries.  Pass 1 walks row blocks of
+vertices, tests each vertex against the later ones, and hooks the edges
+whose ends still carry different labels, which leaves each vertex
+labelled by the smallest member of its component.  Pass 2 sorts the
+vertices by label and, again by row blocks, takes the smallest distance
+to a vertex of a later component, condition (i)'s quantity.  A level
+whose vertices fit in one block reuses its pass-1 matrix for pass 2.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ from . import alpha, polysys, sphere
 from .rounding import EXACT, make_arithmetic
 
 _CHUNK = 1 << 15
+_BLOCK = 1 << 16  # distance entries per row block of the graph layer
 
 
 class InternalConsistencyError(RuntimeError):
@@ -73,8 +83,9 @@ class ProximityGraph:
     vertex_indices: np.ndarray   # grid_lattice indices of vertices and antipodes, increasing
     vertex_points: np.ndarray    # (V, n+1) projected vertex coordinates
     radii: np.ndarray            # (V,) certification-cap radii
-    distances: np.ndarray        # (V, V) angular distances, mode arithmetic
-    edges: np.ndarray            # (E, 2) vertex-list index pairs, i < j
+    labels: np.ndarray           # (V,) component id = smallest member's list index
+    min_intercomponent_distance: float  # over vertex pairs of distinct components (inf: none)
+    edges: np.ndarray            # (E, 2) kept spanning edges, i < j, row-major
 
     @property
     def n_vertices(self) -> int:
@@ -240,14 +251,16 @@ def build_graph(
     return them; None evaluates the whole grid.  The grid points left out
     must be certified non-vertices whose residuals are at least
     `inherited_fsup`.  The cap applies to the points the level holds (the
-    nominal grid, or the given rows and their antipodes) and to the V^2
-    entries of the vertices' distance matrix.
+    nominal grid, or the given rows and their antipodes) and to the
+    V(V-1)/2 vertex pairs the graph layer tests.
 
     Vertices pass `vertex_test` and carry the radius
     c sigma sqrt(n) ||f(x)||_inf / sigma_min, with c = 1 in exact mode and
     3/2 in rounded mode; every operation goes through the provider.  Edges
     join vertices with d(x, y) <= r_x + r_y, distances in the mode's
-    arithmetic.
+    arithmetic.  The graph keeps the component labels, the smallest
+    distance between two components and a spanning subset of the edges,
+    computed in row blocks by `_proximity`.
     """
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("build_graph expects a normalized system")
@@ -269,14 +282,12 @@ def build_graph(
     Xv = X[source] * sign[:, None]
     radii = ar.div(ar.mul(_run_constants(f, ar).radius_coef, f_sup[source]), smin[source])
 
-    if len(Xv) ** 2 > cap:
+    pairs = len(Xv) * (len(Xv) - 1) // 2
+    if pairs > cap:
         raise sphere.GridTooLargeError(
-            f"level k={spec.k} has {len(Xv)} vertices: {len(Xv) ** 2} distances, "
-            f"cap is {cap}"
+            f"level k={spec.k} has {len(Xv)} vertices: {pairs} vertex pairs, cap is {cap}"
         )
-    dist = sphere.pairwise_distances(Xv, ar)
-    # Row-major pairs i < j, the order the edge list is documented in.
-    edges = np.argwhere(np.triu(dist <= ar.add(radii[:, None], radii[None, :]), 1))
+    labels, min_cross, edges = _proximity(Xv, radii, ar)
 
     return ProximityGraph(
         spec=spec,
@@ -289,33 +300,101 @@ def build_graph(
         vertex_indices=index[order],
         vertex_points=Xv,
         radii=radii,
-        distances=dist,
+        labels=labels,
+        min_intercomponent_distance=min_cross,
         edges=edges,
     )
 
 
-def connected_components(graph: ProximityGraph) -> ComponentSet:
-    """Partition of the vertex list; ids are smallest member indices.
+def _hook(labels: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """labels after joining the edges (i, j); may update labels in place.
 
     Hook and compress (Shiloach and Vishkin, J. Algorithms 3, 1982): each
     round hooks the larger root of every edge whose ends have different
     roots onto the smaller, then replaces each label by its label's label
-    until nothing changes.  Labels only decrease and every label is a root
-    after compression, so the rounds end with each vertex labelled by the
-    smallest member of its component.
+    until nothing changes.  Start from labels in which each vertex carries
+    the smallest member of its part (np.arange: every vertex alone).
+    Labels only decrease and every label is a root after compression, so
+    the rounds end with each vertex labelled by the smallest member of its
+    part joined by the edges.
     """
-    labels = np.arange(graph.n_vertices)
-    i, j = graph.edges.T
     while True:
         a, b = labels[i], labels[j]
         # An edge whose ends share a root keeps them together for good.
         live = a != b
         if not live.any():
-            break
+            return labels
         i, j, a, b = i[live], j[live], a[live], b[live]
         np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
         while not np.array_equal(up := labels[labels], labels):
             labels = up
+
+
+def _proximity(points: np.ndarray, radii: np.ndarray, ar) -> tuple:
+    """(labels, min_cross, edges) of the graph d(x, y) <= r_x + r_y on points.
+
+    labels give each vertex the smallest member of its component, min_cross
+    is the smallest distance between vertices of distinct components (inf
+    when there are none) and edges, (E, 2) pairs i < j in row-major order,
+    span every component.  No array holds more than one row block of
+    max(1, _BLOCK // V) rows times V entries.
+
+    Pass 1: each block of rows i is tested against the columns j >= its
+    first row; of its edges i < j, those whose ends still carry different
+    labels are kept and hooked (`_hook`).  An edge left out joins two
+    vertices already joined by kept edges, so the kept edges span each
+    component and the labels are those of every edge.
+    Pass 2: with the vertices sorted by label (stably), each block of rows
+    meets only the columns of later components.  Every pair of distinct
+    components is met once, and the minimum does not depend on the order.
+    When one block holds every row, its matrix is the whole level's and
+    pass 2 reads it instead.  Every distance is `sphere.pairwise_distances`
+    of the two points, bit for bit whichever blocks they fall in.
+    """
+    V = len(points)
+    step = max(1, _BLOCK // max(V, 1))
+    labels = np.arange(V)
+    kept = [np.zeros((0, 2), dtype=np.int64)]
+    dist = np.zeros((0, 0))
+    for lo in range(0, V, step):
+        hi = lo + step
+        dist = sphere.pairwise_distances(points[lo:hi], ar, points[lo:])
+        # Column c of the block is vertex lo + c; row r is lo + r.
+        near = np.triu(dist <= ar.add(radii[lo:hi, None], radii[None, lo:]), 1)
+        i, j = np.nonzero(near)
+        i, j = i + lo, j + lo
+        live = labels[i] != labels[j]
+        kept.append(np.stack((i[live], j[live]), axis=1))
+        labels = _hook(labels, i[live], j[live])
+    edges = np.concatenate(kept)
+    if V <= step:
+        cross = labels[:, None] != labels[None, :]
+        return labels, float(np.min(dist, where=cross, initial=math.inf)), edges
+
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    # One past the last sorted position of each row's component.
+    end = np.searchsorted(sorted_labels, sorted_labels, side="right")
+    ordered = points[order]
+    min_cross = math.inf
+    for lo in range(0, V, step):
+        first = end[lo]
+        if first == V:
+            break
+        dist = sphere.pairwise_distances(ordered[lo:lo + step], ar, ordered[first:])
+        later = np.arange(first, V)[None, :] >= end[lo:lo + step, None]
+        min_cross = min(min_cross, float(np.min(dist, where=later, initial=math.inf)))
+    return labels, min_cross, edges
+
+
+def connected_components(graph: ProximityGraph) -> ComponentSet:
+    """Partition of the vertex list; ids are smallest member indices.
+
+    Groups the graph's labels, which `build_graph` hooks block by block
+    (`_proximity`): each vertex carries the smallest member of its
+    component.  Groups are in increasing id order, members increasing.
+    """
+    labels = graph.labels
     order = np.argsort(labels, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(labels) else []
     return ComponentSet(labels=labels, components=[g.tolist() for g in groups])
@@ -337,15 +416,14 @@ def halting_report(graph: ProximityGraph, components: ComponentSet,
     """Evaluate the two halting conditions at the graph's level.
 
     Condition (i): every cross-component vertex pair is farther apart than
-    thr_i.  Condition (ii): every grid point that failed the vertex test has
-    residual above thr_ii.  The thresholds are the level's `_thresholds`.
-    Grid points the level did not evaluate count through the graph's
-    certified lower bound `inherited_fsup`.  Empty quantifiers pass
-    vacuously.
+    thr_i; the graph carries the smallest such distance, which pass 2 of
+    `build_graph` takes over the pairs of distinct components.  Condition
+    (ii): every grid point that failed the vertex test has residual above
+    thr_ii.  The thresholds are the level's `_thresholds`.  Grid points the
+    level did not evaluate count through the graph's certified lower bound
+    `inherited_fsup`.  Empty quantifiers pass vacuously.
     """
-    labels = components.labels
-    cross = labels[:, None] != labels[None, :]
-    min_cross = float(np.min(graph.distances, where=cross, initial=math.inf))
+    min_cross = graph.min_intercomponent_distance
     excluded = graph.f_sup[~graph.vertex_mask]
     min_excluded = min(float(np.min(excluded, initial=math.inf)), graph.inherited_fsup)
     return IterationReport(

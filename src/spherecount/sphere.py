@@ -196,17 +196,23 @@ def project_many(Y: np.ndarray, ar=EXACT) -> np.ndarray:
     return ar.div(Yr, nrm[:, None])
 
 
-def pairwise_distances(X: np.ndarray, ar=EXACT) -> np.ndarray:
-    """Full (m, m) matrix of angular distances between unit points.
+def pairwise_distances(X: np.ndarray, ar=EXACT, Y: np.ndarray | None = None) -> np.ndarray:
+    """(m, p) matrix of angular distances between the unit points X and Y.
 
-    Dot products, norms, quotient and arccos all go through the provider;
-    the clamp to [-1, 1] is exact.
+    Y defaults to X.  Dot products, norms, quotient and arccos all go
+    through the provider; the clamp to [-1, 1] is exact.  Each entry is a
+    left fold of coordinate products, each row's own norm, then the
+    quotient by the product of the two norms; multiplication commutes, so
+    d(x, y) and d(y, x) are equal bit for bit, whichever blocks of rows X
+    and Y are.
     """
     X = np.atleast_2d(X)
-    # A generator, so only one (m, m) term is held beside the partial sum.
-    dots = ar.sum(ar.mul(X[:, k][:, None], X[None, :, k]) for k in range(X.shape[1]))
-    nrm = ar.sqrt(ar.sum(ar.mul(X, X).T))
-    a = ar.div(dots, ar.mul(nrm[:, None], nrm[None, :]))
+    Y = X if Y is None else np.atleast_2d(Y)
+    # A generator, so only one (m, p) term is held beside the partial sum.
+    dots = ar.sum(ar.mul(X[:, k][:, None], Y[None, :, k]) for k in range(X.shape[1]))
+    nx = ar.sqrt(ar.sum(ar.mul(X, X).T))
+    ny = nx if Y is X else ar.sqrt(ar.sum(ar.mul(Y, Y).T))
+    a = ar.div(dots, ar.mul(nx[:, None], ny[None, :]))
     a = np.clip(a, -1.0, 1.0)
     return np.asarray(ar.arccos(a))
 

@@ -445,6 +445,22 @@ def test_usage_errors_exit_1(capsys, argv):
     assert lines[0].startswith("usage: spherecount") and ": error: " in lines[-1]
 
 
+def test_parser_is_built_once(system_file, capsys, monkeypatch):
+    """main builds the argument parser on its first call only, and later
+    calls, a usage error among them, parse with that parser."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    path = system_file(TWOLINES)
+    assert cli.main(["count", "--input", path]) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["count", "--input", path, "--colour"])
+    assert cli.main(["sweep", "--input", path, "--bits", "24"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
 def test_refine_negative_max_steps_rejected(system_file, capsys, monkeypatch):
     monkeypatch.setattr(cli.alpha, "newton_refine", None)  # must not be reached
     rc = cli.main(

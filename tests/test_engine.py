@@ -14,7 +14,7 @@ from spherecount.polysys import parse_system
 from spherecount.rounding import EXACT, make_arithmetic
 from spherecount.sphere import CubeGridSpec, lattice_index
 
-from util import random_system, svd_sigma_min_many, union_find_labels
+from util import dense_proximity, random_system, svd_sigma_min_many, union_find_labels
 
 
 def system(doc):
@@ -42,7 +42,9 @@ def test_initial_level():
 
 
 def _edge_graph(V, edges):
-    return SimpleNamespace(n_vertices=V, edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
+    """A graph whose labels hook all its edges at once."""
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return SimpleNamespace(n_vertices=V, edges=edges, labels=engine._hook(np.arange(V), *edges.T))
 
 
 def test_connected_components_ids_are_smallest_members():
@@ -138,16 +140,17 @@ def test_grid_cap_below_first_level_raises():
 
 
 def test_vertex_pairs_count_toward_the_cap():
-    """The dense distance matrix of V vertices holds V^2 entries."""
+    """The graph layer tests the V(V-1)/2 pairs of V vertices."""
     f = system(TWOLINES).normalized()
     spec = CubeGridSpec(n=1, k=8)
     whole = engine.build_graph(f, spec)
     rows, V = whole.rows[whole.vertex_mask], whole.n_vertices
     level = (rows, lattice_index(spec, rows))
-    assert 2 * len(rows) == V < V * V - 1
-    assert engine.build_graph(f, spec, level=level, cap=V * V).n_vertices == V
-    with pytest.raises(sphere.GridTooLargeError):
-        engine.build_graph(f, spec, level=level, cap=V * V - 1)
+    pairs = V * (V - 1) // 2
+    assert 2 * len(rows) == V < pairs - 1
+    assert engine.build_graph(f, spec, level=level, cap=pairs).n_vertices == V
+    with pytest.raises(sphere.GridTooLargeError, match=f"{pairs} vertex pairs"):
+        engine.build_graph(f, spec, level=level, cap=pairs - 1)
 
 
 def test_pruned_levels_are_capped_by_evaluated_points():
@@ -391,7 +394,8 @@ def _halting_verdicts(f, spec, ar, min_cross, min_excluded):
         vertex_indices=np.array([0, 1]),
         vertex_points=np.zeros((2, spec.n + 1)),
         radii=np.zeros(2),
-        distances=np.array([[0.0, min_cross], [min_cross, 0.0]]),
+        labels=np.array([0, 1]),
+        min_intercomponent_distance=min_cross,
         edges=np.zeros((0, 2), dtype=np.int64),
     )
     thr_i, thr_ii = engine._thresholds(f, spec, ar)
@@ -566,3 +570,80 @@ def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, m
         assert engine.count_roots(g, mode=mode, bits=bits).status == "converged"
         assert len(expansions) > 0
         assert callers == ["children"] * len(expansions)
+
+
+def _assert_graph_layer_matches_dense(graph, comps, report, ar, monkeypatch):
+    """The level's labels, components and minimum equal the dense
+    reference's, and so do those of the row blocks at 1 row, 3 rows and
+    the whole level; the kept edges are edges that span each component,
+    and no distance matrix has more than max(block, V) entries."""
+    points, radii, V = graph.vertex_points, graph.radii, graph.n_vertices
+    sizes, distances = [], sphere.pairwise_distances
+
+    def sized(*args):
+        out = distances(*args)
+        sizes.append(out.size)
+        return out
+
+    labels, min_cross, edges = dense_proximity(points, radii, ar)
+    groups = {}
+    for v, root in enumerate(labels.tolist()):
+        groups.setdefault(root, []).append(v)
+    assert np.array_equal(comps.labels, labels)
+    assert comps.components == [groups[root] for root in sorted(groups)]
+    assert _bits(report.min_intercomponent_distance) == _bits(min_cross)
+    pair_keys = edges[:, 0] * V + edges[:, 1]
+    for block in (1, 3 * V, V * V):
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_BLOCK", block)
+            m.setattr(sphere, "pairwise_distances", sized)
+            got, got_min, kept = engine._proximity(points, radii, ar)
+        assert max(sizes, default=0) <= max(block, V), block
+        assert np.array_equal(got, labels), block
+        assert _bits(got_min) == _bits(min_cross), block
+        assert np.all(kept[:, 0] < kept[:, 1])
+        assert np.isin(kept[:, 0] * V + kept[:, 1], pair_keys).all(), block
+        assert np.array_equal(engine._hook(np.arange(V), *kept.T), labels), block
+
+
+def _assert_last_levels_match_dense(f, ar, monkeypatch):
+    """The halting level and the one before it, which does not halt."""
+    levels = _levels_to_halt(f, ar)
+    assert len(levels) >= 2
+    for _, graph, comps, report in levels[-2:]:
+        _assert_graph_layer_matches_dense(graph, comps, report, ar, monkeypatch)
+
+
+MODES = [("exact", None), ("rounded", 53), ("rounded", 24), ("rounded", 12)]
+
+
+@pytest.mark.parametrize("mode, bits", MODES, ids=[m + str(b or "") for m, b in MODES])
+def test_graph_layer_matches_dense_reference(univariate_suite, multivariate_suite, monkeypatch,
+                                             mode, bits):
+    """Row blocks give the labels, components and minimum of the full
+    distance matrix, on both oracle suites (rounded: the (1,1) systems)."""
+    ar = make_arithmetic(mode, bits)
+    systems = [case["system"] for case in univariate_suite] + [
+        case["system"] for case in multivariate_suite
+        if mode == "exact" or case["rounded_feasible"]
+    ]
+    for f in systems:
+        _assert_last_levels_match_dense(f, ar, monkeypatch)
+
+
+def test_graph_layer_matches_dense_reference_n3(monkeypatch):
+    """f = (X1 + 0.3 X0, X2 - 0.2 X1, X3^2 - 0.5 X0^2 + 0.25 X2^2) at k = 7
+    and 8, where its 2 rays have 32 and 180 vertices."""
+    f = system({"n": 3, "degrees": [1, 1, 2], "polys": [
+        [{"J": [0, 1, 0, 0], "c": 1.0}, {"J": [1, 0, 0, 0], "c": 0.3}],
+        [{"J": [0, 0, 1, 0], "c": 1.0}, {"J": [0, 1, 0, 0], "c": -0.2}],
+        [{"J": [0, 0, 0, 2], "c": 1.0}, {"J": [2, 0, 0, 0], "c": -0.5},
+         {"J": [0, 0, 2, 0], "c": 0.25}],
+    ]}).normalized()
+    for graph, comps, report, _ in engine._levels(f):
+        if graph.spec.k >= 7:
+            assert graph.n_vertices > 0 and len(comps.components) == 4
+            _assert_graph_layer_matches_dense(graph, comps, report, EXACT, monkeypatch)
+        if graph.spec.k == 8:
+            break

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spherecount import sphere
+from spherecount.rounding import EXACT, make_arithmetic
 from spherecount.sphere import (
     CubeGridSpec,
     GridTooLargeError,
@@ -174,6 +175,22 @@ def test_pairwise_distances_matches_scalar():
     for i in range(12):
         for j in range(12):
             assert abs(D[i, j] - distance(X[i], X[j])) < 1e-12
+
+
+@pytest.mark.parametrize("bits", [None, 53, 24, 12])
+def test_pairwise_distances_between_blocks_are_the_full_matrix(bits):
+    """Distances between two blocks of rows equal the full matrix's entries
+    bit for bit, either way round, and the full matrix is symmetric."""
+    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    rng = np.random.default_rng(bits or 0)
+    X = project_many(rng.standard_normal((17, 4)), ar)
+    D = pairwise_distances(X, ar)
+    assert np.array_equal(D.view(np.int64), D.T.view(np.int64))
+    for lo, hi, first in ((0, 1, 0), (3, 6, 3), (5, 17, 9), (16, 17, 0)):
+        block = pairwise_distances(X[lo:hi], ar, X[first:])
+        assert np.array_equal(block.view(np.int64), D[lo:hi, first:].view(np.int64))
+        block = pairwise_distances(X[first:], ar, X[lo:hi])
+        assert np.array_equal(block.view(np.int64), D[first:, lo:hi].view(np.int64))
 
 
 def test_projection_distortion_bound():

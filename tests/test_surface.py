@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import spherecount
+from spherecount import cli
+from spherecount.polysys import system_to_document
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,3 +91,33 @@ def test_subcommands_load_no_scipy(tmp_path):
     proc = _run_python(["-c", NO_SCIPY, str(path)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_benchmark_tracer_reads_a_count_and_a_sweep(multivariate_suite, univariate_suite,
+                                                   tmp_path, capsys):
+    """One traced count and one traced sweep through cli.main give every
+    per-layer metric and the exact-repeat counts, as the benchmark reads
+    them: a renamed graph field or a kernel the engine stops calling fails
+    here first."""
+    tracer = _load_tracer()
+    (pair,) = [c["system"] for c in multivariate_suite
+               if c["degrees"] == (1, 1) and c["seed"] == 0]
+    paths = []
+    for name, f in (("pair", pair), ("form", univariate_suite[0]["system"])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(system_to_document(f)))
+    tr = tracer.Tracer()
+    with tr.installed():
+        assert cli.main(["count", "--input", str(paths[0]), "--output",
+                         str(tmp_path / "out.json")]) == 0
+        assert cli.main(["sweep", "--input", str(paths[1]), "--bits", "53,24"]) == 0
+    capsys.readouterr()
+    index = tracer.SpanIndex(tr.spans)
+    metrics = index.layer_metrics()
+    counts = index.repeat_counts()
+    names = [name for name, _ in tracer.PER_LAYER if name != "trace.overhead_frac"]
+    assert sorted(metrics) == sorted(names)
+    assert all(value >= 0 for value in metrics.values())
+    assert counts["engine.levels"] > 0 and counts["engine.edges"] > 0
+    document = json.loads((tmp_path / "out.json").read_text())
+    assert counts["halting_levels"] == [document["iterations"][-1]["k"]]

@@ -1,12 +1,13 @@
 """Shared helpers for the test suite: random systems and exact composition."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from spherecount import oracle
+from spherecount import engine, oracle, sphere
 from spherecount.polysys import Monomial, Polynomial, PolynomialSystem
 from spherecount.rounding import EXACT
 
@@ -105,6 +106,17 @@ def distance(x1, x2, ar=EXACT) -> float:
     a = ar.div(dot, ar.mul(ar.sqrt(s1), ar.sqrt(s2)))
     a = min(1.0, max(-1.0, float(a)))
     return float(ar.arccos(a))
+
+
+def dense_proximity(points, radii, ar=EXACT):
+    """Reference for engine._proximity: the full V x V distance matrix, every
+    edge i < j with d <= r_i + r_j, and one hook of all of them.  Returns
+    (labels, min_cross, edges) as `_proximity` does."""
+    dist = sphere.pairwise_distances(points, ar)
+    edges = np.argwhere(np.triu(dist <= ar.add(radii[:, None], radii[None, :]), 1))
+    labels = engine._hook(np.arange(len(points)), *edges.T)
+    cross = labels[:, None] != labels[None, :]
+    return labels, float(np.min(dist, where=cross, initial=math.inf)), edges
 
 
 def union_find_labels(V, edges):
