@@ -103,7 +103,7 @@ def compute_M_many(f: polysys.PolynomialSystem, X: np.ndarray, ar=EXACT) -> np.n
     X = np.atleast_2d(X)
     jac = polysys.jacobian_many(f, X, ar)
     H = sphere.tangent_basis_many(X, ar)
-    inv_sqrt_d = ar.div(1.0, ar.sqrt(ar.const(np.array(f.degrees, dtype=float))))
+    inv_sqrt_d = f.kernel_tables(ar).inv_sqrt_d
     # Entry (i, j) is the left fold over k of jac_ik H_kj, as one (m, n, n) array.
     DfH = ar.sum(ar.mul(jac[:, :, k, None], H[:, None, k, :]) for k in range(f.n_vars))
     return ar.mul(DfH, inv_sqrt_d[:, None])

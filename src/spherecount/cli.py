@@ -137,14 +137,18 @@ def cmd_sweep(args) -> int:
     # Every provider is made, and so every bit count checked, before the first pass.
     providers = [make_arithmetic("rounded", t) for t in bits_list]
     fn = f.normalized()
-    # Only the counts are tabulated, so no pass refines its zeros.
-    exact, _ = engine.count_levels(fn, EXACT, max_iterations=args.max_iter, workers=args.workers)
+    # Only the counts and kappa_hat are tabulated, so no pass refines its
+    # zeros or keeps per-level reports: a level builds its graph only where
+    # condition (ii) passes.
+    exact, _ = engine.count_levels(fn, EXACT, max_iterations=args.max_iter, workers=args.workers,
+                                   reports=False)
     if exact.status != "converged":
         print("error: exact-mode run did not converge; sweep requires it", file=sys.stderr)
         return 2
     rows = []
     for t, ar in zip(bits_list, providers):
-        res, _ = engine.count_levels(fn, ar, max_iterations=args.max_iter, workers=args.workers)
+        res, _ = engine.count_levels(fn, ar, max_iterations=args.max_iter, workers=args.workers,
+                                     reports=False)
         count = res.count if res.status == "converged" else None
         rows.append(
             {

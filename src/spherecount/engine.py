@@ -49,6 +49,13 @@ labelled by the smallest member of its component.  Pass 2 sorts the
 vertices by label and, again by row blocks, takes the smallest distance
 to a vertex of a later component, condition (i)'s quantity.  A level
 whose vertices fit in one block reuses its pass-1 matrix for pass 2.
+
+A level is evaluated (`evaluate_level`: points, residuals, sigma_min, the
+vertex test and both caps) before its graph is built (`build_graph`).
+`count_roots` builds every level's graph and report.  `sweep` keeps no
+reports (`count_levels(..., reports=False)`): it builds a level's graph
+only where condition (ii) passes, since no other level can halt, and
+reads each level's kappa estimate from the evaluated points.
 """
 
 from __future__ import annotations
@@ -72,14 +79,24 @@ class InternalConsistencyError(RuntimeError):
 
 
 @dataclass
-class ProximityGraph:
+class GridLevel:
+    """A level's evaluated points: what condition (ii), pruning and kappa read."""
+
     spec: sphere.CubeGridSpec
     grid_size: int               # nominal point count of the level
     rows: np.ndarray             # (m, n+1) evaluated canonical lattice rows, grid order
+    row_index: np.ndarray        # (m,) grid_lattice indices of rows
+    row_points: np.ndarray       # (m, n+1) projected rows
     f_sup: np.ndarray            # (m,) residual sup norms at rows
     sigma_min: np.ndarray        # (m,)
     vertex_mask: np.ndarray      # (m,) bool, the mode's A-test at rows
     inherited_fsup: float        # lower bound of the skipped points' residuals (inf: none)
+
+
+@dataclass
+class ProximityGraph(GridLevel):
+    """A level's points and the proximity graph on its vertices."""
+
     vertex_indices: np.ndarray   # grid_lattice indices of vertices and antipodes, increasing
     vertex_points: np.ndarray    # (V, n+1) projected vertex coordinates
     radii: np.ndarray            # (V,) certification-cap radii
@@ -178,10 +195,29 @@ def _grid_point_data(f, spec, rows, ar, workers: int):
 
 def _canonical_rows(spec, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Every canonical row of the level's grid, in grid_lattice order, and
-    its grid_lattice index."""
-    lattice = sphere.grid_lattice(spec, cap=cap)
+    its grid_lattice index.
+
+    The cap is checked at every call.  A grid of at most _CHUNK canonical
+    rows is built once per spec and shared, read-only: a run's whole-grid
+    levels, and every pass of a sweep, ask for the same small grids.
+    """
+    sphere.check_cap(spec, spec.point_count(), cap)
+    if spec.point_count() // 2 > _CHUNK:
+        return _canonical_lattice(spec)
+    return _shared_canonical_lattice(spec)
+
+
+def _canonical_lattice(spec) -> tuple[np.ndarray, np.ndarray]:
+    lattice = sphere.grid_lattice(spec, cap=spec.point_count())
     index = np.flatnonzero(sphere.is_canonical(lattice))
     return lattice[index], index
+
+
+@lru_cache(maxsize=64)
+def _shared_canonical_lattice(spec) -> tuple[np.ndarray, np.ndarray]:
+    rows, index = _canonical_lattice(spec)
+    rows.flags.writeable = index.flags.writeable = False
+    return rows, index
 
 
 @dataclass(frozen=True)
@@ -234,6 +270,70 @@ def vertex_test(f: polysys.PolynomialSystem, f_sup, smin, ar) -> np.ndarray:
     return ar.mul(ar.mul(c.n, f_sup), c.d32) < ar.mul(c.vertex_alpha, ar.mul(smin, smin))
 
 
+def evaluate_level(
+    f: polysys.PolynomialSystem,
+    spec: sphere.CubeGridSpec,
+    ar=EXACT,
+    workers: int = 1,
+    cap: int = sphere.DEFAULT_GRID_CAP,
+    level: tuple[np.ndarray, np.ndarray] | None = None,
+    inherited_fsup: float = math.inf,
+) -> GridLevel:
+    """Evaluate a grid level's points and take the mode's vertex test.
+
+    f must be normalized (||f|| = 1).  `level` is the pair (rows, index):
+    the canonical lattice rows to evaluate, in grid_lattice order, and
+    their grid_lattice indices, as `sphere.children` and `_canonical_rows`
+    return them; None evaluates the whole grid.  The grid points left out
+    must be certified non-vertices whose residuals are at least
+    `inherited_fsup`.  The cap applies to the points the level holds (the
+    nominal grid, or the given rows and their antipodes) and to the
+    V(V-1)/2 vertex pairs the graph layer would test.  Both are checked
+    here, so a level is refused whether or not its graph is built.
+    """
+    if abs(f.norm - 1.0) > 1e-9:
+        raise ValueError("the grid levels need a normalized system (||f|| = 1)")
+    if level is None:
+        rows, row_index = _canonical_rows(spec, cap)
+    else:
+        rows, row_index = level
+        sphere.check_cap(spec, 2 * len(rows), cap)
+    X, f_sup, smin = _grid_point_data(f, spec, rows, ar, workers)
+    vertex_mask = vertex_test(f, f_sup, smin, ar)
+    V = 2 * int(np.count_nonzero(vertex_mask))
+    if V * (V - 1) // 2 > cap:
+        raise sphere.GridTooLargeError(
+            f"level k={spec.k} has {V} vertices: {V * (V - 1) // 2} vertex pairs, cap is {cap}"
+        )
+    return GridLevel(spec, spec.point_count(), rows, row_index, X, f_sup, smin, vertex_mask,
+                     inherited_fsup)
+
+
+def _graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
+    """The proximity graph on an evaluated level's vertices (`build_graph`)."""
+    # Each canonical vertex stands for itself and its antipode; list both
+    # in grid_lattice order.
+    canon = np.flatnonzero(level.vertex_mask)
+    index = np.concatenate((level.row_index[canon],
+                            sphere.antipode_index(level.spec, level.row_index[canon])))
+    order = np.argsort(index)
+    source = np.concatenate((canon, canon))[order]
+    sign = np.repeat([1.0, -1.0], len(canon))[order]
+    Xv = level.row_points[source] * sign[:, None]
+    radii = ar.div(ar.mul(_run_constants(f, ar).radius_coef, level.f_sup[source]),
+                   level.sigma_min[source])
+    labels, min_cross, edges = _proximity(Xv, radii, ar)
+    return ProximityGraph(
+        **vars(level),
+        vertex_indices=index[order],
+        vertex_points=Xv,
+        radii=radii,
+        labels=labels,
+        min_intercomponent_distance=min_cross,
+        edges=edges,
+    )
+
+
 def build_graph(
     f: polysys.PolynomialSystem,
     spec: sphere.CubeGridSpec,
@@ -245,15 +345,7 @@ def build_graph(
 ) -> ProximityGraph:
     """Evaluate a grid level and assemble the proximity graph for the mode.
 
-    f must be normalized (||f|| = 1).  `level` is the pair (rows, index):
-    the canonical lattice rows to evaluate, in grid_lattice order, and
-    their grid_lattice indices, as `sphere.children` and `_canonical_rows`
-    return them; None evaluates the whole grid.  The grid points left out
-    must be certified non-vertices whose residuals are at least
-    `inherited_fsup`.  The cap applies to the points the level holds (the
-    nominal grid, or the given rows and their antipodes) and to the
-    V(V-1)/2 vertex pairs the graph layer tests.
-
+    The level is `evaluate_level`'s, with the same arguments and cap.
     Vertices pass `vertex_test` and carry the radius
     c sigma sqrt(n) ||f(x)||_inf / sigma_min, with c = 1 in exact mode and
     3/2 in rounded mode; every operation goes through the provider.  Edges
@@ -262,48 +354,7 @@ def build_graph(
     distance between two components and a spanning subset of the edges,
     computed in row blocks by `_proximity`.
     """
-    if abs(f.norm - 1.0) > 1e-9:
-        raise ValueError("build_graph expects a normalized system")
-    if level is None:
-        rows, row_index = _canonical_rows(spec, cap)
-    else:
-        rows, row_index = level
-        sphere.check_cap(spec, 2 * len(rows), cap)
-    X, f_sup, smin = _grid_point_data(f, spec, rows, ar, workers)
-    vertex_mask = vertex_test(f, f_sup, smin, ar)
-
-    # Each canonical vertex stands for itself and its antipode; list both
-    # in grid_lattice order.
-    canon = np.flatnonzero(vertex_mask)
-    index = np.concatenate((row_index[canon], sphere.antipode_index(spec, row_index[canon])))
-    order = np.argsort(index)
-    source = np.concatenate((canon, canon))[order]
-    sign = np.repeat([1.0, -1.0], len(canon))[order]
-    Xv = X[source] * sign[:, None]
-    radii = ar.div(ar.mul(_run_constants(f, ar).radius_coef, f_sup[source]), smin[source])
-
-    pairs = len(Xv) * (len(Xv) - 1) // 2
-    if pairs > cap:
-        raise sphere.GridTooLargeError(
-            f"level k={spec.k} has {len(Xv)} vertices: {pairs} vertex pairs, cap is {cap}"
-        )
-    labels, min_cross, edges = _proximity(Xv, radii, ar)
-
-    return ProximityGraph(
-        spec=spec,
-        grid_size=spec.point_count(),
-        rows=rows,
-        f_sup=f_sup,
-        sigma_min=smin,
-        vertex_mask=vertex_mask,
-        inherited_fsup=inherited_fsup,
-        vertex_indices=index[order],
-        vertex_points=Xv,
-        radii=radii,
-        labels=labels,
-        min_intercomponent_distance=min_cross,
-        edges=edges,
-    )
+    return _graph(f, evaluate_level(f, spec, ar, workers, cap, level, inherited_fsup), ar)
 
 
 def _hook(labels: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -358,7 +409,8 @@ def _proximity(points: np.ndarray, radii: np.ndarray, ar) -> tuple:
     dist = np.zeros((0, 0))
     for lo in range(0, V, step):
         hi = lo + step
-        dist = sphere.pairwise_distances(points[lo:hi], ar, points[lo:])
+        # One block is the whole level: Y = None computes each norm once.
+        dist = sphere.pairwise_distances(points[lo:hi], ar, None if V <= step else points[lo:])
         # Column c of the block is vertex lo + c; row r is lo + r.
         near = np.triu(dist <= ar.add(radii[lo:hi, None], radii[None, lo:]), 1)
         i, j = np.nonzero(near)
@@ -411,6 +463,19 @@ def _thresholds(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, ar) -> t
     return c.thr_i * spec.eta, c.thr_ii * spec.eta
 
 
+def _condition_ii(level: GridLevel, thr_ii) -> tuple[float, bool]:
+    """(min_excluded, passed) of condition (ii) at an evaluated level.
+
+    min_excluded is the smallest residual of an evaluated point that
+    failed the vertex test, or the level's certified lower bound
+    `inherited_fsup` for the points it did not evaluate, whichever is
+    smaller; (ii) passes when it exceeds thr_ii.  An empty minimum is inf.
+    """
+    excluded = level.f_sup[~level.vertex_mask]
+    min_excluded = min(float(np.min(excluded, initial=math.inf)), level.inherited_fsup)
+    return min_excluded, bool(min_excluded > thr_ii)
+
+
 def halting_report(graph: ProximityGraph, components: ComponentSet,
                    thr_i, thr_ii) -> IterationReport:
     """Evaluate the two halting conditions at the graph's level.
@@ -419,13 +484,13 @@ def halting_report(graph: ProximityGraph, components: ComponentSet,
     thr_i; the graph carries the smallest such distance, which pass 2 of
     `build_graph` takes over the pairs of distinct components.  Condition
     (ii): every grid point that failed the vertex test has residual above
-    thr_ii.  The thresholds are the level's `_thresholds`.  Grid points the
-    level did not evaluate count through the graph's certified lower bound
-    `inherited_fsup`.  Empty quantifiers pass vacuously.
+    thr_ii (`_condition_ii`).  The thresholds are the level's `_thresholds`.
+    Grid points the level did not evaluate count through the graph's
+    certified lower bound `inherited_fsup`.  Empty quantifiers pass
+    vacuously.
     """
     min_cross = graph.min_intercomponent_distance
-    excluded = graph.f_sup[~graph.vertex_mask]
-    min_excluded = min(float(np.min(excluded, initial=math.inf)), graph.inherited_fsup)
+    min_excluded, condition_ii = _condition_ii(graph, thr_ii)
     return IterationReport(
         k=graph.spec.k,
         eta=graph.spec.eta,
@@ -433,7 +498,7 @@ def halting_report(graph: ProximityGraph, components: ComponentSet,
         vertex_count=graph.n_vertices,
         component_count=len(components.components),
         condition_i_pass=bool(min_cross > thr_i),
-        condition_ii_pass=bool(min_excluded > thr_ii),
+        condition_ii_pass=condition_ii,
         min_intercomponent_distance=min_cross,
         min_excluded_fsup=min_excluded,
     )
@@ -567,7 +632,7 @@ def _prune_bounds(f: polysys.PolynomialSystem, ar, a0: float) -> tuple[float, fl
     return 2.0 * e_f + e_c, floor
 
 
-def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
+def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
                          thr_ii, cap: int = sphere.DEFAULT_GRID_CAP):
     """The next level's (rows, index) pair, the rows it must evaluate and
     their grid_lattice indices, and the next level's inherited bound.
@@ -596,37 +661,48 @@ def _unresolved_children(f: polysys.PolynomialSystem, graph: ProximityGraph, ar,
     children of all its rows, without expanding 3^(n+1) candidates each.
     An empty level stays empty.
     """
-    finer = sphere.CubeGridSpec(n=graph.spec.n, k=graph.spec.k + 1)
+    finer = sphere.CubeGridSpec(n=level.spec.n, k=level.spec.k + 1)
     rho = 0.5 * math.pi * finer.eta * math.sqrt(f.n + 1)
     c = _run_constants(f, ar)
-    bound = graph.f_sup - 2.0 * math.sqrt(f.D) * rho - c.margin
+    bound = level.f_sup - 2.0 * math.sqrt(f.D) * rho - c.margin
     resolved = bound > max(c.floor, float(thr_ii))
-    if not resolved.any() and 2 * len(graph.rows) == graph.grid_size:
-        return _canonical_rows(finer, cap), graph.inherited_fsup
-    inherited = min(graph.inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
-    return sphere.children(graph.spec, graph.rows[~resolved], cap), inherited
+    if not resolved.any() and 2 * len(level.rows) == level.grid_size:
+        return _canonical_rows(finer, cap), level.inherited_fsup
+    inherited = min(level.inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
+    return sphere.children(level.spec, level.rows[~resolved], cap), inherited
 
 
 def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
-            cap: int = sphere.DEFAULT_GRID_CAP):
-    """Yield (graph, components, report, trace) for each level from
+            cap: int = sphere.DEFAULT_GRID_CAP, reports: bool = True):
+    """Yield (level, components, report, trace) for each level from
     initial_level(n) on.
 
     The first level evaluates the whole grid; each later level evaluates
     only the children of the points its predecessor left unresolved
-    (`_unresolved_children`).
+    (`_unresolved_children`).  With reports, every level is a
+    `ProximityGraph` with its components and report.  Without, a level
+    whose condition (ii) fails is only its evaluated `GridLevel`, with
+    None for the components and the report: no vertex list, radii or
+    graph is built for a level that cannot halt.
     """
-    level, inherited = None, math.inf
+    pair, inherited = None, math.inf
     spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
     while True:
-        graph = build_graph(fn, spec, ar, workers=workers, cap=cap, level=level,
-                            inherited_fsup=inherited)
-        comps = connected_components(graph)
         thr_i, thr_ii = _thresholds(fn, spec, ar)
-        report = halting_report(graph, comps, thr_i, thr_ii)
-        yield graph, comps, report, LevelTrace(2 * len(graph.rows), float(thr_i), float(thr_ii))
+        if reports:
+            level = build_graph(fn, spec, ar, workers=workers, cap=cap, level=pair,
+                                inherited_fsup=inherited)
+        else:
+            level = evaluate_level(fn, spec, ar, workers, cap, pair, inherited)
+            if _condition_ii(level, thr_ii)[1]:
+                level = _graph(fn, level, ar)
+        comps = report = None
+        if isinstance(level, ProximityGraph):
+            comps = connected_components(level)
+            report = halting_report(level, comps, thr_i, thr_ii)
+        yield level, comps, report, LevelTrace(2 * len(level.rows), float(thr_i), float(thr_ii))
         spec = sphere.CubeGridSpec(n=fn.n, k=spec.k + 1)
-        level, inherited = _unresolved_children(fn, graph, ar, _thresholds(fn, spec, ar)[1], cap)
+        pair, inherited = _unresolved_children(fn, level, ar, _thresholds(fn, spec, ar)[1], cap)
 
 
 def initial_level(n: int) -> int:
@@ -649,35 +725,42 @@ def count_levels(
     max_iterations: int = 24,
     workers: int = 1,
     grid_cap: int = sphere.DEFAULT_GRID_CAP,
+    reports: bool = True,
 ) -> tuple[CountResult, np.ndarray]:
     """The level loop of `count_roots` on the normalized system fn, without
     Newton refinement: the result has no components, and the second value
     holds the first vertex of each component at halt (no rows otherwise).
+
+    With reports=False the result has no iterations or trace either, and a
+    level builds its graph only where condition (ii) passes, as no other
+    level can halt.  The count, status, condition estimate and
+    representatives are those of the run with reports, bit for bit.
     `sweep`, which reads only counts and the condition estimate, runs this.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    levels = _levels(fn, ar, workers=workers, cap=grid_cap)
+    levels = _levels(fn, ar, workers=workers, cap=grid_cap, reports=reports)
     result = CountResult(count=None, status="iteration-cap-reached",
                          original_norm=fn.original_norm)
     representatives = np.empty((0, fn.n_vars))
-    for _ in range(max_iterations):
+    for done in range(max_iterations):
         try:
             graph, comps, report, level_trace = next(levels)
         except sphere.GridTooLargeError:
             # Point budget exhausted before halting: same clean failure as
             # running out of refinement levels, once a level has run.
-            if not result.iterations:
+            if not done:
                 raise
             break
-        result.iterations.append(report)
-        result.trace.append(level_trace)
+        if reports:
+            result.iterations.append(report)
+            result.trace.append(level_trace)
         result.kappa_lower_bound = max(
             result.kappa_lower_bound, _kappa_level_estimate(graph.f_sup, graph.sigma_min, fn.n)
         )
-        if report.condition_i_pass and report.condition_ii_pass:
+        if report is not None and report.condition_i_pass and report.condition_ii_pass:
             r = len(comps.components)
             if r % 2 != 0:
                 raise InternalConsistencyError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,6 +159,15 @@ def weyl_norm(poly: Polynomial) -> float:
         return float(np.ldexp(scaled, e))
 
 
+@dataclass(frozen=True)
+class KernelTables:
+    """`PolynomialSystem.kernel_tables`: the kernel's constants for one provider."""
+
+    values: list         # per i: (rounded coefficients, factor table) of f_i
+    derivatives: list    # per (i, k): (rounded coefficients, factor table) of dX_k f_i
+    inv_sqrt_d: np.ndarray  # (n,) 1 / sqrt(d_i)
+
+
 class PolynomialSystem:
     """A square system of n homogeneous polynomials in n+1 variables."""
 
@@ -180,6 +190,7 @@ class PolynomialSystem:
         # Norm of the system this one was scaled from; equals .norm when unscaled.
         self.original_norm = self.norm if original_norm is None else float(original_norm)
         self._derivatives = None
+        self._kernel_tables = {}
 
     @property
     def n_vars(self) -> int:
@@ -224,6 +235,23 @@ class PolynomialSystem:
                 tables.append(row)
             self._derivatives = tables
         return self._derivatives
+
+    def kernel_tables(self, ar=EXACT) -> "KernelTables":
+        """The point kernel's constants rounded through ar, built once per provider.
+
+        The coefficients of every f_i and every dX_k f_i, each paired with
+        its factor table, and 1 / sqrt(d_i): the same roundings, in the
+        same order, that the kernel would otherwise repeat at every call.
+        """
+        tables = self._kernel_tables.get(ar)
+        if tables is None:
+            tables = self._kernel_tables[ar] = KernelTables(
+                values=[(ar.const(p.coefficients), p.factors) for p in self.polynomials],
+                derivatives=[[(ar.const(c), factors) for c, factors in row]
+                             for row in self.derivative_tables()],
+                inv_sqrt_d=ar.div(1.0, ar.sqrt(ar.const(np.array(self.degrees, dtype=float)))),
+            )
+        return tables
 
     def __repr__(self):
         return f"PolynomialSystem(n={self.n}, degrees={self.degrees})"
@@ -292,8 +320,9 @@ def system_to_document(f: PolynomialSystem) -> dict:
 def _eval_monomials(coeffs, factors, X, ar):
     """Sum of c_J * X^J over the terms of a factor table, one rounded op per array.
 
+    coeffs are already rounded through ar (`PolynomialSystem.kernel_tables`).
     X has shape (m, n+1); returns shape (m,).  The (S, m) array of terms
-    starts at the rounded coefficients and is multiplied by one factor
+    starts at the coefficients and is multiplied by one factor
     column of the table at a time, so term s of point j is
     ((c_s x_a) x_b) ... in the table's order; `Arithmetic.sum` then adds the
     rows.  Term-major, each factor is one gather of contiguous rows of X.T.
@@ -302,7 +331,7 @@ def _eval_monomials(coeffs, factors, X, ar):
     if len(coeffs) == 0:
         return np.zeros(m)
     XT = X.T
-    terms = np.broadcast_to(ar.const(coeffs)[:, None], (len(coeffs), m))
+    terms = np.broadcast_to(coeffs[:, None], (len(coeffs), m))
     for r in range(factors.shape[1]):
         terms = ar.mul(terms, XT[factors[:, r]])
     return ar.sum(terms)
@@ -315,8 +344,8 @@ def evaluate_many(f: PolynomialSystem, X: np.ndarray, ar=EXACT):
     """
     X = np.atleast_2d(X)
     vals = np.empty((X.shape[0], f.n))
-    for i, poly in enumerate(f.polynomials):
-        vals[:, i] = _eval_monomials(poly.coefficients, poly.factors, X, ar)
+    for i, table in enumerate(f.kernel_tables(ar).values):
+        vals[:, i] = _eval_monomials(*table, X, ar)
     sup = np.max(np.abs(vals), axis=1)
     return vals, sup
 
@@ -324,7 +353,7 @@ def evaluate_many(f: PolynomialSystem, X: np.ndarray, ar=EXACT):
 def jacobian_many(f: PolynomialSystem, X: np.ndarray, ar=EXACT) -> np.ndarray:
     """Batched Jacobian Df(x): shape (m, n, n+1)."""
     X = np.atleast_2d(X)
-    tables = f.derivative_tables()
+    tables = f.kernel_tables(ar).derivatives
     out = np.empty((X.shape[0], f.n, f.n_vars))
     for i in range(f.n):
         for k in range(f.n_vars):

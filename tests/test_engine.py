@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import random
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -387,6 +389,8 @@ def _halting_verdicts(f, spec, ar, min_cross, min_excluded):
         spec=spec,
         grid_size=3,
         rows=np.zeros((3, spec.n + 1), dtype=np.int64),
+        row_index=np.arange(3),
+        row_points=np.zeros((3, spec.n + 1)),
         f_sup=np.array([0.0, 0.0, min_excluded]),
         sigma_min=np.ones(3),
         vertex_mask=np.array([True, True, False]),
@@ -543,6 +547,61 @@ def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_su
         assert inherited == math.inf
     r = engine.count_roots(f, mode="rounded", bits=3, max_iterations=6)
     assert [lvl.evaluated for lvl in r.trace] == [it.grid_size for it in r.iterations]
+
+
+def test_small_canonical_grids_are_shared_read_only():
+    """Grids of at most _CHUNK canonical rows are built once and shared:
+    they equal a fresh grid_lattice's canonical rows and cannot be
+    written.  The cap is checked at every call, and a larger grid is not
+    kept once its caller drops it."""
+    for n, k in ((1, 1), (1, 13), (2, 5), (3, 3)):
+        spec = CubeGridSpec(n=n, k=k)
+        assert spec.point_count() // 2 <= engine._CHUNK
+        rows, index = engine._canonical_rows(spec, sphere.DEFAULT_GRID_CAP)
+        lattice = sphere.grid_lattice(spec)
+        canonical = np.flatnonzero(sphere.is_canonical(lattice))
+        assert np.array_equal(rows, lattice[canonical]) and np.array_equal(index, canonical)
+        again = engine._canonical_rows(spec, spec.point_count())
+        assert again[0] is rows and again[1] is index
+        for array in (rows, index):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(sphere.GridTooLargeError):
+            engine._canonical_rows(spec, spec.point_count() - 1)
+    big = CubeGridSpec(n=1, k=14)
+    assert big.point_count() // 2 > engine._CHUNK
+    held = engine._shared_canonical_lattice.cache_info().currsize
+    rows, index = engine._canonical_rows(big, sphere.DEFAULT_GRID_CAP)
+    assert len(rows) == big.point_count() // 2 and rows.flags.writeable
+    assert engine._shared_canonical_lattice.cache_info().currsize == held
+    refs = [weakref.ref(rows), weakref.ref(index)]
+    del rows, index
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_one_block_level_computes_each_norm_once(monkeypatch):
+    """A level whose vertices fit in one block passes Y = None to
+    pairwise_distances, so the rows' norms are computed once; more blocks
+    pass the later columns."""
+    calls, distances = [], sphere.pairwise_distances
+
+    def recorded(X, ar, Y=None):
+        calls.append(Y is None)
+        return distances(X, ar, Y)
+
+    monkeypatch.setattr(sphere, "pairwise_distances", recorded)
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((40, 3))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    radii = np.full(40, 0.3)
+    whole = engine._proximity(points, radii, EXACT)
+    assert calls == [True]
+    calls.clear()
+    monkeypatch.setattr(engine, "_BLOCK", 40 * 7)
+    blocks = engine._proximity(points, radii, EXACT)
+    assert len(calls) > 2 and not any(calls)
+    assert np.array_equal(whole[0], blocks[0]) and _bits(whole[1]) == _bits(blocks[1])
 
 
 def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, monkeypatch):

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from spherecount import rounding
+from spherecount.alpha import compute_M_many
 from spherecount.polysys import (
     Monomial,
     Polynomial,
@@ -204,3 +206,30 @@ def test_norms_over_the_full_double_range(coeffs):
     fn = f.normalized()
     assert abs(fn.norm - 1.0) < 1e-15
     assert fn.original_norm == f.norm
+
+
+@pytest.mark.parametrize("bits", [None, 53, 24, 12])
+def test_kernel_tables_are_rounded_once_per_provider(bits, monkeypatch):
+    """The kernel's coefficients and 1 / sqrt(d_i) are the provider's
+    roundings, built at the first call and shared by every later one: a
+    second evaluation rounds no constant."""
+    ar = rounding.EXACT if bits is None else rounding.make_arithmetic("rounded", bits)
+    f = random_system(random.Random(bits), 2, [3, 2]).normalized()
+    tables = f.kernel_tables(ar)
+    assert f.kernel_tables(ar) is tables
+    for (coeffs, factors), poly in zip(tables.values, f.polynomials):
+        assert np.array_equal(coeffs, ar.const(poly.coefficients)) and factors is poly.factors
+    for row, derivative_row in zip(tables.derivatives, f.derivative_tables()):
+        for (coeffs, _), (raw, _) in zip(row, derivative_row):
+            assert np.array_equal(coeffs, ar.const(raw))
+    degrees = np.array(f.degrees, dtype=float)
+    assert np.array_equal(tables.inv_sqrt_d, ar.div(1.0, ar.sqrt(ar.const(degrees))))
+    X = np.array([random_sphere_point(random.Random(i), 3) for i in range(7)])
+    rounded = []
+    monkeypatch.setattr(rounding, "round_value",
+                        lambda t, x: rounded.append(np.size(x)) or np.asarray(x) * 1.0)
+    evaluate_many(f, X, ar)
+    compute_M_many(f, X, ar)
+    # Every rounding of a warm kernel acts on one value per point.
+    assert bool(rounded) == (bits in (24, 12))
+    assert all(size % len(X) == 0 for size in rounded)
