@@ -41,14 +41,18 @@ deduplicates by, and an antipode's index is closed form
 (`sphere.antipode_index`).  So `build_graph` lists the vertices in grid
 order without locating any row in the grid again.
 
-The graph layer never holds the V x V distance matrix; no array in it has
-more than one row block times V entries.  Pass 1 walks row blocks of
-vertices, tests each vertex against the later ones, and hooks the edges
-whose ends still carry different labels, which leaves each vertex
-labelled by the smallest member of its component.  Pass 2 sorts the
-vertices by label and, again by row blocks, takes the smallest distance
-to a vertex of a later component, condition (i)'s quantity.  A level
-whose vertices fit in one block reuses its pass-1 matrix for pass 2.
+The graph layer labels components from pivots (`_proximity`): the
+smallest unlabelled vertex takes one distance row, which holds its
+component's members within a cap, and a triangle-inequality bound with a
+derived round-off slack (`_bound_slack`) clears every other vertex except
+the few that must be tested exactly.  The smallest distance between
+components, condition (i)'s quantity, starts from the pivot rows and is
+made exact by testing, for each pair of components, only the vertices
+that the same bound from the other component's central member does not
+clear; of two pairs mirrored by x -> -x only one is tested.  A level
+whose V^2 distances fit in one block computes them as one matrix and
+reads every distance from it; a larger level never holds the V x V
+matrix.
 
 A level is evaluated (`evaluate_level`: points, residuals, sigma_min, the
 vertex test and both caps) before its graph is built (`build_graph`).
@@ -102,7 +106,7 @@ class ProximityGraph(GridLevel):
     radii: np.ndarray            # (V,) certification-cap radii
     labels: np.ndarray           # (V,) component id = smallest member's list index
     min_intercomponent_distance: float  # over vertex pairs of distinct components (inf: none)
-    edges: np.ndarray            # (E, 2) kept spanning edges, i < j, row-major
+    edges: np.ndarray            # (V - C, 2) spanning forest of the pivots, i < j
 
     @property
     def n_vertices(self) -> int:
@@ -288,8 +292,8 @@ def evaluate_level(
     must be certified non-vertices whose residuals are at least
     `inherited_fsup`.  The cap applies to the points the level holds (the
     nominal grid, or the given rows and their antipodes) and to the
-    V(V-1)/2 vertex pairs the graph layer would test.  Both are checked
-    here, so a level is refused whether or not its graph is built.
+    V(V-1)/2 pairs of its vertices.  Both are checked here, so a level is
+    refused whether or not its graph is built.
     """
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("the grid levels need a normalized system (||f|| = 1)")
@@ -322,7 +326,12 @@ def _graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
     Xv = level.row_points[source] * sign[:, None]
     radii = ar.div(ar.mul(_run_constants(f, ar).radius_coef, level.f_sup[source]),
                    level.sigma_min[source])
-    labels, min_cross, edges = _proximity(Xv, radii, ar)
+    # List position of each vertex's antipode: entry q of the concatenation
+    # is the antipode of entry q +- len(canon).
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    mirror = position[(order + len(canon)) % max(len(order), 1)]
+    labels, min_cross, edges = _proximity(Xv, radii, ar, mirror)
     return ProximityGraph(
         **vars(level),
         vertex_indices=index[order],
@@ -351,98 +360,207 @@ def build_graph(
     3/2 in rounded mode; every operation goes through the provider.  Edges
     join vertices with d(x, y) <= r_x + r_y, distances in the mode's
     arithmetic.  The graph keeps the component labels, the smallest
-    distance between two components and a spanning subset of the edges,
-    computed in row blocks by `_proximity`.
+    distance between two components and a spanning forest of the edges,
+    all computed from one distance row per component and the exact pairs
+    its bounds leave (`_proximity`).  They are those of the full distance
+    matrix, bit for bit.
     """
     return _graph(f, evaluate_level(f, spec, ar, workers, cap, level, inherited_fsup), ar)
 
 
-def _hook(labels: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """labels after joining the edges (i, j); may update labels in place.
+def _distance_error(m: int, ar) -> float:
+    """e with |d~(x, y) - angle(x, y)| <= e for `sphere.pairwise_distances`
+    through ar of any two stored points x, y with m coordinates.
 
-    Hook and compress (Shiloach and Vishkin, J. Algorithms 3, 1982): each
-    round hooks the larger root of every edge whose ends have different
-    roots onto the smaller, then replaces each label by its label's label
-    until nothing changes.  Start from labels in which each vertex carries
-    the smallest member of its part (np.arange: every vertex alone).
-    Labels only decrease and every label is a root after compression, so
-    the rounds end with each vertex labelled by the smallest member of its
-    part joined by the edges.
+    With u' = `ar.unit_roundoff` and g_k = gamma_k at u' (`_gamma`):
+
+    * Cosine.  The dot product is a left fold of m rounded products, so it
+      errs by at most g_m sum_i |x_i y_i| <= g_m ||x|| ||y||.  Each norm is
+      a rounded sqrt of a fold of m squares, ||x|| (1 + theta_(m+1)); their
+      product and the quotient are two more roundings.  So the computed
+      cosine is (c + e')(1 + theta_(2m+4)) with c = cos angle(x, y) and
+      |e'| <= g_m: within dc = g_(3m+4) >= g_m + g_(2m+4) + g_m g_(2m+4)
+      of c.  The clamp to [-1, 1] moves it no farther from c.
+    * arccos is steepest at +-1, so moving its argument by dc moves its
+      value by at most arccos(1 - dc) = 2 arcsin(sqrt(dc / 2))
+      <= sqrt(2 dc / (1 - dc / 2)): about sqrt(6m u'), the half of the
+      precision that near-equal and near-antipodal pairs lose.
+    * The host's arccos is within 2^-48 of the true value (a few ulps of
+      pi) and is rounded once more: pi u' + 2^-47 covers both, and the
+      host roundings of e itself.
+
+    Both angles lie in [0, pi], so e is capped at pi.  Underflowing products
+    add at most m 2^-1074 to dc.  At host precision e is about 4.7e-8 for
+    m = 2 and 6.0e-8 for m = 4; at 12 bits and m = 2 it is about 0.071.
     """
-    while True:
-        a, b = labels[i], labels[j]
-        # An edge whose ends share a root keeps them together for good.
-        live = a != b
-        if not live.any():
-            return labels
-        i, j, a, b = i[live], j[live], a[live], b[live]
-        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(up := labels[labels], labels):
-            labels = up
+    dc = _gamma(3 * m + 4, ar.unit_roundoff)
+    if not dc < 2.0:
+        return math.pi
+    return min(math.pi, math.sqrt(2.0 * dc / (1.0 - 0.5 * dc))
+               + math.pi * ar.unit_roundoff + 2.0**-47)
 
 
-def _proximity(points: np.ndarray, radii: np.ndarray, ar) -> tuple:
+def _bound_slack(m: int, r_max: float, ar) -> float:
+    """s such that the bounds of `_proximity`, computed in host doubles
+    with slack s, hold for the computed distances.
+
+    For any stored points p, x, y with m coordinates, the triangle
+    inequality for angles and `_distance_error` e give
+    d~(x, y) >= d~(p, y) - d~(p, x) - 3e.  So with radii at most r_max:
+    (a) d~(p, y) - r_y > d~(p, x) + r_x + s means d~(x, y) exceeds
+        r_x (+) r_y <= (r_x + r_y)(1 + u'), no edge;
+    (b) d~(p, x) - max_y d~(p, y) - s > U means every d~(x, y) > U.
+    s = s0 + 2^-50 (pi + 2 r_max + s0) with s0 = 3e + 2 u' r_max: the
+    second term covers the three host roundings of either test, on
+    quantities below pi + 2 r_max + s0.
+    """
+    s0 = 3.0 * _distance_error(m, ar) + 2.0 * ar.unit_roundoff * r_max
+    return s0 + 2.0**-50 * (math.pi + 2.0 * r_max + s0)
+
+
+def _proximity(points: np.ndarray, radii: np.ndarray, ar, mirror: np.ndarray) -> tuple:
     """(labels, min_cross, edges) of the graph d(x, y) <= r_x + r_y on points.
 
     labels give each vertex the smallest member of its component, min_cross
     is the smallest distance between vertices of distinct components (inf
-    when there are none) and edges, (E, 2) pairs i < j in row-major order,
-    span every component.  No array holds more than one row block of
-    max(1, _BLOCK // V) rows times V entries.
+    when there are none) and edges, one pair i < j for each vertex that is
+    not the smallest of its component, in that vertex's order, are a
+    spanning forest.  `mirror` is the vertex list's involution x -> -x:
+    the points are closed under exact negation, with equal radii.
 
-    Pass 1: each block of rows i is tested against the columns j >= its
-    first row; of its edges i < j, those whose ends still carry different
-    labels are kept and hooked (`_hook`).  An edge left out joins two
-    vertices already joined by kept edges, so the kept edges span each
-    component and the labels are those of every edge.
-    Pass 2: with the vertices sorted by label (stably), each block of rows
-    meets only the columns of later components.  Every pair of distinct
-    components is met once, and the minimum does not depend on the order.
-    When one block holds every row, its matrix is the whole level's and
-    pass 2 reads it instead.  Every distance is `sphere.pairwise_distances`
-    of the two points, bit for bit whichever blocks they fall in.
+    Labels.  The smallest unlabelled vertex p is a pivot: one row d(p, .)
+    gives its group, p and every unlabelled y with d(p, y) <= r_p + r_y.
+    A vertex y outside the group has no edge into it when
+    d(p, y) - r_y > max over the group of d(p, x) + r_x, plus the slack
+    of `_bound_slack`; a vertex this does not clear is tested exactly
+    against the group's newest members, and joins by one of its edges.
+    The step repeats until no vertex joins, so the group is p's component
+    and p its smallest member.
+
+    Minimum.  A level with V^2 <= _BLOCK computes its distances as one
+    matrix, reads the pivot rows and exact tests from it, and takes the
+    minimum over its cross-component entries.  A larger level holds no
+    distance array of more than max(_BLOCK, V) entries.  Its U starts as
+    the smallest entry of a pivot row outside the pivot's component, a
+    distance between components.  Each component b takes one more row from
+    c_b, the member nearest its mean, and reach_b = max d(c_b, .) over b:
+    x of another component is within U of b only if
+    d(c_b, x) - reach_b - slack <= U, and these entries are held.  Each
+    pair of components is tested on the vertices each side keeps, in
+    increasing order of that bound, and every block drops those whose bound
+    the lowered U exceeds.  Mirror pairs (a, b) and (-a, -b) have the same
+    distances bit for bit, so only one of them is tested.
+
+    Every distance is `sphere.pairwise_distances` of the two points, bit
+    for bit whichever block it falls in, so labels and min_cross are those
+    of the full distance matrix.
     """
     V = len(points)
-    step = max(1, _BLOCK // max(V, 1))
-    labels = np.arange(V)
-    kept = [np.zeros((0, 2), dtype=np.int64)]
-    dist = np.zeros((0, 0))
-    for lo in range(0, V, step):
-        hi = lo + step
-        # One block is the whole level: Y = None computes each norm once.
-        dist = sphere.pairwise_distances(points[lo:hi], ar, None if V <= step else points[lo:])
-        # Column c of the block is vertex lo + c; row r is lo + r.
-        near = np.triu(dist <= ar.add(radii[lo:hi, None], radii[None, lo:]), 1)
-        i, j = np.nonzero(near)
-        i, j = i + lo, j + lo
-        live = labels[i] != labels[j]
-        kept.append(np.stack((i[live], j[live]), axis=1))
-        labels = _hook(labels, i[live], j[live])
-    edges = np.concatenate(kept)
-    if V <= step:
-        cross = labels[:, None] != labels[None, :]
-        return labels, float(np.min(dist, where=cross, initial=math.inf)), edges
+    slack = _bound_slack(points.shape[1], float(np.max(radii, initial=0.0)), ar)
+    # Y = None computes each norm once.
+    whole = sphere.pairwise_distances(points, ar) if V * V <= _BLOCK else None
 
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    # One past the last sorted position of each row's component.
-    end = np.searchsorted(sorted_labels, sorted_labels, side="right")
-    ordered = points[order]
-    min_cross = math.inf
-    for lo in range(0, V, step):
-        first = end[lo]
-        if first == V:
+    def blocks(rows, cols):
+        """(lo, distances from rows[lo:lo + step] to cols) over the rows."""
+        if whole is not None:
+            yield 0, whole[np.ix_(rows, cols)]
+            return
+        step = max(1, _BLOCK // max(len(cols), 1))
+        for lo in range(0, len(rows), step):
+            yield lo, sphere.pairwise_distances(points[rows[lo:lo + step]], ar, points[cols])
+
+    labels, parent = np.arange(V), np.arange(V)
+    free = np.ones(V, dtype=bool)   # unlabelled and outside the current group
+    pivots, min_cross = [], math.inf
+    for p in range(V):
+        if not free[p]:
+            continue
+        row = whole[p] if whole is not None else sphere.pairwise_distances(points[p:p + 1], ar,
+                                                                           points)[0]
+        group = free & (row <= ar.add(radii[p], radii))
+        group[p] = True
+        free &= ~group
+        frontier = group.nonzero()[0]
+        parent[frontier] = p
+        while len(frontier):
+            bound = (row + radii)[group].max() + slack
+            cand = (free & (row - radii <= bound)).nonzero()[0]
+            if not len(cand):
+                break
+            joined = np.zeros(len(cand), dtype=bool)
+            for lo, dist in blocks(frontier, cand):
+                rows = frontier[lo:lo + len(dist)]
+                near = dist <= ar.add(radii[rows, None], radii[None, cand])
+                hit = near.any(axis=0) & ~joined
+                parent[cand[hit]] = rows[near[:, hit].argmax(axis=0)]
+                joined |= hit
+            frontier = cand[joined]
+            group[frontier] = True
+            free[frontier] = False
+        labels[group] = p
+        pivots.append(p)
+        if whole is None:
+            min_cross = min(min_cross, float(np.min(row, where=~group, initial=math.inf)))
+    child = (parent != np.arange(V)).nonzero()[0]
+    edges = np.sort(np.stack((parent[child], child), axis=1), axis=1)
+    if whole is not None:
+        cross = labels[:, None] != labels[None, :]
+        return labels, float(np.min(whole, where=cross, initial=math.inf)), edges
+    if len(pivots) < 2:
+        return labels, min_cross, edges
+
+    # The bounds take each component's member nearest its mean: its
+    # distances to the component are about half the pivot's.
+    C = len(pivots)
+    comp = np.searchsorted(pivots, labels)
+    mean = np.zeros((C, points.shape[1]))
+    np.add.at(mean, comp, points)
+    mean /= np.bincount(comp)[:, None]
+    order = np.lexsort((((points - mean[comp]) ** 2).sum(axis=1), comp))
+    centres = order[np.searchsorted(comp[order], np.arange(C))]
+    held, step = [], max(1, _BLOCK // V)
+    for lo in range(0, C, step):
+        owner = np.arange(lo, min(lo + step, C))
+        dist = sphere.pairwise_distances(points[centres[owner]], ar, points)
+        own = comp[None, :] == owner[:, None]
+        lower = dist - np.max(dist, axis=1, where=own, initial=0.0)[:, None] - slack
+        i, j = np.nonzero(~own & (lower <= min_cross))
+        held.append((owner[i], j, lower[i, j]))
+    owner, member, lower = (np.concatenate(h) for h in zip(*held))
+    a, b = np.minimum(owner, comp[member]), np.maximum(owner, comp[member])
+    twin = comp[mirror[pivots]]
+    take = a * C + b <= np.minimum(twin[a], twin[b]) * C + np.maximum(twin[a], twin[b])
+    owner, member, lower, a, b = owner[take], member[take], lower[take], a[take], b[take]
+    # Segment 2 (a C + b) holds the pair's members of b, which a's row
+    # keeps; the next segment, 2 (a C + b) + 1, its members of a.
+    seg = 2 * (a * C + b) + (owner == b)
+    order = np.lexsort((lower, seg))
+    seg, member, lower = seg[order], member[order], lower[order]
+    start = np.flatnonzero(np.diff(seg, prepend=-1))
+    end = np.append(start[1:], len(seg))
+    both = np.flatnonzero(seg[start[:-1]] // 2 == seg[start[1:]] // 2)
+    bound = np.maximum(lower[start[both]], lower[start[both + 1]])
+    for i, pair_bound in sorted(zip(both.tolist(), bound.tolist()), key=lambda t: t[1]):
+        if pair_bound > min_cross:
             break
-        dist = sphere.pairwise_distances(ordered[lo:lo + step], ar, ordered[first:])
-        later = np.arange(first, V)[None, :] >= end[lo:lo + step, None]
-        min_cross = min(min_cross, float(np.min(dist, where=later, initial=math.inf)))
+        # Rows and columns in increasing order of their bounds; as U falls,
+        # each block takes only those still at or below it.
+        (xs, bx), (ys, by) = ((member[s:e], lower[s:e])
+                              for s, e in ((start[i], end[i]), (start[i + 1], end[i + 1])))
+        lo = 0
+        while lo < np.searchsorted(bx, min_cross, side="right"):
+            cols = ys[:np.searchsorted(by, min_cross, side="right")]
+            step = max(1, _BLOCK // len(cols))
+            dist = sphere.pairwise_distances(points[xs[lo:lo + step]], ar, points[cols])
+            min_cross = min(min_cross, float(dist.min()))
+            lo += step
     return labels, min_cross, edges
 
 
 def connected_components(graph: ProximityGraph) -> ComponentSet:
     """Partition of the vertex list; ids are smallest member indices.
 
-    Groups the graph's labels, which `build_graph` hooks block by block
+    Groups the graph's labels, which `build_graph` takes from its pivots
     (`_proximity`): each vertex carries the smallest member of its
     component.  Groups are in increasing id order, members increasing.
     """
@@ -481,8 +599,8 @@ def halting_report(graph: ProximityGraph, components: ComponentSet,
     """Evaluate the two halting conditions at the graph's level.
 
     Condition (i): every cross-component vertex pair is farther apart than
-    thr_i; the graph carries the smallest such distance, which pass 2 of
-    `build_graph` takes over the pairs of distinct components.  Condition
+    thr_i; the graph carries the smallest such distance, which
+    `build_graph` takes exactly over the pairs of distinct components.  Condition
     (ii): every grid point that failed the vertex test has residual above
     thr_ii (`_condition_ii`).  The thresholds are the level's `_thresholds`.
     Grid points the level did not evaluate count through the graph's

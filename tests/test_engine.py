@@ -16,7 +16,8 @@ from spherecount.polysys import parse_system
 from spherecount.rounding import EXACT, make_arithmetic
 from spherecount.sphere import CubeGridSpec, lattice_index
 
-from util import dense_proximity, random_system, svd_sigma_min_many, union_find_labels
+from util import (dense_proximity, hook_labels, random_system, svd_sigma_min_many,
+                  union_find_labels)
 
 
 def system(doc):
@@ -46,7 +47,7 @@ def test_initial_level():
 def _edge_graph(V, edges):
     """A graph whose labels hook all its edges at once."""
     edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return SimpleNamespace(n_vertices=V, edges=edges, labels=engine._hook(np.arange(V), *edges.T))
+    return SimpleNamespace(n_vertices=V, edges=edges, labels=hook_labels(V, edges))
 
 
 def test_connected_components_ids_are_smallest_members():
@@ -313,6 +314,23 @@ def _levels_to_halt(f, ar, max_levels=24):
     raise AssertionError("no halt within the level budget")
 
 
+@pytest.fixture(scope="session")
+def levels_to_halt():
+    """`_levels_to_halt` of the unpatched engine, run once per system and
+    provider for the session; tests only read the levels.  A test that
+    patches the engine calls `_levels_to_halt` itself, after its cached
+    runs."""
+    cache = {}
+
+    def levels(f, ar):
+        key = (id(f), ar)
+        if key not in cache:
+            cache[key] = (f, _levels_to_halt(f, ar))
+        return cache[key][1]
+
+    return levels
+
+
 GATE_CASES = [((2, 1), 0, "exact", None)] + [
     ((1, 1), seed, mode, bits)
     for mode, bits in (("exact", None), ("rounded", 53), ("rounded", 24))
@@ -328,12 +346,12 @@ def _suite_system(suite, degrees, seed):
 
 @pytest.mark.parametrize("degrees, seed, mode, bits", GATE_CASES, ids=GATE_IDS)
 def test_sigma_min_kernel_matches_svd_per_level(
-    multivariate_suite, monkeypatch, degrees, seed, mode, bits
+    multivariate_suite, levels_to_halt, monkeypatch, degrees, seed, mode, bits
 ):
     """The closed-form 2x2 kernel takes every grid decision the SVD takes."""
     f = _suite_system(multivariate_suite, degrees, seed)
     ar = make_arithmetic(mode, bits)
-    ours = _levels_to_halt(f, ar)
+    ours = levels_to_halt(f, ar)
     monkeypatch.setattr(alpha, "sigma_min_many", svd_sigma_min_many)
     ref = _levels_to_halt(f, ar)
     assert len(ours) == len(ref)
@@ -412,11 +430,13 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("degrees, seed, mode, bits", GATE_CASES, ids=GATE_IDS)
-def test_mode_formulas_match_longhand(multivariate_suite, degrees, seed, mode, bits):
+def test_mode_formulas_match_longhand(multivariate_suite, levels_to_halt, degrees, seed, mode,
+                                      bits):
     """One formula path with mode constants decides bit for bit as the
     separate per-mode expressions do, at every level up to the halt."""
     ar = make_arithmetic(mode, bits)
-    for fn, graph, _, report in _levels_to_halt(_suite_system(multivariate_suite, degrees, seed), ar):
+    f = _suite_system(multivariate_suite, degrees, seed)
+    for fn, graph, _, report in levels_to_halt(f, ar):
         mask, radii = _longhand_vertices_and_radii(fn, graph, ar)
         assert np.array_equal(graph.vertex_mask, mask)
         assert np.array_equal(_bits(graph.radii), _bits(radii))
@@ -482,32 +502,35 @@ PRUNE_CASES = [((2, 1), 0, "exact", None)] + [
     "degrees, seed, mode, bits", PRUNE_CASES,
     ids=[f"{d[0]}{d[1]}-seed{s}" + (f"-{m}{b}" if b else "") for d, s, m, b in PRUNE_CASES],
 )
-def test_pruned_levels_match_uniform_grid(multivariate_suite, monkeypatch, degrees, seed,
-                                          mode, bits):
+def test_pruned_levels_match_uniform_grid(multivariate_suite, levels_to_halt, monkeypatch,
+                                          degrees, seed, mode, bits):
     """Exclusion pruning takes every decision the whole grid takes, level by level."""
     f = _suite_system(multivariate_suite, degrees, seed)
     ar = make_arithmetic(mode, bits)
-    pruned = _levels_to_halt(f, ar)
+    pruned = levels_to_halt(f, ar)
     _uniform_grid(monkeypatch)
     uniform = _levels_to_halt(f, ar)
     _assert_pruning_keeps_decisions(pruned, uniform)
     assert len(pruned[-1][1].rows) < len(uniform[-1][1].rows)
 
 
-def _assert_univariate_pruning_keeps_decisions(suite, monkeypatch, ar):
-    pruned = [_levels_to_halt(case["system"], ar) for case in suite]
+def _assert_univariate_pruning_keeps_decisions(suite, levels_to_halt, monkeypatch, ar):
+    pruned = [levels_to_halt(case["system"], ar) for case in suite]
     _uniform_grid(monkeypatch)
     for case, levels in zip(suite, pruned):
         _assert_pruning_keeps_decisions(levels, _levels_to_halt(case["system"], ar))
 
 
-def test_pruned_levels_match_uniform_grid_univariate(univariate_suite, monkeypatch):
-    _assert_univariate_pruning_keeps_decisions(univariate_suite, monkeypatch, EXACT)
+def test_pruned_levels_match_uniform_grid_univariate(univariate_suite, levels_to_halt,
+                                                     monkeypatch):
+    _assert_univariate_pruning_keeps_decisions(univariate_suite, levels_to_halt, monkeypatch,
+                                               EXACT)
 
 
 @pytest.mark.parametrize("bits", [53, 24, 12])
-def test_pruned_levels_match_uniform_grid_univariate_rounded(univariate_suite, monkeypatch, bits):
-    _assert_univariate_pruning_keeps_decisions(univariate_suite, monkeypatch,
+def test_pruned_levels_match_uniform_grid_univariate_rounded(univariate_suite, levels_to_halt,
+                                                             monkeypatch, bits):
+    _assert_univariate_pruning_keeps_decisions(univariate_suite, levels_to_halt, monkeypatch,
                                                make_arithmetic("rounded", bits))
 
 
@@ -592,14 +615,15 @@ def test_one_block_level_computes_each_norm_once(monkeypatch):
 
     monkeypatch.setattr(sphere, "pairwise_distances", recorded)
     rng = np.random.default_rng(0)
-    points = rng.standard_normal((40, 3))
+    points = rng.standard_normal((20, 3))
     points /= np.linalg.norm(points, axis=1)[:, None]
-    radii = np.full(40, 0.3)
-    whole = engine._proximity(points, radii, EXACT)
+    points, radii = np.concatenate((points, -points)), np.full(40, 0.3)
+    mirror = (np.arange(40) + 20) % 40
+    whole = engine._proximity(points, radii, EXACT, mirror)
     assert calls == [True]
     calls.clear()
     monkeypatch.setattr(engine, "_BLOCK", 40 * 7)
-    blocks = engine._proximity(points, radii, EXACT)
+    blocks = engine._proximity(points, radii, EXACT, mirror)
     assert len(calls) > 2 and not any(calls)
     assert np.array_equal(whole[0], blocks[0]) and _bits(whole[1]) == _bits(blocks[1])
 
@@ -631,12 +655,35 @@ def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, m
         assert callers == ["children"] * len(expansions)
 
 
-def _assert_graph_layer_matches_dense(graph, comps, report, ar, monkeypatch):
+def _assert_spanning_forest(edges, labels, near):
+    """edges are V - C edges i < j of the adjacency near whose hook gives labels."""
+    V = len(labels)
+    assert edges.shape == (V - len(set(labels.tolist())), 2)
+    assert np.all(edges[:, 0] < edges[:, 1])
+    assert near[edges[:, 0], edges[:, 1]].all()
+    assert np.array_equal(hook_labels(V, edges), labels)
+
+
+def _as_level(graph):
+    """The evaluated level a graph was built from."""
+    return engine.GridLevel(**{k.name: getattr(graph, k.name)
+                               for k in dataclasses.fields(engine.GridLevel)})
+
+
+def _assert_graph_layer_matches_dense(fn, graph, comps, report, ar, monkeypatch):
     """The level's labels, components and minimum equal the dense
-    reference's, and so do those of the row blocks at 1 row, 3 rows and
-    the whole level; the kept edges are edges that span each component,
-    and no distance matrix has more than max(block, V) entries."""
+    reference's and its edges are a spanning forest of the graph; so are
+    those of the level rebuilt with one-row blocks, whose distance arrays
+    hold at most V entries."""
     points, radii, V = graph.vertex_points, graph.radii, graph.n_vertices
+    labels, min_cross, near = dense_proximity(points, radii, ar)
+    groups = {}
+    for v, root in enumerate(labels.tolist()):
+        groups.setdefault(root, []).append(v)
+    assert np.array_equal(comps.labels, labels)
+    assert comps.components == [groups[root] for root in sorted(groups)]
+    assert _bits(report.min_intercomponent_distance) == _bits(min_cross)
+    _assert_spanning_forest(graph.edges, labels, near)
     sizes, distances = [], sphere.pairwise_distances
 
     def sized(*args):
@@ -644,65 +691,130 @@ def _assert_graph_layer_matches_dense(graph, comps, report, ar, monkeypatch):
         sizes.append(out.size)
         return out
 
-    labels, min_cross, edges = dense_proximity(points, radii, ar)
-    groups = {}
-    for v, root in enumerate(labels.tolist()):
-        groups.setdefault(root, []).append(v)
-    assert np.array_equal(comps.labels, labels)
-    assert comps.components == [groups[root] for root in sorted(groups)]
-    assert _bits(report.min_intercomponent_distance) == _bits(min_cross)
-    pair_keys = edges[:, 0] * V + edges[:, 1]
-    for block in (1, 3 * V, V * V):
-        sizes.clear()
-        with monkeypatch.context() as m:
-            m.setattr(engine, "_BLOCK", block)
-            m.setattr(sphere, "pairwise_distances", sized)
-            got, got_min, kept = engine._proximity(points, radii, ar)
-        assert max(sizes, default=0) <= max(block, V), block
-        assert np.array_equal(got, labels), block
-        assert _bits(got_min) == _bits(min_cross), block
-        assert np.all(kept[:, 0] < kept[:, 1])
-        assert np.isin(kept[:, 0] * V + kept[:, 1], pair_keys).all(), block
-        assert np.array_equal(engine._hook(np.arange(V), *kept.T), labels), block
-
-
-def _assert_last_levels_match_dense(f, ar, monkeypatch):
-    """The halting level and the one before it, which does not halt."""
-    levels = _levels_to_halt(f, ar)
-    assert len(levels) >= 2
-    for _, graph, comps, report in levels[-2:]:
-        _assert_graph_layer_matches_dense(graph, comps, report, ar, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_BLOCK", 1)
+        m.setattr(sphere, "pairwise_distances", sized)
+        blocks = engine._graph(fn, _as_level(graph), ar)
+    assert max(sizes, default=0) <= V
+    assert np.array_equal(blocks.labels, labels)
+    assert _bits(blocks.min_intercomponent_distance) == _bits(min_cross)
+    _assert_spanning_forest(blocks.edges, labels, near)
 
 
 MODES = [("exact", None), ("rounded", 53), ("rounded", 24), ("rounded", 12)]
 
 
 @pytest.mark.parametrize("mode, bits", MODES, ids=[m + str(b or "") for m, b in MODES])
-def test_graph_layer_matches_dense_reference(univariate_suite, multivariate_suite, monkeypatch,
-                                             mode, bits):
-    """Row blocks give the labels, components and minimum of the full
-    distance matrix, on both oracle suites (rounded: the (1,1) systems)."""
+def test_graph_layer_matches_dense_reference(univariate_suite, multivariate_suite,
+                                             levels_to_halt, monkeypatch, mode, bits):
+    """The pivot layer gives the labels, components and minimum of the full
+    distance matrix, on both oracle suites (rounded: the (1,1) systems), at
+    the halting level and the one before it, which does not halt."""
     ar = make_arithmetic(mode, bits)
     systems = [case["system"] for case in univariate_suite] + [
         case["system"] for case in multivariate_suite
         if mode == "exact" or case["rounded_feasible"]
     ]
     for f in systems:
-        _assert_last_levels_match_dense(f, ar, monkeypatch)
+        levels = levels_to_halt(f, ar)
+        assert len(levels) >= 2
+        for fn, graph, comps, report in levels[-2:]:
+            _assert_graph_layer_matches_dense(fn, graph, comps, report, ar, monkeypatch)
 
 
 def test_graph_layer_matches_dense_reference_n3(monkeypatch):
     """f = (X1 + 0.3 X0, X2 - 0.2 X1, X3^2 - 0.5 X0^2 + 0.25 X2^2) at k = 7
-    and 8, where its 2 rays have 32 and 180 vertices."""
+    to 9, where its 2 rays have 32, 180 and 1736 vertices."""
     f = system({"n": 3, "degrees": [1, 1, 2], "polys": [
         [{"J": [0, 1, 0, 0], "c": 1.0}, {"J": [1, 0, 0, 0], "c": 0.3}],
         [{"J": [0, 0, 1, 0], "c": 1.0}, {"J": [0, 1, 0, 0], "c": -0.2}],
         [{"J": [0, 0, 0, 2], "c": 1.0}, {"J": [2, 0, 0, 0], "c": -0.5},
          {"J": [0, 0, 2, 0], "c": 0.25}],
     ]}).normalized()
+    sizes = []
     for graph, comps, report, _ in engine._levels(f):
         if graph.spec.k >= 7:
-            assert graph.n_vertices > 0 and len(comps.components) == 4
-            _assert_graph_layer_matches_dense(graph, comps, report, EXACT, monkeypatch)
-        if graph.spec.k == 8:
+            assert len(comps.components) == 4
+            sizes.append(graph.n_vertices)
+            _assert_graph_layer_matches_dense(f, graph, comps, report, EXACT, monkeypatch)
+        if graph.spec.k == 9:
             break
+    assert sizes == [32, 180, 1736]
+
+
+@pytest.mark.parametrize("t", [None, 53, 24, 12])
+def test_distance_error_bounds_computed_distances(t):
+    """pairwise_distances through the provider is within _distance_error of
+    the angle between the stored vectors, for random, near-equal and
+    near-antipodal pairs.  The angle is a float64 half-angle formula,
+    2 atan2(||x' - y'||, ||x' + y'||) for the normalized x', y', within a
+    few 1e-16 of it: far below the bound.  The bound is not idle: near-equal
+    pairs err by more than a tenth of it, the sqrt(u) that arccos loses at
+    +-1."""
+    ar = EXACT if t is None else make_arithmetic("rounded", t)
+    rng = np.random.default_rng(t or 0)
+    for m in (2, 3, 4):
+        X = rng.standard_normal((200, m))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        scale = 10.0 ** rng.uniform(-17, -2, (200, 1))
+        near = X + scale * rng.standard_normal((200, m))
+        # Stored vectors are rounded to t bits, as sphere.project_many leaves them.
+        X, Y = ar.const(X), ar.const(np.concatenate((rng.standard_normal((200, m)), near, -near)))
+        got = sphere.pairwise_distances(X, ar, Y)
+        xn = X / np.linalg.norm(X, axis=1)[:, None]
+        yn = Y / np.linalg.norm(Y, axis=1)[:, None]
+        diff = np.linalg.norm(xn[:, None, :] - yn[None, :, :], axis=2)
+        total = np.linalg.norm(xn[:, None, :] + yn[None, :, :], axis=2)
+        err = np.abs(got - 2.0 * np.arctan2(diff, total))
+        bound = engine._distance_error(m, ar)
+        assert err.max() <= bound, (m, err.max(), bound)
+        own = np.arange(200)
+        assert err[own, 200 + own].max() > 0.1 * bound, (m, bound)
+
+
+def test_pivot_bound_holds_at_12_bits(univariate_suite, levels_to_halt, monkeypatch):
+    """At 12 bits the derived slack keeps every level's labels and minimum
+    those of the full distance matrix on the 20 univariate forms; a slack
+    of 1e-6, sound at host precision only, clears vertices that have edges
+    and mislabels some of these levels."""
+    ar = make_arithmetic("rounded", 12)
+    levels = [(fn, graph) for case in univariate_suite
+              for fn, graph, _, _ in levels_to_halt(case["system"], ar)]
+    dense = [dense_proximity(graph.vertex_points, graph.radii, ar) for _, graph in levels]
+    for (_, graph), (labels, min_cross, _) in zip(levels, dense):
+        assert np.array_equal(graph.labels, labels)
+        assert _bits(graph.min_intercomponent_distance) == _bits(min_cross)
+    monkeypatch.setattr(engine, "_distance_error", lambda m, ar: 1e-6 / 3)
+    wrong = [not np.array_equal(engine._graph(fn, _as_level(graph), ar).labels, labels)
+             for (fn, graph), (labels, _, _) in zip(levels, dense)]
+    assert any(wrong)
+
+
+def _cluster_points(rng, V, m):
+    """V points in a few clusters on S^(m-1), with radii below their
+    spacing, which link some neighbours and not others."""
+    centres = rng.standard_normal((rng.integers(1, 5), m))
+    step = rng.uniform(0.01, 0.2)
+    points = centres[rng.integers(0, len(centres), V)] + step * rng.standard_normal((V, m))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    return points, rng.uniform(0.2, 1.0) * step * rng.random(V)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pivot_layer_matches_dense_on_random_clusters(monkeypatch, seed):
+    """Random antipodal clusters, whose components are not cliques, so
+    vertices join their groups through exact tests: labels, minimum and a
+    spanning forest equal the dense reference's, with one matrix and in
+    blocks."""
+    rng = np.random.default_rng(seed)
+    for ar in (EXACT, make_arithmetic("rounded", 24), make_arithmetic("rounded", 12)):
+        half, radii = _cluster_points(rng, int(rng.integers(1, 60)), int(rng.integers(2, 5)))
+        points, radii = np.concatenate((half, -half)), np.concatenate((radii, radii))
+        mirror = (np.arange(len(points)) + len(half)) % len(points)
+        labels, min_cross, near = dense_proximity(points, radii, ar)
+        for block in (engine._BLOCK, 1, 7 * len(points)):
+            monkeypatch.setattr(engine, "_BLOCK", block)
+            got, got_min, forest = engine._proximity(points, radii, ar, mirror)
+            assert np.array_equal(got, labels), block
+            assert _bits(got_min) == _bits(min_cross), block
+            _assert_spanning_forest(forest, labels, near)

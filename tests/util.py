@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from spherecount import engine, oracle, sphere
+from spherecount import oracle, sphere
 from spherecount.polysys import Monomial, Polynomial, PolynomialSystem
 from spherecount.rounding import EXACT
 
@@ -108,15 +108,41 @@ def distance(x1, x2, ar=EXACT) -> float:
     return float(ar.arccos(a))
 
 
+def hook_labels(V, edges):
+    """Each vertex labelled by the smallest member of its part joined by the
+    (E, 2) edges.
+
+    Hook and compress (Shiloach and Vishkin, J. Algorithms 3, 1982): each
+    round hooks the larger root of every edge whose ends have different
+    roots onto the smaller, then replaces each label by its label's label
+    until nothing changes.  Labels only decrease and every label is a root
+    after compression, so the rounds end with each vertex labelled by the
+    smallest member of its part.
+    """
+    labels = np.arange(V)
+    i, j = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    while True:
+        a, b = labels[i], labels[j]
+        # An edge whose ends share a root keeps them together for good.
+        live = a != b
+        if not live.any():
+            return labels
+        i, j, a, b = i[live], j[live], a[live], b[live]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := labels[labels], labels):
+            labels = up
+
+
 def dense_proximity(points, radii, ar=EXACT):
-    """Reference for engine._proximity: the full V x V distance matrix, every
-    edge i < j with d <= r_i + r_j, and one hook of all of them.  Returns
-    (labels, min_cross, edges) as `_proximity` does."""
+    """Reference for engine._proximity: the full V x V distance matrix, the
+    adjacency d <= r_i + r_j off the diagonal, and one hook of all its edges.
+    Returns (labels, min_cross, adjacency)."""
     dist = sphere.pairwise_distances(points, ar)
-    edges = np.argwhere(np.triu(dist <= ar.add(radii[:, None], radii[None, :]), 1))
-    labels = engine._hook(np.arange(len(points)), *edges.T)
+    near = dist <= ar.add(radii[:, None], radii[None, :])
+    np.fill_diagonal(near, False)
+    labels = hook_labels(len(points), np.argwhere(np.triu(near)))
     cross = labels[:, None] != labels[None, :]
-    return labels, float(np.min(dist, where=cross, initial=math.inf)), edges
+    return labels, float(np.min(dist, where=cross, initial=math.inf)), near
 
 
 def union_find_labels(V, edges):
