@@ -22,6 +22,7 @@ from .engine import (
     connected_components,
     count_roots,
     estimate_kappa,
+    evaluate_level,
     initial_level,
 )
 from .polysys import (
@@ -61,6 +62,7 @@ __all__ = [
     "connected_components",
     "count_roots",
     "estimate_kappa",
+    "evaluate_level",
     "initial_level",
     "make_arithmetic",
     "newton_refine",

@@ -163,7 +163,7 @@ def cmd_sweep(args) -> int:
     doc = {
         "exact_count": exact.count,
         "kappa_hat": kappa_hat,
-        "required_precision": required_precision(f.n, f.D, f.S, kappa_hat, C=1.0),
+        "required_precision": required_precision(f.n, f.D, f.S, kappa_hat),
         "rows": rows,
     }
     sys.stdout.write(canonical_json(doc))

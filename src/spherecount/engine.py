@@ -54,12 +54,13 @@ whose V^2 distances fit in one block computes them as one matrix and
 reads every distance from it; a larger level never holds the V x V
 matrix.
 
-A level is evaluated (`evaluate_level`: points, residuals, sigma_min, the
-vertex test and both caps) before its graph is built (`build_graph`).
-`count_roots` builds every level's graph and report.  `sweep` keeps no
-reports (`count_levels(..., reports=False)`): it builds a level's graph
-only where condition (ii) passes, since no other level can halt, and
-reads each level's kappa estimate from the evaluated points.
+Every level takes one path (`_levels`): `evaluate_level` (points,
+residuals, sigma_min, the vertex test and both caps), then `build_graph`
+on the evaluated level, `connected_components` and `halting_report`.
+`count_roots` graphs every level.  `sweep` keeps no reports
+(`count_levels(..., reports=False)`): it graphs a level only where
+condition (ii) passes, since no other level can halt, and reads each
+level's kappa estimate from the evaluated points.
 """
 
 from __future__ import annotations
@@ -293,7 +294,8 @@ def evaluate_level(
     `inherited_fsup`.  The cap applies to the points the level holds (the
     nominal grid, or the given rows and their antipodes) and to the
     V(V-1)/2 pairs of its vertices.  Both are checked here, so a level is
-    refused whether or not its graph is built.
+    refused whether or not its graph is built.  Its graph is
+    `build_graph(f, level, ar)`, through the same provider.
     """
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("the grid levels need a normalized system (||f|| = 1)")
@@ -313,8 +315,21 @@ def evaluate_level(
                      inherited_fsup)
 
 
-def _graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
-    """The proximity graph on an evaluated level's vertices (`build_graph`)."""
+def build_graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
+    """The proximity graph on the vertices of an evaluated level.
+
+    `level` is `evaluate_level`'s for f through the provider ar.  ar has no
+    default: the radii and distances must be taken in the arithmetic of the
+    level's vertex test.  Vertices pass `vertex_test` and carry the radius
+    c sigma sqrt(n) ||f(x)||_inf / sigma_min, with c = 1 in exact mode and
+    3/2 in rounded mode; every operation goes through the provider.  Edges
+    join vertices with d(x, y) <= r_x + r_y, distances in the mode's
+    arithmetic.  The graph keeps the component labels, the smallest
+    distance between two components and a spanning forest of the edges,
+    all computed from one distance row per component and the exact pairs
+    its bounds leave (`_proximity`).  They are those of the full distance
+    matrix, bit for bit.
+    """
     # Each canonical vertex stands for itself and its antipode; list both
     # in grid_lattice order.
     canon = np.flatnonzero(level.vertex_mask)
@@ -341,31 +356,6 @@ def _graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
         min_intercomponent_distance=min_cross,
         edges=edges,
     )
-
-
-def build_graph(
-    f: polysys.PolynomialSystem,
-    spec: sphere.CubeGridSpec,
-    ar=EXACT,
-    workers: int = 1,
-    cap: int = sphere.DEFAULT_GRID_CAP,
-    level: tuple[np.ndarray, np.ndarray] | None = None,
-    inherited_fsup: float = math.inf,
-) -> ProximityGraph:
-    """Evaluate a grid level and assemble the proximity graph for the mode.
-
-    The level is `evaluate_level`'s, with the same arguments and cap.
-    Vertices pass `vertex_test` and carry the radius
-    c sigma sqrt(n) ||f(x)||_inf / sigma_min, with c = 1 in exact mode and
-    3/2 in rounded mode; every operation goes through the provider.  Edges
-    join vertices with d(x, y) <= r_x + r_y, distances in the mode's
-    arithmetic.  The graph keeps the component labels, the smallest
-    distance between two components and a spanning forest of the edges,
-    all computed from one distance row per component and the exact pairs
-    its bounds leave (`_proximity`).  They are those of the full distance
-    matrix, bit for bit.
-    """
-    return _graph(f, evaluate_level(f, spec, ar, workers, cap, level, inherited_fsup), ar)
 
 
 def _distance_error(m: int, ar) -> float:
@@ -797,25 +787,21 @@ def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
 
     The first level evaluates the whole grid; each later level evaluates
     only the children of the points its predecessor left unresolved
-    (`_unresolved_children`).  With reports, every level is a
-    `ProximityGraph` with its components and report.  Without, a level
-    whose condition (ii) fails is only its evaluated `GridLevel`, with
-    None for the components and the report: no vertex list, radii or
-    graph is built for a level that cannot halt.
+    (`_unresolved_children`).  Every level is evaluated (`evaluate_level`)
+    and then, with reports or where its condition (ii) passes, graphed
+    (`build_graph`), split into components and checked.  Without reports,
+    a level whose condition (ii) fails cannot halt: it is yielded as its
+    evaluated `GridLevel`, with None for the components and the report,
+    and no vertex list, radii or graph is built for it.
     """
     pair, inherited = None, math.inf
     spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
     while True:
         thr_i, thr_ii = _thresholds(fn, spec, ar)
-        if reports:
-            level = build_graph(fn, spec, ar, workers=workers, cap=cap, level=pair,
-                                inherited_fsup=inherited)
-        else:
-            level = evaluate_level(fn, spec, ar, workers, cap, pair, inherited)
-            if _condition_ii(level, thr_ii)[1]:
-                level = _graph(fn, level, ar)
+        level = evaluate_level(fn, spec, ar, workers, cap, pair, inherited)
         comps = report = None
-        if isinstance(level, ProximityGraph):
+        if reports or _condition_ii(level, thr_ii)[1]:
+            level = build_graph(fn, level, ar)
             comps = connected_components(level)
             report = halting_report(level, comps, thr_i, thr_ii)
         yield level, comps, report, LevelTrace(2 * len(level.rows), float(thr_i), float(thr_ii))
@@ -850,8 +836,8 @@ def count_levels(
     holds the first vertex of each component at halt (no rows otherwise).
 
     With reports=False the result has no iterations or trace either, and a
-    level builds its graph only where condition (ii) passes, as no other
-    level can halt.  The count, status, condition estimate and
+    level is graphed (`build_graph`) only where condition (ii) passes, as
+    no other level can halt.  The count, status, condition estimate and
     representatives are those of the run with reports, bit for bit.
     `sweep`, which reads only counts and the condition estimate, runs this.
     """

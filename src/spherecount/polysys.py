@@ -189,7 +189,6 @@ class PolynomialSystem:
         self.norm = max(self.weyl_norms)
         # Norm of the system this one was scaled from; equals .norm when unscaled.
         self.original_norm = self.norm if original_norm is None else float(original_norm)
-        self._derivatives = None
         self._kernel_tables = {}
 
     @property
@@ -220,22 +219,6 @@ class PolynomialSystem:
         ]
         return PolynomialSystem(self.degrees, polys, original_norm=self.norm)
 
-    def derivative_tables(self):
-        """Per (i, k): (coefficients, factor table) of dX_k f_i, built on first use."""
-        if self._derivatives is None:
-            tables = []
-            for poly in self.polynomials:
-                row = []
-                for k in range(self.n_vars):
-                    keep = poly.exponents[:, k] > 0
-                    exps = poly.exponents[keep]  # a copy, so the decrement below is local
-                    coeffs = poly.coefficients[keep] * exps[:, k]
-                    exps[:, k] -= 1
-                    row.append((coeffs, _factor_table(exps, poly.degree - 1)))
-                tables.append(row)
-            self._derivatives = tables
-        return self._derivatives
-
     def kernel_tables(self, ar=EXACT) -> "KernelTables":
         """The point kernel's constants rounded through ar, built once per provider.
 
@@ -245,10 +228,19 @@ class PolynomialSystem:
         """
         tables = self._kernel_tables.get(ar)
         if tables is None:
+            derivatives = []
+            for poly in self.polynomials:
+                row = []
+                for k in range(self.n_vars):
+                    keep = poly.exponents[:, k] > 0
+                    exps = poly.exponents[keep]  # a copy, so the decrement below is local
+                    coeffs = poly.coefficients[keep] * exps[:, k]
+                    exps[:, k] -= 1
+                    row.append((ar.const(coeffs), _factor_table(exps, poly.degree - 1)))
+                derivatives.append(row)
             tables = self._kernel_tables[ar] = KernelTables(
                 values=[(ar.const(p.coefficients), p.factors) for p in self.polynomials],
-                derivatives=[[(ar.const(c), factors) for c, factors in row]
-                             for row in self.derivative_tables()],
+                derivatives=derivatives,
                 inv_sqrt_d=ar.div(1.0, ar.sqrt(ar.const(np.array(self.degrees, dtype=float)))),
             )
         return tables

@@ -118,16 +118,15 @@ def make_arithmetic(mode: str, bits: int | None = None) -> Arithmetic:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def required_precision(n: int, D: int, S: int, kappa: float, C: float = 1.0) -> float:
+def required_precision(n: int, D: int, S: int, kappa: float) -> float:
     """Advisory bound u_max on the round-off unit for a correct count.
 
-    u_max = 1 / (C * D^2 * n^(5/2) * kappa^3 * (log2 S + n^(3/2) D^2 kappa^2)).
-    The multiplicative constant C is not fixed by the theory; C = 1 is a
-    convention and the precision-sweep measures the empirical breakdown.
+    u_max = 1 / (C * D^2 * n^(5/2) * kappa^3 * (log2 S + n^(3/2) D^2 kappa^2))
+    with C = 1.  The multiplicative constant C is not fixed by the theory;
+    C = 1 is a convention and the precision-sweep measures the empirical
+    breakdown.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    if C <= 0:
-        raise ValueError("C must be positive")
     inner = math.log2(max(S, 1)) + n ** 1.5 * D**2 * kappa**2
-    return 1.0 / (C * D**2 * n**2.5 * kappa**3 * inner)
+    return 1.0 / (D**2 * n**2.5 * kappa**3 * inner)

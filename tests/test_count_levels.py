@@ -145,7 +145,9 @@ def test_cap_below_the_first_level_still_fails(tmp_path, capsys, monkeypatch):
 def test_sweep_builds_graphs_only_where_condition_ii_passes(univariate_suite, multivariate_suite,
                                                             tmp_path, capsys, monkeypatch):
     """A sweep enters the graph layer once per level where (ii) passed, with
-    that level's vertices, and at no other level."""
+    that level's vertices, and at no other level: through the module
+    attribute `engine.build_graph`, which a tracer wraps, and through
+    `_proximity`."""
     (pair,) = [c["system"] for c in multivariate_suite
                if c["degrees"] == (1, 1) and c["seed"] == 0]
     for f in (univariate_suite[0]["system"], univariate_suite[5]["system"], pair):
@@ -157,14 +159,21 @@ def test_sweep_builds_graphs_only_where_condition_ii_passes(univariate_suite, mu
             levels += len(result.iterations)
         path = tmp_path / "system.json"
         path.write_text(cli.canonical_json(system_to_document(f)))
-        entered, proximity = [], engine._proximity
+        entered, graphed = [], []
+        proximity, build_graph = engine._proximity, engine.build_graph
 
         def counted(points, *args):
             entered.append(len(points))
             return proximity(points, *args)
 
+        def graph_counted(*args):
+            graph = build_graph(*args)
+            graphed.append(graph.n_vertices)
+            return graph
+
         with monkeypatch.context() as m:
             m.setattr(engine, "_proximity", counted)
+            m.setattr(engine, "build_graph", graph_counted)
             assert cli.main(["sweep", "--input", str(path), "--bits", "53,24,12"]) == 0
         capsys.readouterr()
-        assert entered == expected and len(entered) < levels
+        assert entered == graphed == expected and len(entered) < levels

@@ -146,14 +146,15 @@ def test_vertex_pairs_count_toward_the_cap():
     """The graph layer tests the V(V-1)/2 pairs of V vertices."""
     f = system(TWOLINES).normalized()
     spec = CubeGridSpec(n=1, k=8)
-    whole = engine.build_graph(f, spec)
+    whole = engine.build_graph(f, engine.evaluate_level(f, spec), EXACT)
     rows, V = whole.rows[whole.vertex_mask], whole.n_vertices
     level = (rows, lattice_index(spec, rows))
     pairs = V * (V - 1) // 2
     assert 2 * len(rows) == V < pairs - 1
-    assert engine.build_graph(f, spec, level=level, cap=pairs).n_vertices == V
+    fits = engine.evaluate_level(f, spec, cap=pairs, level=level)
+    assert engine.build_graph(f, fits, EXACT).n_vertices == V
     with pytest.raises(sphere.GridTooLargeError, match=f"{pairs} vertex pairs"):
-        engine.build_graph(f, spec, level=level, cap=pairs - 1)
+        engine.evaluate_level(f, spec, cap=pairs - 1, level=level)
 
 
 def test_pruned_levels_are_capped_by_evaluated_points():
@@ -174,7 +175,7 @@ def test_pruned_levels_are_capped_by_evaluated_points():
 def test_vertex_set_antipodal_and_components_even():
     f = system(TWOLINES).normalized()
     for k in (3, 4, 5):
-        g = engine.build_graph(f, CubeGridSpec(n=1, k=k))
+        g = engine.build_graph(f, engine.evaluate_level(f, CubeGridSpec(n=1, k=k)), EXACT)
         comps = engine.connected_components(g)
         assert len(comps.components) % 2 == 0
         # vertex residual/sigma data is antipodally symmetric by construction
@@ -275,8 +276,10 @@ def test_estimate_kappa_closed_form():
 
 
 def test_build_graph_requires_normalized():
-    with pytest.raises(ValueError):
-        engine.build_graph(system(TWOLINES), CubeGridSpec(n=1, k=2))
+    """The level a graph is built on refuses an unnormalized system."""
+    f = system(TWOLINES)
+    with pytest.raises(ValueError, match="normalized"):
+        engine.build_graph(f, engine.evaluate_level(f, CubeGridSpec(n=1, k=2)), EXACT)
 
 
 def test_max_iterations_validation():
@@ -540,7 +543,8 @@ def test_level_with_nothing_left_to_evaluate():
     f = system(CIRCLE).normalized()
     spec = CubeGridSpec(n=1, k=4)
     nothing = (np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
-    graph = engine.build_graph(f, spec, level=nothing, inherited_fsup=0.5)
+    graph = engine.build_graph(
+        f, engine.evaluate_level(f, spec, level=nothing, inherited_fsup=0.5), EXACT)
     report = engine.halting_report(graph, engine.connected_components(graph),
                                    *engine._thresholds(f, spec, EXACT))
     assert graph.n_vertices == 0 and report.grid_size == spec.point_count()
@@ -558,12 +562,12 @@ def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_su
     at 3 bits no margin is finite, so every level is the whole grid."""
     f = _suite_system(multivariate_suite, (1, 1), 0).normalized()
     for ar in (EXACT, make_arithmetic("rounded", 12), make_arithmetic("rounded", 3)):
-        graph = engine.build_graph(f, CubeGridSpec(n=2, k=1), ar)
+        level = engine.evaluate_level(f, CubeGridSpec(n=2, k=1), ar)
         finer = CubeGridSpec(n=2, k=2)
         (rows, index), inherited = engine._unresolved_children(
-            f, graph, ar, engine._thresholds(f, finer, ar)[1])
+            f, level, ar, engine._thresholds(f, finer, ar)[1])
         whole_rows, whole_index = engine._canonical_rows(finer, sphere.DEFAULT_GRID_CAP)
-        child_rows, child_index = sphere.children(graph.spec, graph.rows)
+        child_rows, child_index = sphere.children(level.spec, level.rows)
         assert np.array_equal(rows, whole_rows) and np.array_equal(rows, child_rows)
         assert np.array_equal(index, whole_index) and np.array_equal(index, child_index)
         assert np.array_equal(index, lattice_index(finer, rows))
@@ -694,7 +698,7 @@ def _assert_graph_layer_matches_dense(fn, graph, comps, report, ar, monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(engine, "_BLOCK", 1)
         m.setattr(sphere, "pairwise_distances", sized)
-        blocks = engine._graph(fn, _as_level(graph), ar)
+        blocks = engine.build_graph(fn, _as_level(graph), ar)
     assert max(sizes, default=0) <= V
     assert np.array_equal(blocks.labels, labels)
     assert _bits(blocks.min_intercomponent_distance) == _bits(min_cross)
@@ -785,7 +789,7 @@ def test_pivot_bound_holds_at_12_bits(univariate_suite, levels_to_halt, monkeypa
         assert np.array_equal(graph.labels, labels)
         assert _bits(graph.min_intercomponent_distance) == _bits(min_cross)
     monkeypatch.setattr(engine, "_distance_error", lambda m, ar: 1e-6 / 3)
-    wrong = [not np.array_equal(engine._graph(fn, _as_level(graph), ar).labels, labels)
+    wrong = [not np.array_equal(engine.build_graph(fn, _as_level(graph), ar).labels, labels)
              for (fn, graph), (labels, _, _) in zip(levels, dense)]
     assert any(wrong)
 

@@ -190,9 +190,3 @@ def test_required_precision_monotone_in_kappa():
         cur = required_precision(2, 3, 10, kappa)
         assert 0.0 < cur < prev
         prev = cur
-
-
-def test_required_precision_constant_scaling():
-    a = required_precision(2, 2, 6, 10.0, C=1.0)
-    b = required_precision(2, 2, 6, 10.0, C=2.0)
-    assert abs(a - 2.0 * b) < 1e-18
