@@ -84,6 +84,8 @@ def cmd_count(args) -> int:
 def cmd_refine(args) -> int:
     if args.max_steps < 0:
         raise ValueError(f"--max-steps must be >= 0, got {args.max_steps}")
+    if not (math.isfinite(args.beta_tol) and args.beta_tol >= 0):
+        raise ValueError(f"--beta-tol must be finite and >= 0, got {args.beta_tol}")
     f = _load_system(args.input)
     try:
         start = np.array([float(v) for v in args.start.split(",")])

@@ -36,10 +36,13 @@ than numerical.
 
 Each level carries its rows' grid_lattice indices through the loop: a
 whole-grid level's are the positions of its canonical rows
-(`_canonical_rows`), a pruned level's are the keys `sphere.children`
+(`sphere.canonical_grid`), a pruned level's are the keys `sphere.children`
 deduplicates by, and an antipode's index is closed form
 (`sphere.antipode_index`).  So `build_graph` lists the vertices in grid
-order without locating any row in the grid again.
+order without locating any row in the grid again.  The grid cap is the
+only limit: it bounds the points a level holds, and is checked only where
+a level's rows are made, by those two functions.  The engine passes it
+on and checks nothing itself.
 
 The graph layer labels components from pivots (`_proximity`): the
 smallest unlabelled vertex takes one distance row, which holds its
@@ -55,7 +58,7 @@ reads every distance from it; a larger level never holds the V x V
 matrix.
 
 Every level takes one path (`_levels`): `evaluate_level` (points,
-residuals, sigma_min, the vertex test and both caps), then `build_graph`
+residuals, sigma_min and the vertex test), then `build_graph`
 on the evaluated level, `connected_components` and `halting_report`.
 `count_roots` graphs every level.  `sweep` keeps no reports
 (`count_levels(..., reports=False)`): it graphs a level only where
@@ -169,62 +172,6 @@ class CountResult:
         }
 
 
-def _grid_point_data(f, spec, rows, ar, workers: int):
-    """Project canonical lattice rows and evaluate residuals and sigma_min.
-
-    Returns (X, f_sup, sigma_min), one entry per row.  The data of a row's
-    antipode is the same, with X negated.
-    """
-    m = len(rows)
-    X = np.empty((m, spec.n + 1))
-    f_sup = np.empty(m)
-    smin = np.empty(m)
-
-    def work(lo: int, hi: int):
-        Xc = sphere.project_many(rows[lo:hi] * spec.eta, ar)
-        _, sup = polysys.evaluate_many(f, Xc, ar)
-        M = alpha.compute_M_many(f, Xc, ar)
-        X[lo:hi] = Xc
-        f_sup[lo:hi] = sup
-        smin[lo:hi] = alpha.sigma_min_many(M, ar)
-
-    bounds = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: work(*b), bounds))
-    else:
-        for b in bounds:
-            work(*b)
-    return X, f_sup, smin
-
-
-def _canonical_rows(spec, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every canonical row of the level's grid, in grid_lattice order, and
-    its grid_lattice index.
-
-    The cap is checked at every call.  A grid of at most _CHUNK canonical
-    rows is built once per spec and shared, read-only: a run's whole-grid
-    levels, and every pass of a sweep, ask for the same small grids.
-    """
-    sphere.check_cap(spec, spec.point_count(), cap)
-    if spec.point_count() // 2 > _CHUNK:
-        return _canonical_lattice(spec)
-    return _shared_canonical_lattice(spec)
-
-
-def _canonical_lattice(spec) -> tuple[np.ndarray, np.ndarray]:
-    lattice = sphere.grid_lattice(spec, cap=spec.point_count())
-    index = np.flatnonzero(sphere.is_canonical(lattice))
-    return lattice[index], index
-
-
-@lru_cache(maxsize=64)
-def _shared_canonical_lattice(spec) -> tuple[np.ndarray, np.ndarray]:
-    rows, index = _canonical_lattice(spec)
-    rows.flags.writeable = index.flags.writeable = False
-    return rows, index
-
-
 @dataclass(frozen=True)
 class _RunConstants:
     """The scalars a run's levels share, each rounded through the provider."""
@@ -278,41 +225,49 @@ def vertex_test(f: polysys.PolynomialSystem, f_sup, smin, ar) -> np.ndarray:
 def evaluate_level(
     f: polysys.PolynomialSystem,
     spec: sphere.CubeGridSpec,
+    level: tuple[np.ndarray, np.ndarray],
     ar=EXACT,
     workers: int = 1,
-    cap: int = sphere.DEFAULT_GRID_CAP,
-    level: tuple[np.ndarray, np.ndarray] | None = None,
     inherited_fsup: float = math.inf,
 ) -> GridLevel:
     """Evaluate a grid level's points and take the mode's vertex test.
 
     f must be normalized (||f|| = 1).  `level` is the pair (rows, index):
     the canonical lattice rows to evaluate, in grid_lattice order, and
-    their grid_lattice indices, as `sphere.children` and `_canonical_rows`
-    return them; None evaluates the whole grid.  The grid points left out
-    must be certified non-vertices whose residuals are at least
-    `inherited_fsup`.  The cap applies to the points the level holds (the
-    nominal grid, or the given rows and their antipodes) and to the
-    V(V-1)/2 pairs of its vertices.  Both are checked here, so a level is
-    refused whether or not its graph is built.  Its graph is
+    their grid_lattice indices, as `sphere.canonical_grid` and
+    `sphere.children` return them; both check the grid cap where they make
+    the rows.  The grid points left out must be certified non-vertices
+    whose residuals are at least `inherited_fsup`.  Each row is projected
+    and gets its residual sup norm and sigma_min, _CHUNK rows at a time,
+    the chunks split over `workers` threads; a row's antipode has the same
+    data, with the point negated.  The level's graph is
     `build_graph(f, level, ar)`, through the same provider.
     """
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("the grid levels need a normalized system (||f|| = 1)")
-    if level is None:
-        rows, row_index = _canonical_rows(spec, cap)
+    rows, row_index = level
+    m = len(rows)
+    X = np.empty((m, spec.n + 1))
+    f_sup = np.empty(m)
+    smin = np.empty(m)
+
+    def work(lo: int, hi: int):
+        Xc = sphere.project_many(rows[lo:hi] * spec.eta, ar)
+        _, sup = polysys.evaluate_many(f, Xc, ar)
+        M = alpha.compute_M_many(f, Xc, ar)
+        X[lo:hi] = Xc
+        f_sup[lo:hi] = sup
+        smin[lo:hi] = alpha.sigma_min_many(M, ar)
+
+    bounds = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
+    if workers > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda b: work(*b), bounds))
     else:
-        rows, row_index = level
-        sphere.check_cap(spec, 2 * len(rows), cap)
-    X, f_sup, smin = _grid_point_data(f, spec, rows, ar, workers)
-    vertex_mask = vertex_test(f, f_sup, smin, ar)
-    V = 2 * int(np.count_nonzero(vertex_mask))
-    if V * (V - 1) // 2 > cap:
-        raise sphere.GridTooLargeError(
-            f"level k={spec.k} has {V} vertices: {V * (V - 1) // 2} vertex pairs, cap is {cap}"
-        )
-    return GridLevel(spec, spec.point_count(), rows, row_index, X, f_sup, smin, vertex_mask,
-                     inherited_fsup)
+        for b in bounds:
+            work(*b)
+    return GridLevel(spec, spec.point_count(), rows, row_index, X, f_sup, smin,
+                     vertex_test(f, f_sup, smin, ar), inherited_fsup)
 
 
 def build_graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
@@ -765,8 +720,9 @@ def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
     bound carries.
 
     A level that evaluated the whole grid and resolved nothing passes on
-    the whole next grid, `_canonical_rows(finer)`: the same rows as the
-    children of all its rows, without expanding 3^(n+1) candidates each.
+    the whole next grid, `sphere.canonical_grid(finer)`: the same rows as
+    the children of all its rows, without expanding 3^(n+1) candidates
+    each.
     An empty level stays empty.
     """
     finer = sphere.CubeGridSpec(n=level.spec.n, k=level.spec.k + 1)
@@ -775,7 +731,7 @@ def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
     bound = level.f_sup - 2.0 * math.sqrt(f.D) * rho - c.margin
     resolved = bound > max(c.floor, float(thr_ii))
     if not resolved.any() and 2 * len(level.rows) == level.grid_size:
-        return _canonical_rows(finer, cap), level.inherited_fsup
+        return sphere.canonical_grid(finer, cap), level.inherited_fsup
     inherited = min(level.inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
     return sphere.children(level.spec, level.rows[~resolved], cap), inherited
 
@@ -785,20 +741,21 @@ def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
     """Yield (level, components, report, trace) for each level from
     initial_level(n) on.
 
-    The first level evaluates the whole grid; each later level evaluates
-    only the children of the points its predecessor left unresolved
-    (`_unresolved_children`).  Every level is evaluated (`evaluate_level`)
-    and then, with reports or where its condition (ii) passes, graphed
-    (`build_graph`), split into components and checked.  Without reports,
+    The first level evaluates the whole grid (`sphere.canonical_grid`);
+    each later level evaluates only the children of the points its
+    predecessor left unresolved (`_unresolved_children`).  Both check the
+    point cap where they make the level's rows.  Every level is evaluated
+    (`evaluate_level`) and then, with reports or where its condition (ii)
+    passes, graphed (`build_graph`), split into components and checked.  Without reports,
     a level whose condition (ii) fails cannot halt: it is yielded as its
     evaluated `GridLevel`, with None for the components and the report,
     and no vertex list, radii or graph is built for it.
     """
-    pair, inherited = None, math.inf
     spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
+    pair, inherited = sphere.canonical_grid(spec, cap), math.inf
     while True:
         thr_i, thr_ii = _thresholds(fn, spec, ar)
-        level = evaluate_level(fn, spec, ar, workers, cap, pair, inherited)
+        level = evaluate_level(fn, spec, pair, ar, workers, inherited)
         comps = report = None
         if reports or _condition_ii(level, thr_ii)[1]:
             level = build_graph(fn, level, ar)
@@ -909,15 +866,15 @@ def estimate_kappa(
     f: polysys.PolynomialSystem,
     spec: sphere.CubeGridSpec,
     workers: int = 1,
-    cap: int = sphere.DEFAULT_GRID_CAP,
 ) -> float:
     """Grid lower bound for the condition number kappa(f), f normalized.
 
-    max over grid points of min{mu_norm(f, x), 1 / ||f(x)||_inf}; every
-    grid point is evaluated.
+    max over grid points of min{mu_norm(f, x), 1 / ||f(x)||_inf}.  Every
+    grid point is evaluated, in exact mode, through `evaluate_level` on
+    `sphere.canonical_grid(spec)`, so the default grid cap applies.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     fn = f.normalized()
-    _, f_sup, smin = _grid_point_data(fn, spec, _canonical_rows(spec, cap)[0], EXACT, workers)
-    return _kappa_level_estimate(f_sup, smin, fn.n)
+    level = evaluate_level(fn, spec, sphere.canonical_grid(spec), EXACT, workers)
+    return _kappa_level_estimate(level.f_sup, level.sigma_min, fn.n)

@@ -295,7 +295,8 @@ def parse_system(document) -> PolynomialSystem:
 
 
 def system_to_document(f: PolynomialSystem) -> dict:
-    """Inverse of parse_system (used by fixtures and the CLI)."""
+    """Inverse of parse_system; the tests and the benchmark write system
+    files with it."""
     return {
         "n": f.n,
         "degrees": list(f.degrees),

@@ -11,13 +11,14 @@ stream order is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .rounding import EXACT
 
 DEFAULT_GRID_CAP = 10**8
-_CHUNK = 1 << 15  # parents expanded at a time by children()
+_CHUNK = 1 << 15  # parents children() expands at a time; largest grid canonical_grid shares
 
 
 class GridTooLargeError(RuntimeError):
@@ -142,6 +143,36 @@ def is_canonical(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows)
     first = np.argmax(rows != 0, axis=1)
     return rows[np.arange(len(rows)), first] > 0
+
+
+def canonical_grid(spec: CubeGridSpec,
+                   cap: int = DEFAULT_GRID_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """Every canonical row of the level's grid, in grid_lattice order, and
+    its grid_lattice index: the pair (rows, index) of a whole-grid level,
+    as `children` returns it for a pruned one.
+
+    Raises GridTooLargeError when the grid exceeds `cap` points; the cap is
+    checked at every call.  A grid of at most _CHUNK canonical rows is built
+    once per spec and shared, read-only: a run's whole-grid levels, and
+    every pass of a sweep, ask for the same small grids.
+    """
+    check_cap(spec, spec.point_count(), cap)
+    if spec.point_count() // 2 > _CHUNK:
+        return _canonical_lattice(spec)
+    return _shared_canonical_lattice(spec)
+
+
+def _canonical_lattice(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarray]:
+    lattice = grid_lattice(spec, cap=spec.point_count())
+    index = np.flatnonzero(is_canonical(lattice))
+    return lattice[index], index
+
+
+@lru_cache(maxsize=64)
+def _shared_canonical_lattice(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarray]:
+    rows, index = _canonical_lattice(spec)
+    rows.flags.writeable = index.flags.writeable = False
+    return rows, index
 
 
 def children(spec: CubeGridSpec, rows: np.ndarray,

@@ -225,8 +225,6 @@ def test_criterion_08_finite_precision(univariate_suite, multivariate_suite):
             r = engine.count_roots(case["system"], mode="rounded", bits=bits)
             ok = ok and r.status == "converged" and r.count == exact.count
     for case in multivariate_suite:
-        if not case["rounded_feasible"]:
-            continue
         for bits in (53, 24):
             r = engine.count_roots(case["system"], mode="rounded", bits=bits, workers=2)
             ok = ok and r.status == "converged" and r.count == case["count"]

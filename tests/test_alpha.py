@@ -203,22 +203,24 @@ def test_rounded_grid_data_within_round_off_bounds(n):
     cases = [random_system(rng, n, [rng.randint(1, 4) for _ in range(n)]) for _ in range(12)]
     cases.append(_eye_system(n))
     spec = sphere.CubeGridSpec(n=n, k={1: 6, 2: 3, 3: 2}[n])
-    rows, _ = engine._canonical_rows(spec, sphere.DEFAULT_GRID_CAP)
+    whole = sphere.canonical_grid(spec)
     for f in cases:
         f = f.normalized()
-        _, exact_fsup, _ = engine._grid_point_data(f, spec, rows, EXACT, 1)
+        exact_fsup = engine.evaluate_level(f, spec, whole).f_sup
         e_exact, _ = engine._round_off_bounds(f, EXACT)
         for ar in (EXACT, Arithmetic(12), Arithmetic(24), Arithmetic(53)):
             e_f, d_s = engine._round_off_bounds(f, ar)
-            _, f_sup, smin = engine._grid_point_data(f, spec, rows, ar, 1)
+            level = engine.evaluate_level(f, spec, whole, ar)
+            f_sup, smin = level.f_sup, level.sigma_min
             assert np.all(np.abs(f_sup - exact_fsup) <= e_f + e_exact)
             assert np.all(smin <= (1.0 + d_s) * np.sqrt(1.0 + f.D * (f_sup + e_f) ** 2))
     # The linear forms reach the cap up to d_s: sigma_min = 1 at e_0, which
     # the computed value can exceed (1 + 2^-11 at 12 bits for n = 1).
     f = cases[-1].normalized()
     e0 = np.array([[2**spec.k] + [0] * n])
+    e0_level = (e0, sphere.lattice_index(spec, e0))
     for ar in (EXACT, Arithmetic(12), Arithmetic(24), Arithmetic(53)):
-        smin = engine._grid_point_data(f, spec, e0, ar, 1)[2][0]
+        smin = engine.evaluate_level(f, spec, e0_level, ar).sigma_min[0]
         assert abs(smin - 1.0) <= engine._round_off_bounds(f, ar)[1]
 
 

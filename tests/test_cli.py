@@ -472,6 +472,20 @@ def test_refine_negative_max_steps_rejected(system_file, capsys, monkeypatch):
     assert captured.err == "error: --max-steps must be >= 0, got -3\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_refine_bad_beta_tol_rejected(system_file, capsys, monkeypatch, tol):
+    """A non-finite or negative --beta-tol is an input error, not a run
+    that stops after one step or takes every step."""
+    monkeypatch.setattr(cli.alpha, "newton_refine", None)  # must not be reached
+    rc = cli.main(
+        ["refine", "--input", system_file(TWOLINES), "--start", "1,0", f"--beta-tol={tol}"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --beta-tol must be finite and >= 0, got {float(tol)}\n"
+
+
 def test_refine_off_sphere_rejected(system_file, capsys):
     rc = cli.main(
         ["refine", "--input", system_file(TWOLINES), "--start", "1,1"]

@@ -26,8 +26,8 @@ from util import random_system
 DOUBLE = {"n": 1, "degrees": [2], "polys": [[{"J": [0, 2], "c": 1.0}]]}
 # X1^3 - X0 X1^2: a double zero, which fails condition (ii) at every level,
 # and a simple one, whose vertices double from level to level.  At k = 11
-# the loop evaluates 1732 points and tests 1225 vertex pairs; at k = 12,
-# 3220 points and 4950 pairs.
+# the loop evaluates 1732 points and has 50 vertices; at k = 12, 3220
+# points and 100 vertices; k = 13 holds 6204 points.
 DOUBLE_AND_SIMPLE = {"n": 1, "degrees": [3],
                      "polys": [[{"J": [0, 3], "c": 1.0}, {"J": [1, 2], "c": -1.0}]]}
 
@@ -108,11 +108,14 @@ def _levels_run(monkeypatch, run):
 @pytest.mark.parametrize("doc, bits, cap, error", [
     (DOUBLE, None, 1000, "grid points"),
     (DOUBLE, 24, 1000, "grid points"),
-    (DOUBLE_AND_SIMPLE, None, 4000, "4950 vertex pairs"),
+    pytest.param(DOUBLE_AND_SIMPLE, None, 4000, "level k=13 needs 6204 grid points",
+                 id="doc2-None-4000-grid points"),
 ])
 def test_later_cap_ends_the_run_at_the_same_level(monkeypatch, doc, bits, cap, error):
-    """A grid or pair cap that bites at a later, non-halting level ends
-    both loops as iteration-cap-reached, after the same levels."""
+    """A grid cap that bites at a later, non-halting level ends both loops
+    as iteration-cap-reached, after the same levels.  The cap counts
+    points only: X1^3 - X0 X1^2 runs to k = 12, whose 100 vertices make
+    4,950 pairs, and stops at k = 13."""
     fn = parse_system(doc).normalized()
     ar = EXACT if bits is None else make_arithmetic("rounded", bits)
     (full, full_ks, full_errors), (bare, bare_ks, bare_errors) = [

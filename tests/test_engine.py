@@ -24,6 +24,11 @@ def system(doc):
     return parse_system(doc)
 
 
+def whole_level(f, spec, ar=EXACT):
+    """The evaluated whole-grid level of spec."""
+    return engine.evaluate_level(f, spec, sphere.canonical_grid(spec), ar)
+
+
 LINE = {"n": 1, "degrees": [1], "polys": [[{"J": [0, 1], "c": 1.0}]]}
 CIRCLE = {
     "n": 1,
@@ -142,19 +147,17 @@ def test_grid_cap_below_first_level_raises():
     assert r.status == "iteration-cap-reached" and len(r.iterations) == 1
 
 
-def test_vertex_pairs_count_toward_the_cap():
-    """The graph layer tests the V(V-1)/2 pairs of V vertices."""
-    f = system(TWOLINES).normalized()
-    spec = CubeGridSpec(n=1, k=8)
-    whole = engine.build_graph(f, engine.evaluate_level(f, spec), EXACT)
-    rows, V = whole.rows[whole.vertex_mask], whole.n_vertices
-    level = (rows, lattice_index(spec, rows))
-    pairs = V * (V - 1) // 2
-    assert 2 * len(rows) == V < pairs - 1
-    fits = engine.evaluate_level(f, spec, cap=pairs, level=level)
-    assert engine.build_graph(f, fits, EXACT).n_vertices == V
-    with pytest.raises(sphere.GridTooLargeError, match=f"{pairs} vertex pairs"):
-        engine.evaluate_level(f, spec, cap=pairs - 1, level=level)
+def test_cap_bounds_points_not_vertex_pairs(multivariate_suite):
+    """The cap bounds the points a level holds, not the pairs of its
+    vertices: the (2,1) seed-0 system, whose levels hold at most 7,372
+    points but whose vertices make more than 20,000 pairs, halts under a
+    cap of 20,000 with the document of the default cap."""
+    f = _suite_system(multivariate_suite, (2, 1), 0)
+    capped = engine.count_roots(f, grid_cap=20000)
+    assert max(lvl.evaluated for lvl in capped.trace) <= 20000
+    assert max(it.vertex_count * (it.vertex_count - 1) // 2 for it in capped.iterations) > 20000
+    assert capped.status == "converged"
+    assert canonical_json(capped.to_dict()) == canonical_json(engine.count_roots(f).to_dict())
 
 
 def test_pruned_levels_are_capped_by_evaluated_points():
@@ -175,7 +178,7 @@ def test_pruned_levels_are_capped_by_evaluated_points():
 def test_vertex_set_antipodal_and_components_even():
     f = system(TWOLINES).normalized()
     for k in (3, 4, 5):
-        g = engine.build_graph(f, engine.evaluate_level(f, CubeGridSpec(n=1, k=k)), EXACT)
+        g = engine.build_graph(f, whole_level(f, CubeGridSpec(n=1, k=k)), EXACT)
         comps = engine.connected_components(g)
         assert len(comps.components) % 2 == 0
         # vertex residual/sigma data is antipodally symmetric by construction
@@ -279,7 +282,7 @@ def test_build_graph_requires_normalized():
     """The level a graph is built on refuses an unnormalized system."""
     f = system(TWOLINES)
     with pytest.raises(ValueError, match="normalized"):
-        engine.build_graph(f, engine.evaluate_level(f, CubeGridSpec(n=1, k=2)), EXACT)
+        engine.build_graph(f, whole_level(f, CubeGridSpec(n=1, k=2)), EXACT)
 
 
 def test_max_iterations_validation():
@@ -474,7 +477,7 @@ def _uniform_grid(monkeypatch):
 
     def whole_next_grid(f, graph, ar, thr_ii, cap=sphere.DEFAULT_GRID_CAP):
         finer = CubeGridSpec(n=graph.spec.n, k=graph.spec.k + 1)
-        return engine._canonical_rows(finer, cap), math.inf
+        return sphere.canonical_grid(finer, cap), math.inf
 
     monkeypatch.setattr(engine, "_unresolved_children", whole_next_grid)
 
@@ -544,7 +547,7 @@ def test_level_with_nothing_left_to_evaluate():
     spec = CubeGridSpec(n=1, k=4)
     nothing = (np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
     graph = engine.build_graph(
-        f, engine.evaluate_level(f, spec, level=nothing, inherited_fsup=0.5), EXACT)
+        f, engine.evaluate_level(f, spec, nothing, inherited_fsup=0.5), EXACT)
     report = engine.halting_report(graph, engine.connected_components(graph),
                                    *engine._thresholds(f, spec, EXACT))
     assert graph.n_vertices == 0 and report.grid_size == spec.point_count()
@@ -562,11 +565,11 @@ def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_su
     at 3 bits no margin is finite, so every level is the whole grid."""
     f = _suite_system(multivariate_suite, (1, 1), 0).normalized()
     for ar in (EXACT, make_arithmetic("rounded", 12), make_arithmetic("rounded", 3)):
-        level = engine.evaluate_level(f, CubeGridSpec(n=2, k=1), ar)
+        level = whole_level(f, CubeGridSpec(n=2, k=1), ar)
         finer = CubeGridSpec(n=2, k=2)
         (rows, index), inherited = engine._unresolved_children(
             f, level, ar, engine._thresholds(f, finer, ar)[1])
-        whole_rows, whole_index = engine._canonical_rows(finer, sphere.DEFAULT_GRID_CAP)
+        whole_rows, whole_index = sphere.canonical_grid(finer)
         child_rows, child_index = sphere.children(level.spec, level.rows)
         assert np.array_equal(rows, whole_rows) and np.array_equal(rows, child_rows)
         assert np.array_equal(index, whole_index) and np.array_equal(index, child_index)
@@ -577,30 +580,30 @@ def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_su
 
 
 def test_small_canonical_grids_are_shared_read_only():
-    """Grids of at most _CHUNK canonical rows are built once and shared:
-    they equal a fresh grid_lattice's canonical rows and cannot be
+    """Grids of at most sphere._CHUNK canonical rows are built once and
+    shared: they equal a fresh grid_lattice's canonical rows and cannot be
     written.  The cap is checked at every call, and a larger grid is not
     kept once its caller drops it."""
     for n, k in ((1, 1), (1, 13), (2, 5), (3, 3)):
         spec = CubeGridSpec(n=n, k=k)
-        assert spec.point_count() // 2 <= engine._CHUNK
-        rows, index = engine._canonical_rows(spec, sphere.DEFAULT_GRID_CAP)
+        assert spec.point_count() // 2 <= sphere._CHUNK
+        rows, index = sphere.canonical_grid(spec)
         lattice = sphere.grid_lattice(spec)
         canonical = np.flatnonzero(sphere.is_canonical(lattice))
         assert np.array_equal(rows, lattice[canonical]) and np.array_equal(index, canonical)
-        again = engine._canonical_rows(spec, spec.point_count())
+        again = sphere.canonical_grid(spec, spec.point_count())
         assert again[0] is rows and again[1] is index
         for array in (rows, index):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         with pytest.raises(sphere.GridTooLargeError):
-            engine._canonical_rows(spec, spec.point_count() - 1)
+            sphere.canonical_grid(spec, spec.point_count() - 1)
     big = CubeGridSpec(n=1, k=14)
-    assert big.point_count() // 2 > engine._CHUNK
-    held = engine._shared_canonical_lattice.cache_info().currsize
-    rows, index = engine._canonical_rows(big, sphere.DEFAULT_GRID_CAP)
+    assert big.point_count() // 2 > sphere._CHUNK
+    held = sphere._shared_canonical_lattice.cache_info().currsize
+    rows, index = sphere.canonical_grid(big)
     assert len(rows) == big.point_count() // 2 and rows.flags.writeable
-    assert engine._shared_canonical_lattice.cache_info().currsize == held
+    assert sphere._shared_canonical_lattice.cache_info().currsize == held
     refs = [weakref.ref(rows), weakref.ref(index)]
     del rows, index
     gc.collect()
