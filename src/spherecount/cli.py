@@ -182,18 +182,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _join_negative_start(argv: list[str]) -> list[str]:
-    """argv with "--start V" written "--start=V" when V begins with a negative
-    number.  argparse reads only a plain number such as -0.6 as a negative
-    value; it takes "-0.6,0.8" for an option and reports a missing value."""
+    """argv with "--start V" and "--beta-tol V" written "--start=V" and
+    "--beta-tol=V" when V begins with a negative number.  argparse reads
+    only a plain number such as -0.6 as a negative value; it takes
+    "-0.6,0.8" or "-inf" for an option and reports a missing value."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--start" and arg.startswith("-"):
+        if out and out[-1] in ("--start", "--beta-tol") and arg.startswith("-"):
             try:
                 float(arg.split(",")[0])
             except ValueError:
                 pass
             else:
-                out[-1] = f"--start={arg}"
+                out[-1] = f"{out[-1]}={arg}"
                 continue
         out.append(arg)
     return out

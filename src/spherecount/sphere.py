@@ -6,10 +6,19 @@ It is projected to the sphere by y -> y / ||y||.  Enumeration goes face by
 face; a point shared by several faces is emitted only by the face of
 smallest coordinate index, so each point appears exactly once and the
 stream order is deterministic.
+
+A row's position in that stream, its grid index, is linear in the row
+within each face block: `lattice_index` reads it from one cached table of
+weights and bases per block.  A pruned level's rows are the children of
+its predecessor's unresolved rows (`children`): expanded only along the
+faces each parent lies on, made canonical by a sign key and indexed by
+that table.  Indices are int64, so a grid of more than 2^63 - 1 points is
+refused (`check_cap`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +28,7 @@ from .rounding import EXACT
 
 DEFAULT_GRID_CAP = 10**8
 _CHUNK = 1 << 15  # parents children() expands at a time; largest grid canonical_grid shares
+_INDEX_LIMIT = int(np.iinfo(np.int64).max)
 
 
 class GridTooLargeError(RuntimeError):
@@ -48,10 +58,23 @@ class CubeGridSpec:
 
 
 def check_cap(spec: CubeGridSpec, points: int, cap: int = DEFAULT_GRID_CAP):
-    """Raise GridTooLargeError when the level would hold more than `cap` points."""
+    """Raise GridTooLargeError when the level would hold more than `cap`
+    points, or when its grid's indices would not fit int64.
+
+    Every grid_lattice index, and every partial sum of `lattice_index`'s
+    formula, is below the grid's point count in absolute value, so a grid
+    of at most 2^63 - 1 points is indexed exactly; a larger one is refused
+    whatever the cap (n = 3 from k = 19, n = 2 from k = 30, n = 1 from
+    k = 60).
+    """
     if points > cap:
         raise GridTooLargeError(
             f"level k={spec.k} needs {points} grid points, cap is {cap}"
+        )
+    if spec.point_count() > _INDEX_LIMIT:
+        raise GridTooLargeError(
+            f"level k={spec.k} has {spec.point_count()} grid points, "
+            f"more than int64 indices reach ({_INDEX_LIMIT})"
         )
 
 
@@ -95,31 +118,57 @@ def _face_blocks(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarray]:
     return sizes, np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
 
 
+@lru_cache(maxsize=64)
+def _index_table(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, bases) of `lattice_index`'s formula, one row per block.
+
+    Block b = 2j + 0 is (j, +half) and b = 2j + 1 is (j, -half).  In C order
+    over the block's ranges a row c has the mixed-radix offset
+    sum_i digit_i * weight_i, with radix 2 half - 1 and digit c_i + half - 1
+    before j, radix 1 at j, radix 2 half + 1 and digit c_i + half after j;
+    weight_i is the product of the radices after i, and weight_j = 0.  The
+    digits' constant parts and the block's start go into bases[b], so
+    position = bases[b] + sum_i weights[b, i] c_i.  Raises
+    GridTooLargeError when the grid's indices would not fit int64.
+    """
+    check_cap(spec, 0)  # the int64 bound; the table holds no points
+    half = 2**spec.k
+    dim = spec.n + 1
+    sizes, starts = _face_blocks(spec)
+    weights, bases = [], []
+    for j in range(dim):
+        radix = [2 * half - 1] * j + [1] + [2 * half + 1] * (dim - 1 - j)
+        weight = [math.prod(radix[i + 1:]) if i != j else 0 for i in range(dim)]
+        center = sum(w * (half - (i < j)) for i, w in enumerate(weight))
+        weights += [weight, weight]
+        bases += [int(starts[j]) + center, int(starts[j] + sizes[j]) + center]
+    weights, bases = np.array(weights, dtype=np.int64), np.array(bases, dtype=np.int64)
+    weights.flags.writeable = bases.flags.writeable = False
+    return weights, bases
+
+
 def lattice_index(spec: CubeGridSpec, rows: np.ndarray) -> np.ndarray:
     """Position of each lattice row in grid_lattice(spec), in closed form.
 
     grid_lattice is the face blocks (j, +half), (j, -half) for j = 0..n
     (`_face_blocks`), each in C order over its coordinate ranges: interior
     before j, the fixed face coordinate at j, the full range after j.  A
-    row's block is its first coordinate at +-half.
+    row's block is its first coordinate at +-half, found by one argmax, and
+    its position is linear in the row with that block's weights and base
+    from the cached `_index_table`.  The rows are read coordinate-major
+    (`rows.T`), so the transpose of an (n+1, N) array costs no copy.
+    Raises ValueError for rows off the cube surface, and GridTooLargeError
+    for a grid whose indices would not fit int64 (`check_cap`).
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, spec.n + 1)
+    weights, bases = _index_table(spec)
     half = 2**spec.k
-    side = 2 * half
-    dim = spec.n + 1
-    on_face = np.abs(rows) == half
-    if np.any(np.abs(rows) > half) or not np.all(on_face.any(axis=1)):
+    coords = rows.T
+    if not (np.abs(coords).max(axis=0) == half).all():
         raise ValueError(f"rows are not on the level-{spec.k} cube surface")
-    face = np.argmax(on_face, axis=1)
-    sizes, starts = _face_blocks(spec)
-    offset = np.zeros(len(rows), dtype=np.int64)
-    for j in range(dim):
-        before, after = j < face, j > face
-        radix = np.where(before, side - 1, np.where(after, side + 1, 1))
-        digit = np.where(before, rows[:, j] + half - 1, np.where(after, rows[:, j] + half, 0))
-        offset = offset * radix + digit
-    minus = rows[np.arange(len(rows)), face] < 0
-    return starts[face] + np.where(minus, sizes[face], 0) + offset
+    at = coords[:, None, :] == np.array([[half], [-half]])
+    block = at.reshape(2 * len(coords), -1).argmax(axis=0)
+    return bases.take(block) + (coords * weights.take(block, axis=0).T).sum(axis=0)
 
 
 def antipode_index(spec: CubeGridSpec, index: np.ndarray) -> np.ndarray:
@@ -175,6 +224,21 @@ def _shared_canonical_lattice(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarra
     return rows, index
 
 
+@lru_cache(maxsize=8)
+def _expansion(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(steps, powers) for `children` in dimension dim = n + 1.
+
+    steps[:, j] holds the 3^n offsets e in {-1, 0, 1}^dim with e_j = 0,
+    coordinate-major: shape (dim, dim, 3^n), indexed [coordinate, j, offset].
+    powers are 3^(n - i), the weights of the sign key.
+    """
+    offsets = np.indices((3,) * (dim - 1)).reshape(dim - 1, -1) - 1
+    steps = np.stack([np.insert(offsets, j, 0, axis=0) for j in range(dim)], axis=1)
+    powers = 3 ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    steps.flags.writeable = powers.flags.writeable = False
+    return steps, powers
+
+
 def children(spec: CubeGridSpec, rows: np.ndarray,
              cap: int = DEFAULT_GRID_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Canonical level-(k+1) rows 2p + {-1, 0, 1}^(n+1) of level-k rows p.
@@ -186,27 +250,43 @@ def children(spec: CubeGridSpec, rows: np.ndarray,
     evaluates.  Every level-(k+1) grid point is a child of some level-k
     grid point.
 
+    A child 2p + e is on the finer surface exactly when it keeps a face
+    coordinate of p, e_j = 0 where |p_j| = 2^k; no other coordinate can
+    reach 2^(k+1).  So each parent is expanded along each face it lies on,
+    3^n offsets a face, not 3^(n+1).  Along face j, an offset that pushes a
+    second face coordinate past the surface is clipped back onto it: that
+    is the child with e_i = 0 there, which the expansion already holds.
+    The candidates are held coordinate-major, (n+1, N).  Each is made
+    canonical by the sign of its key sum_i sign(c_i) 3^(n-i), which is the
+    sign of its first nonzero coordinate and stays below 3^(n+1) / 2.  One
+    `lattice_index` call indexes them all from its per-block table, and
+    one stable argsort (`np.unique`) keeps each index once.
+
     Raises GridTooLargeError when the children and their antipodes exceed
-    `cap` points.  Parents are expanded _CHUNK at a time; each chunk's
-    candidates are indexed by one `lattice_index` call and deduplicated by
-    index.  The chunks' children are merged and deduplicated again when
-    they pass half the cap or double, and at the end, which a level whose
-    parents fit in one chunk skips.  So the check is exact and memory stays
-    within about twice the returned rows or the cap, not 3^(n+1)
-    candidates per parent.
+    `cap` points, or when the finer grid's indices would not fit int64
+    (`check_cap`).  Parents are expanded _CHUNK at a time.  The chunks'
+    children are merged and deduplicated again when they pass half the cap
+    or double, and at the end, which a level whose parents fit in one chunk
+    skips.  So the check is exact and memory stays within about twice the
+    returned rows or the cap, not 3^n candidates per parent.
     """
     dim = spec.n + 1
     finer = CubeGridSpec(n=spec.n, k=spec.k + 1)
-    steps = np.indices((3,) * dim).reshape(dim, -1).T - 1
+    half = 2**finer.k
+    steps, powers = _expansion(dim)
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim)
     index, found, held, limit = [], [], 0, cap // 2
     for lo in range(0, max(len(rows), 1), _CHUNK):
-        cand = (2 * rows[lo:lo + _CHUNK, None, :] + steps[None, :, :]).reshape(-1, dim)
-        cand = cand[np.abs(cand).max(axis=1) == 2**finer.k]
-        cand = np.where(is_canonical(cand)[:, None], cand, -cand)
-        idx, first = np.unique(lattice_index(finer, cand), return_index=True)
+        parents = rows[lo:lo + _CHUNK].T
+        face, parent = (np.abs(parents) == 2**spec.k).nonzero()
+        cand = 2 * parents.take(parent, axis=1)[:, :, None] + steps.take(face, axis=1)
+        cand = cand.reshape(dim, -1)
+        np.minimum(cand, half, out=cand)
+        np.maximum(cand, -half, out=cand)
+        cand *= np.sign(powers @ np.sign(cand))
+        idx, first = np.unique(lattice_index(finer, cand.T), return_index=True)
         index.append(idx)
-        found.append(cand[first])
+        found.append(cand.T.take(first, axis=0))
         held += len(idx)
         if held > limit or lo + _CHUNK >= len(rows):
             if len(index) > 1:

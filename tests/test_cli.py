@@ -475,15 +475,15 @@ def test_refine_negative_max_steps_rejected(system_file, capsys, monkeypatch):
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
 def test_refine_bad_beta_tol_rejected(system_file, capsys, monkeypatch, tol):
     """A non-finite or negative --beta-tol is an input error, not a run
-    that stops after one step or takes every step."""
+    that stops after one step or takes every step, whether the value is
+    joined to the option or follows it."""
     monkeypatch.setattr(cli.alpha, "newton_refine", None)  # must not be reached
-    rc = cli.main(
-        ["refine", "--input", system_file(TWOLINES), "--start", "1,0", f"--beta-tol={tol}"]
-    )
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == f"error: --beta-tol must be finite and >= 0, got {float(tol)}\n"
+    for flag in ([f"--beta-tol={tol}"], ["--beta-tol", tol]):
+        rc = cli.main(["refine", "--input", system_file(TWOLINES), "--start", "1,0", *flag])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --beta-tol must be finite and >= 0, got {float(tol)}\n"
 
 
 def test_refine_off_sphere_rejected(system_file, capsys):

@@ -129,6 +129,23 @@ def test_later_cap_ends_the_run_at_the_same_level(monkeypatch, doc, bits, cap, e
     assert full_errors == bare_errors and len(full_errors) == 1 and error in full_errors[0]
 
 
+def test_index_bound_ends_the_run_at_the_same_level(monkeypatch):
+    """A level whose grid indices would not fit int64 is refused like one
+    over the cap: both loops end as iteration-cap-reached after the level
+    before it.  The bound is lowered to the level-6 grid of n = 1 here, as
+    a real run reaches it only at k = 60."""
+    fn = parse_system(DOUBLE).normalized()
+    monkeypatch.setattr(sphere, "_INDEX_LIMIT", CubeGridSpec(n=1, k=6).point_count())
+    runs = [
+        _levels_run(monkeypatch, lambda r=r: engine.count_levels(fn, EXACT, 24, reports=r))
+        for r in (True, False)
+    ]
+    for result, ks, errors in runs:
+        assert result.status == "iteration-cap-reached" and ks[-1] == 6
+        assert len(errors) == 1 and "level k=7" in errors[0] and "int64" in errors[0]
+    assert runs[0][1] == runs[1][1]
+
+
 def test_cap_below_the_first_level_still_fails(tmp_path, capsys, monkeypatch):
     """No level runs: the loop raises, and sweep exits 1."""
     fn = parse_system(DOUBLE).normalized()

@@ -20,7 +20,7 @@ from spherecount.sphere import (
     tangent_basis_many,
 )
 
-from util import distance, random_sphere_point
+from util import distance, random_sphere_point, reference_children, reference_lattice_index
 
 
 def expected_grid_size(n, k):
@@ -104,23 +104,71 @@ def test_children_stay_within_the_parent_cell():
     assert np.all(is_canonical(got))
 
 
+def _canonical_surface_rows(rng, n, k, m):
+    """About m distinct canonical rows of the level-k cube surface.  Each
+    coordinate is uniform, or one of -h, -h + 1, -1, 0, 1, h - 1, h
+    (h = 2^k); a quarter of the rows start with 0 and a quarter lie on two
+    faces or more, so leading-zero, edge and corner rows occur at every k."""
+    half = 2**k
+    special = np.array([-half, -half + 1, -1, 0, 1, half - 1, half])
+    rows = np.where(rng.random((m, n + 1)) < 0.5,
+                    rng.integers(-half, half + 1, (m, n + 1)),
+                    rng.choice(special, (m, n + 1)))
+    rows[: m // 4, 0] = 0
+    # A face after the leading zero; a face; a second face for the second quarter.
+    for lo, hi, first in ((0, m // 4, 1), (m // 4, m, 0), (m // 4, m // 2, 0)):
+        face = rng.integers(first, n + 1, hi - lo)
+        rows[np.arange(lo, hi), face] = rng.choice([-half, half], hi - lo)
+    rows = np.where(is_canonical(rows)[:, None], rows, -rows)
+    return np.unique(rows, axis=0)
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 1 << 15])
 def test_children_by_chunks_and_their_cap(monkeypatch, chunk):
-    """Expanding the parents a few at a time gives the same rows and the
-    grid_lattice indices of those rows, and the cap refuses exactly the
-    levels whose children and antipodes exceed it."""
-    rng = np.random.RandomState(chunk)
-    spec = CubeGridSpec(n=2, k=4)
-    L = grid_lattice(spec)
-    parents = L[is_canonical(L)]
-    parents = parents[np.sort(rng.choice(len(parents), 60, replace=False))]
-    want, want_index = children(spec, parents)
-    assert np.array_equal(want_index, lattice_index(CubeGridSpec(n=2, k=5), want))
-    monkeypatch.setattr(sphere, "_CHUNK", chunk)
-    for got in (children(spec, parents), children(spec, parents, cap=2 * len(want))):
-        assert np.array_equal(got[0], want) and np.array_equal(got[1], want_index)
-    with pytest.raises(GridTooLargeError):
-        children(spec, parents, cap=2 * len(want) - 1)
+    """children gives reference_children's rows and grid_lattice indices,
+    dtypes included, expanding the parents a few at a time or all at once:
+    on random canonical parents with edge and corner rows and leading-zero
+    rows (whose children flip sign), up to the last levels whose indices
+    fit int64.  The cap refuses exactly the levels whose children and
+    antipodes exceed it."""
+    rng = np.random.default_rng(chunk)
+    cases = [(1, 1), (1, 5), (1, 30), (1, 58), (2, 1), (2, 4), (2, 20), (2, 28),
+             (3, 1), (3, 3), (3, 10), (3, 17)]
+    for n, k in cases:
+        spec = CubeGridSpec(n=n, k=k)
+        parents = _canonical_surface_rows(rng, n, k, 40)
+        assert np.any((np.abs(parents) == 2**k).sum(axis=1) > 1)
+        assert np.any(parents[:, 0] == 0)
+        for rows in (parents, parents[:1], parents[:0]):
+            want = reference_children(spec, rows)
+            with monkeypatch.context() as m:
+                m.setattr(sphere, "_CHUNK", chunk)
+                for cap in (sphere.DEFAULT_GRID_CAP, 2 * len(want[0])):
+                    got = children(spec, rows, cap)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and np.array_equal(g, w)
+                with pytest.raises(GridTooLargeError):
+                    children(spec, rows, cap=2 * len(want[0]) - 1)
+
+
+@pytest.mark.parametrize("n,k", [(1, 60), (2, 30), (3, 19)])
+def test_grids_beyond_int64_indices_are_refused(n, k):
+    """The first level whose grid holds more than 2^63 - 1 points is
+    refused, whatever the cap, where its rows or indices would be made;
+    the level before it is indexed exactly up to its last row."""
+    below, beyond = CubeGridSpec(n=n, k=k - 1), CubeGridSpec(n=n, k=k)
+    assert below.point_count() <= 2**63 - 1 < beyond.point_count()
+    half = 2 ** (k - 1)
+    last = np.array([[half - 1] * n + [-half]])
+    assert lattice_index(below, last)[0] == below.point_count() - 1
+    assert antipode_index(below, lattice_index(below, -last))[0] == below.point_count() - 1
+    assert np.array_equal(lattice_index(below, last), reference_lattice_index(below, last))
+    with pytest.raises(GridTooLargeError, match="int64"):
+        sphere.canonical_grid(beyond, cap=2**80)
+    with pytest.raises(GridTooLargeError, match="int64"):
+        children(below, np.array([[half] + [0] * n]), cap=2**80)
+    with pytest.raises(GridTooLargeError, match="int64"):
+        lattice_index(beyond, 2 * last)
 
 
 def test_grid_lattice_scales_to_cube_surface():

@@ -263,3 +263,52 @@ def column_compute_M_many(f, X, ar=EXACT):
             acc = ar.sum(ar.mul(jac[:, i, k], H[:, k, j]) for k in range(f.n_vars))
             M[:, i, j] = ar.mul(acc, inv_sqrt_d[i])
     return M
+
+
+def reference_lattice_index(spec, rows):
+    """sphere.lattice_index as a loop over coordinates: the row's mixed-radix
+    offset within its face block, one coordinate at a time."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, spec.n + 1)
+    half = 2**spec.k
+    side = 2 * half
+    dim = spec.n + 1
+    on_face = np.abs(rows) == half
+    if np.any(np.abs(rows) > half) or not np.all(on_face.any(axis=1)):
+        raise ValueError(f"rows are not on the level-{spec.k} cube surface")
+    face = np.argmax(on_face, axis=1)
+    sizes, starts = sphere._face_blocks(spec)
+    offset = np.zeros(len(rows), dtype=np.int64)
+    for j in range(dim):
+        before, after = j < face, j > face
+        radix = np.where(before, side - 1, np.where(after, side + 1, 1))
+        digit = np.where(before, rows[:, j] + half - 1, np.where(after, rows[:, j] + half, 0))
+        offset = offset * radix + digit
+    minus = rows[np.arange(len(rows)), face] < 0
+    return starts[face] + np.where(minus, sizes[face], 0) + offset
+
+
+def reference_children(spec, rows, cap=sphere.DEFAULT_GRID_CAP):
+    """sphere.children by expanding all 3^(n+1) candidates 2p + e of each
+    parent, filtering them to the finer surface, canonicalizing them with
+    is_canonical and indexing them with reference_lattice_index; parents
+    go sphere._CHUNK at a time, with the same merges and cap checks."""
+    dim = spec.n + 1
+    finer = sphere.CubeGridSpec(n=spec.n, k=spec.k + 1)
+    steps = np.indices((3,) * dim).reshape(dim, -1).T - 1
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim)
+    index, found, held, limit = [], [], 0, cap // 2
+    for lo in range(0, max(len(rows), 1), sphere._CHUNK):
+        cand = (2 * rows[lo:lo + sphere._CHUNK, None, :] + steps[None, :, :]).reshape(-1, dim)
+        cand = cand[np.abs(cand).max(axis=1) == 2**finer.k]
+        cand = np.where(sphere.is_canonical(cand)[:, None], cand, -cand)
+        idx, first = np.unique(reference_lattice_index(finer, cand), return_index=True)
+        index.append(idx)
+        found.append(cand[first])
+        held += len(idx)
+        if held > limit or lo + sphere._CHUNK >= len(rows):
+            if len(index) > 1:
+                idx, first = np.unique(np.concatenate(index), return_index=True)
+                index, found = [idx], [np.concatenate(found)[first]]
+            sphere.check_cap(finer, 2 * len(idx), cap)
+            held, limit = len(idx), max(cap // 2, 2 * len(idx))
+    return found[0], index[0]
