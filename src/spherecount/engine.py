@@ -57,11 +57,11 @@ whose V^2 distances fit in one block computes them as one matrix and
 reads every distance from it; a larger level never holds the V x V
 matrix.
 
-Every level takes one path (`_levels`): `evaluate_level` (points,
-residuals, sigma_min and the vertex test), then `build_graph`
-on the evaluated level, `connected_components` and `halting_report`.
-`count_roots` graphs every level.  `sweep` keeps no reports
-(`count_levels(..., reports=False)`): it graphs a level only where
+One loop runs every level (`count_levels`): it makes the level's rows,
+runs `evaluate_level` (points, residuals, sigma_min and the vertex test),
+then `build_graph` on the evaluated level, `connected_components` and
+`halting_report`.  `count_roots` graphs every level.  `sweep` keeps no
+reports (`count_levels(..., reports=False)`): it graphs a level only where
 condition (ii) passes, since no other level can halt, and reads each
 level's kappa estimate from the evaluated points.
 """
@@ -91,7 +91,6 @@ class GridLevel:
     """A level's evaluated points: what condition (ii), pruning and kappa read."""
 
     spec: sphere.CubeGridSpec
-    grid_size: int               # nominal point count of the level
     rows: np.ndarray             # (m, n+1) evaluated canonical lattice rows, grid order
     row_index: np.ndarray        # (m,) grid_lattice indices of rows
     row_points: np.ndarray       # (m, n+1) projected rows
@@ -115,12 +114,6 @@ class ProximityGraph(GridLevel):
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_indices)
-
-
-@dataclass
-class ComponentSet:
-    labels: np.ndarray           # (V,) component id = smallest member's list index
-    components: list[list[int]]  # vertex-list indices, grouped, deterministic order
 
 
 @dataclass
@@ -266,8 +259,8 @@ def evaluate_level(
     else:
         for b in bounds:
             work(*b)
-    return GridLevel(spec, spec.point_count(), rows, row_index, X, f_sup, smin,
-                     vertex_test(f, f_sup, smin, ar), inherited_fsup)
+    return GridLevel(spec, rows, row_index, X, f_sup, smin, vertex_test(f, f_sup, smin, ar),
+                     inherited_fsup)
 
 
 def build_graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
@@ -502,17 +495,14 @@ def _proximity(points: np.ndarray, radii: np.ndarray, ar, mirror: np.ndarray) ->
     return labels, min_cross, edges
 
 
-def connected_components(graph: ProximityGraph) -> ComponentSet:
-    """Partition of the vertex list; ids are smallest member indices.
+def connected_components(graph: ProximityGraph) -> np.ndarray:
+    """The component ids of the vertex list, increasing.
 
-    Groups the graph's labels, which `build_graph` takes from its pivots
-    (`_proximity`): each vertex carries the smallest member of its
-    component.  Groups are in increasing id order, members increasing.
+    A component's id is the list index of its smallest member, which
+    `build_graph` gives each of its vertices as a label (`_proximity`): the
+    ids are the vertices labelled with their own index.
     """
-    labels = graph.labels
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(labels) else []
-    return ComponentSet(labels=labels, components=[g.tolist() for g in groups])
+    return np.flatnonzero(graph.labels == np.arange(len(graph.labels)))
 
 
 def _thresholds(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, ar) -> tuple:
@@ -539,15 +529,16 @@ def _condition_ii(level: GridLevel, thr_ii) -> tuple[float, bool]:
     return min_excluded, bool(min_excluded > thr_ii)
 
 
-def halting_report(graph: ProximityGraph, components: ComponentSet,
+def halting_report(graph: ProximityGraph, components: np.ndarray,
                    thr_i, thr_ii) -> IterationReport:
     """Evaluate the two halting conditions at the graph's level.
 
-    Condition (i): every cross-component vertex pair is farther apart than
-    thr_i; the graph carries the smallest such distance, which
-    `build_graph` takes exactly over the pairs of distinct components.  Condition
-    (ii): every grid point that failed the vertex test has residual above
-    thr_ii (`_condition_ii`).  The thresholds are the level's `_thresholds`.
+    components are the graph's `connected_components` ids.  Condition (i):
+    every cross-component vertex pair is farther apart than thr_i; the
+    graph carries the smallest such distance, which `build_graph` takes
+    exactly over the pairs of distinct components.  Condition (ii): every
+    grid point that failed the vertex test has residual above thr_ii
+    (`_condition_ii`).  The thresholds are the level's `_thresholds`.
     Grid points the level did not evaluate count through the graph's
     certified lower bound `inherited_fsup`.  Empty quantifiers pass
     vacuously.
@@ -557,9 +548,9 @@ def halting_report(graph: ProximityGraph, components: ComponentSet,
     return IterationReport(
         k=graph.spec.k,
         eta=graph.spec.eta,
-        grid_size=graph.grid_size,
+        grid_size=graph.spec.point_count(),
         vertex_count=graph.n_vertices,
-        component_count=len(components.components),
+        component_count=len(components),
         condition_i_pass=bool(min_cross > thr_i),
         condition_ii_pass=condition_ii,
         min_intercomponent_distance=min_cross,
@@ -696,11 +687,9 @@ def _prune_bounds(f: polysys.PolynomialSystem, ar, a0: float) -> tuple[float, fl
 
 
 def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
-                         thr_ii, cap: int = sphere.DEFAULT_GRID_CAP):
+                         cap: int = sphere.DEFAULT_GRID_CAP):
     """The next level's (rows, index) pair, the rows it must evaluate and
     their grid_lattice indices, and the next level's inherited bound.
-
-    thr_ii is the condition (ii) threshold of the next level, k+1.
 
     The descendants of an evaluated level-k point p (its children 2p + e,
     e in {-1, 0, 1}^(n+1), their children, and so on) lie on the cube
@@ -709,11 +698,12 @@ def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
     2 rho_{k+1} = 2 (pi/2) 2^-(k+1) sqrt(n+1) of it.  As ||f(x)||_inf is
     sqrt(D)-Lipschitz, each has residual above
     b(p) = f_sup(p) - 2 sqrt(D) rho_{k+1} - margin.  When
-    b(p) > max(floor, thr_ii(k+1)), p resolves its cell for good: no
-    descendant passes the vertex test, and each passes condition (ii) at
-    level k+1 and, as thr_ii halves with eta, at every later level.  Both
-    modes take the margin and the floor from one derivation at the
-    provider's unit round-off, `_prune_bounds`, through `_run_constants`.
+    b(p) > max(floor, thr_ii(k+1)), with the next level's condition (ii)
+    threshold (`_thresholds`), p resolves its cell for good: no descendant
+    passes the vertex test, and each passes condition (ii) at level k+1
+    and, as thr_ii halves with eta, at every later level.  Both modes take
+    the margin and the floor from one derivation at the provider's unit
+    round-off, `_prune_bounds`, through `_run_constants`.
     The next level evaluates the children of the unresolved points only.
     Every grid point it skips has a resolved ancestor, so its residual is
     above the smallest b(p) over all resolved points, which the returned
@@ -729,41 +719,11 @@ def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
     rho = 0.5 * math.pi * finer.eta * math.sqrt(f.n + 1)
     c = _run_constants(f, ar)
     bound = level.f_sup - 2.0 * math.sqrt(f.D) * rho - c.margin
-    resolved = bound > max(c.floor, float(thr_ii))
-    if not resolved.any() and 2 * len(level.rows) == level.grid_size:
+    resolved = bound > max(c.floor, float(_thresholds(f, finer, ar)[1]))
+    if not resolved.any() and 2 * len(level.rows) == level.spec.point_count():
         return sphere.canonical_grid(finer, cap), level.inherited_fsup
     inherited = min(level.inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
     return sphere.children(level.spec, level.rows[~resolved], cap), inherited
-
-
-def _levels(fn: polysys.PolynomialSystem, ar=EXACT, workers: int = 1,
-            cap: int = sphere.DEFAULT_GRID_CAP, reports: bool = True):
-    """Yield (level, components, report, trace) for each level from
-    initial_level(n) on.
-
-    The first level evaluates the whole grid (`sphere.canonical_grid`);
-    each later level evaluates only the children of the points its
-    predecessor left unresolved (`_unresolved_children`).  Both check the
-    point cap where they make the level's rows.  Every level is evaluated
-    (`evaluate_level`) and then, with reports or where its condition (ii)
-    passes, graphed (`build_graph`), split into components and checked.  Without reports,
-    a level whose condition (ii) fails cannot halt: it is yielded as its
-    evaluated `GridLevel`, with None for the components and the report,
-    and no vertex list, radii or graph is built for it.
-    """
-    spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
-    pair, inherited = sphere.canonical_grid(spec, cap), math.inf
-    while True:
-        thr_i, thr_ii = _thresholds(fn, spec, ar)
-        level = evaluate_level(fn, spec, pair, ar, workers, inherited)
-        comps = report = None
-        if reports or _condition_ii(level, thr_ii)[1]:
-            level = build_graph(fn, level, ar)
-            comps = connected_components(level)
-            report = halting_report(level, comps, thr_i, thr_ii)
-        yield level, comps, report, LevelTrace(2 * len(level.rows), float(thr_i), float(thr_ii))
-        spec = sphere.CubeGridSpec(n=fn.n, k=spec.k + 1)
-        pair, inherited = _unresolved_children(fn, level, ar, _thresholds(fn, spec, ar)[1], cap)
 
 
 def initial_level(n: int) -> int:
@@ -792,43 +752,53 @@ def count_levels(
     Newton refinement: the result has no components, and the second value
     holds the first vertex of each component at halt (no rows otherwise).
 
-    With reports=False the result has no iterations or trace either, and a
-    level is graphed (`build_graph`) only where condition (ii) passes, as
-    no other level can halt.  The count, status, condition estimate and
-    representatives are those of the run with reports, bit for bit.
-    `sweep`, which reads only counts and the condition estimate, runs this.
+    A level evaluates (`evaluate_level`) the whole grid first
+    (`sphere.canonical_grid`), then the children of the points the level
+    before left unresolved (`_unresolved_children`), made once that level
+    has not halted; both check the point cap.  It is then graphed
+    (`build_graph`) and checked.  With reports=False the result has no
+    iterations or trace either, and a level is graphed only where condition
+    (ii) passes, as no other level can halt.  The count, status, condition
+    estimate and representatives are those of the run with reports, bit
+    for bit.  `sweep`, which reads only counts and the condition estimate,
+    runs this.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    levels = _levels(fn, ar, workers=workers, cap=grid_cap, reports=reports)
     result = CountResult(count=None, status="iteration-cap-reached",
                          original_norm=fn.original_norm)
     representatives = np.empty((0, fn.n_vars))
+    spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
+    rows, inherited = sphere.canonical_grid(spec, grid_cap), math.inf
     for done in range(max_iterations):
-        try:
-            graph, comps, report, level_trace = next(levels)
-        except sphere.GridTooLargeError:
-            # Point budget exhausted before halting: same clean failure as
-            # running out of refinement levels, once a level has run.
-            if not done:
-                raise
-            break
+        if done:
+            spec = sphere.CubeGridSpec(n=fn.n, k=spec.k + 1)
+            try:
+                rows, inherited = _unresolved_children(fn, level, ar, grid_cap)
+            except sphere.GridTooLargeError:
+                # A later level over the cap ends the run as the last level does.
+                break
+        level = evaluate_level(fn, spec, rows, ar, workers, inherited)
+        thr_i, thr_ii = _thresholds(fn, spec, ar)
+        kappa = _kappa_level_estimate(level.f_sup, level.sigma_min, fn.n)
+        result.kappa_lower_bound = max(result.kappa_lower_bound, kappa)
+        if not (reports or _condition_ii(level, thr_ii)[1]):
+            continue
+        level = build_graph(fn, level, ar)
+        ids = connected_components(level)
+        report = halting_report(level, ids, thr_i, thr_ii)
         if reports:
             result.iterations.append(report)
-            result.trace.append(level_trace)
-        result.kappa_lower_bound = max(
-            result.kappa_lower_bound, _kappa_level_estimate(graph.f_sup, graph.sigma_min, fn.n)
-        )
-        if report is not None and report.condition_i_pass and report.condition_ii_pass:
-            r = len(comps.components)
-            if r % 2 != 0:
+            result.trace.append(LevelTrace(2 * len(level.rows), float(thr_i), float(thr_ii)))
+        if report.condition_i_pass and report.condition_ii_pass:
+            if len(ids) % 2 != 0:
                 raise InternalConsistencyError(
-                    f"odd component count {r} at halt; antipodal symmetry violated"
+                    f"odd component count {len(ids)} at halt; antipodal symmetry violated"
                 )
-            representatives = graph.vertex_points[[c[0] for c in comps.components]]
-            result.count, result.status = r // 2, "converged"
+            representatives = level.vertex_points[ids]
+            result.count, result.status = len(ids) // 2, "converged"
             break
     return result, representatives
 

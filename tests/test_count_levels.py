@@ -87,22 +87,44 @@ def test_reports_do_not_change_the_outcome_on_the_suites(univariate_suite, multi
 
 
 def _levels_run(monkeypatch, run):
-    """(result, k of every level the loop yielded, the cap errors it raised)."""
-    ks, errors, levels = [], [], engine._levels
+    """(result, k of every level the loop evaluated, the cap errors its
+    children raised)."""
+    ks, errors = [], []
+    evaluate, children = engine.evaluate_level, engine._unresolved_children
 
-    def recorded(*args, **kwargs):
+    def evaluated(f, spec, *args):
+        ks.append(spec.k)
+        return evaluate(f, spec, *args)
+
+    def expanded(*args):
         try:
-            for item in levels(*args, **kwargs):
-                ks.append(item[0].spec.k)
-                yield item
+            return children(*args)
         except sphere.GridTooLargeError as exc:
             errors.append(str(exc))
             raise
 
     with monkeypatch.context() as m:
-        m.setattr(engine, "_levels", recorded)
+        m.setattr(engine, "evaluate_level", evaluated)
+        m.setattr(engine, "_unresolved_children", expanded)
         result, _ = run()
     return result, ks, errors
+
+
+@pytest.mark.parametrize("reports", [True, False])
+def test_no_children_after_the_last_level(monkeypatch, reports):
+    """A run that reaches max_iterations makes the children of every level
+    but the last: the loop expands a level only to evaluate the next."""
+    fn = parse_system(DOUBLE).normalized()
+    expanded, children = [], engine._unresolved_children
+
+    def counted(f, level, *args):
+        expanded.append(level.spec.k)
+        return children(f, level, *args)
+
+    monkeypatch.setattr(engine, "_unresolved_children", counted)
+    result, _ = engine.count_levels(fn, EXACT, 5, reports=reports)
+    assert result.status == "iteration-cap-reached"
+    assert expanded == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("doc, bits, cap, error", [

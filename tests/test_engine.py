@@ -56,15 +56,11 @@ def _edge_graph(V, edges):
 
 
 def test_connected_components_ids_are_smallest_members():
-    comps = engine.connected_components(_edge_graph(5, [(3, 1), (4, 3)]))
-    assert comps.labels.tolist() == [0, 1, 2, 1, 1]
-    assert comps.components == [[0], [1, 3, 4], [2]]
-    comps = engine.connected_components(_edge_graph(3, []))
-    assert comps.labels.tolist() == [0, 1, 2]
-    assert comps.components == [[0], [1], [2]]
-    comps = engine.connected_components(_edge_graph(0, []))
-    assert comps.labels.tolist() == [] and comps.labels.dtype == np.int64
-    assert comps.components == []
+    assert engine.connected_components(_edge_graph(5, [(3, 1), (4, 3)])).tolist() == [0, 1, 2]
+    assert engine.connected_components(_edge_graph(5, [(1, 0), (4, 2)])).tolist() == [0, 2, 3]
+    assert engine.connected_components(_edge_graph(3, [])).tolist() == [0, 1, 2]
+    ids = engine.connected_components(_edge_graph(0, []))
+    assert ids.tolist() == [] and ids.dtype == np.int64
 
 
 @pytest.mark.parametrize("V", [1, 5, 50, 3000])
@@ -81,13 +77,10 @@ def test_connected_components_match_union_find(V):
     graphs.append(np.stack([path[:-1], path[1:]], axis=1))
     graphs.append(np.array([(V // 2, v) for v in range(V) if v != V // 2]))
     for edges in graphs:
-        comps = engine.connected_components(_edge_graph(V, edges))
+        graph = _edge_graph(V, edges)
         labels = union_find_labels(V, edges)
-        assert comps.labels.tolist() == labels
-        groups = {}
-        for v, root in enumerate(labels):
-            groups.setdefault(root, []).append(v)
-        assert comps.components == [groups[root] for root in sorted(groups)]
+        assert graph.labels.tolist() == labels
+        assert engine.connected_components(graph).tolist() == sorted(set(labels))
 
 
 def test_count_single_line():
@@ -179,8 +172,7 @@ def test_vertex_set_antipodal_and_components_even():
     f = system(TWOLINES).normalized()
     for k in (3, 4, 5):
         g = engine.build_graph(f, whole_level(f, CubeGridSpec(n=1, k=k)), EXACT)
-        comps = engine.connected_components(g)
-        assert len(comps.components) % 2 == 0
+        assert len(engine.connected_components(g)) % 2 == 0
         # vertex residual/sigma data is antipodally symmetric by construction
         pts = {tuple(np.round(p, 12)) for p in g.vertex_points}
         for p in g.vertex_points:
@@ -309,15 +301,27 @@ def test_kappa_estimate_of_subnormal_residuals_is_silent():
     assert result.kappa_lower_bound == math.inf
 
 
+def _graphed_levels(fn, ar, max_levels):
+    """(graph, component ids, report) of each level count_levels graphs, as
+    it hands them to engine.halting_report, and the run's result."""
+    levels, halting_report = [], engine.halting_report
+
+    def recorded(graph, ids, *thresholds):
+        levels.append((graph, ids, halting_report(graph, ids, *thresholds)))
+        return levels[-1][2]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "halting_report", recorded)
+        result, _ = engine.count_levels(fn, ar, max_levels)
+    return result, levels
+
+
 def _levels_to_halt(f, ar, max_levels=24):
-    """(fn, graph, components, report) per level until both conditions pass."""
+    """(fn, graph, component ids, report) per level until both conditions pass."""
     fn = f.normalized()
-    out = []
-    for _, (graph, comps, report, _) in zip(range(max_levels), engine._levels(fn, ar)):
-        out.append((fn, graph, comps, report))
-        if report.condition_i_pass and report.condition_ii_pass:
-            return out
-    raise AssertionError("no halt within the level budget")
+    result, levels = _graphed_levels(fn, ar, max_levels)
+    assert result.status == "converged", "no halt within the level budget"
+    return [(fn, *level) for level in levels]
 
 
 @pytest.fixture(scope="session")
@@ -361,11 +365,11 @@ def test_sigma_min_kernel_matches_svd_per_level(
     monkeypatch.setattr(alpha, "sigma_min_many", svd_sigma_min_many)
     ref = _levels_to_halt(f, ar)
     assert len(ours) == len(ref)
-    for (_, graph, comps, report), (_, rgraph, rcomps, rreport) in zip(ours, ref):
+    for (_, graph, _, report), (_, rgraph, _, rreport) in zip(ours, ref):
         assert np.array_equal(graph.rows, rgraph.rows)
         assert np.array_equal(graph.vertex_mask, rgraph.vertex_mask)
         assert np.array_equal(graph.edges, rgraph.edges)
-        assert np.array_equal(comps.labels, rcomps.labels)
+        assert np.array_equal(graph.labels, rgraph.labels)
         assert report == rreport
 
 
@@ -411,7 +415,6 @@ def _halting_verdicts(f, spec, ar, min_cross, min_excluded):
     excluded grid point of residual min_excluded."""
     graph = engine.ProximityGraph(
         spec=spec,
-        grid_size=3,
         rows=np.zeros((3, spec.n + 1), dtype=np.int64),
         row_index=np.arange(3),
         row_points=np.zeros((3, spec.n + 1)),
@@ -475,7 +478,7 @@ def test_thresholds_match_longhand_at_every_level():
 def _uniform_grid(monkeypatch):
     """Turn pruning off: every level evaluates the whole grid."""
 
-    def whole_next_grid(f, graph, ar, thr_ii, cap=sphere.DEFAULT_GRID_CAP):
+    def whole_next_grid(f, graph, ar, cap=sphere.DEFAULT_GRID_CAP):
         finer = CubeGridSpec(n=graph.spec.n, k=graph.spec.k + 1)
         return sphere.canonical_grid(finer, cap), math.inf
 
@@ -484,17 +487,17 @@ def _uniform_grid(monkeypatch):
 
 def _assert_pruning_keeps_decisions(pruned, uniform):
     assert len(pruned) == len(uniform)
-    for (_, graph, comps, report), (_, ugraph, ucomps, ureport) in zip(pruned, uniform):
+    for (_, graph, _, report), (_, ugraph, _, ureport) in zip(pruned, uniform):
         assert np.array_equal(graph.vertex_indices, ugraph.vertex_indices)
         assert np.array_equal(_bits(graph.vertex_points), _bits(ugraph.vertex_points))
         assert np.array_equal(_bits(graph.radii), _bits(ugraph.radii))
         assert np.array_equal(graph.edges, ugraph.edges)
-        assert np.array_equal(comps.labels, ucomps.labels)
+        assert np.array_equal(graph.labels, ugraph.labels)
         assert report.min_excluded_fsup <= ureport.min_excluded_fsup
         assert dataclasses.replace(report, min_excluded_fsup=0.0) == dataclasses.replace(
             ureport, min_excluded_fsup=0.0
         )
-        assert len(graph.rows) <= len(ugraph.rows) == ugraph.grid_size // 2
+        assert len(graph.rows) <= len(ugraph.rows) == ugraph.spec.point_count() // 2
 
 
 PRUNE_CASES = [((2, 1), 0, "exact", None)] + [
@@ -554,8 +557,7 @@ def test_level_with_nothing_left_to_evaluate():
     assert report.min_excluded_fsup == 0.5
     assert report.condition_i_pass and report.condition_ii_pass
     assert engine._kappa_level_estimate(graph.f_sup, graph.sigma_min, 1) == -math.inf
-    _, thr_ii = engine._thresholds(f, CubeGridSpec(n=1, k=5), EXACT)
-    (rows, index), inherited = engine._unresolved_children(f, graph, EXACT, thr_ii)
+    (rows, index), inherited = engine._unresolved_children(f, graph, EXACT)
     assert rows.shape == (0, 2) and index.shape == (0,) and inherited == 0.5
 
 
@@ -567,8 +569,7 @@ def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_su
     for ar in (EXACT, make_arithmetic("rounded", 12), make_arithmetic("rounded", 3)):
         level = whole_level(f, CubeGridSpec(n=2, k=1), ar)
         finer = CubeGridSpec(n=2, k=2)
-        (rows, index), inherited = engine._unresolved_children(
-            f, level, ar, engine._thresholds(f, finer, ar)[1])
+        (rows, index), inherited = engine._unresolved_children(f, level, ar)
         whole_rows, whole_index = sphere.canonical_grid(finer)
         child_rows, child_index = sphere.children(level.spec, level.rows)
         assert np.array_equal(rows, whole_rows) and np.array_equal(rows, child_rows)
@@ -677,18 +678,15 @@ def _as_level(graph):
                                for k in dataclasses.fields(engine.GridLevel)})
 
 
-def _assert_graph_layer_matches_dense(fn, graph, comps, report, ar, monkeypatch):
-    """The level's labels, components and minimum equal the dense
+def _assert_graph_layer_matches_dense(fn, graph, ids, report, ar, monkeypatch):
+    """The level's labels, component ids and minimum equal the dense
     reference's and its edges are a spanning forest of the graph; so are
     those of the level rebuilt with one-row blocks, whose distance arrays
     hold at most V entries."""
     points, radii, V = graph.vertex_points, graph.radii, graph.n_vertices
     labels, min_cross, near = dense_proximity(points, radii, ar)
-    groups = {}
-    for v, root in enumerate(labels.tolist()):
-        groups.setdefault(root, []).append(v)
-    assert np.array_equal(comps.labels, labels)
-    assert comps.components == [groups[root] for root in sorted(groups)]
+    assert np.array_equal(graph.labels, labels)
+    assert ids.tolist() == sorted(set(labels.tolist()))
     assert _bits(report.min_intercomponent_distance) == _bits(min_cross)
     _assert_spanning_forest(graph.edges, labels, near)
     sizes, distances = [], sphere.pairwise_distances
@@ -715,8 +713,9 @@ MODES = [("exact", None), ("rounded", 53), ("rounded", 24), ("rounded", 12)]
 def test_graph_layer_matches_dense_reference(univariate_suite, multivariate_suite,
                                              levels_to_halt, monkeypatch, mode, bits):
     """The pivot layer gives the labels, components and minimum of the full
-    distance matrix, on both oracle suites (rounded: the (1,1) systems), at
-    the halting level and the one before it, which does not halt."""
+    distance matrix, on both oracle suites (rounded: the members marked
+    rounded_feasible), at the halting level and the one before it, which
+    does not halt."""
     ar = make_arithmetic(mode, bits)
     systems = [case["system"] for case in univariate_suite] + [
         case["system"] for case in multivariate_suite
@@ -725,8 +724,8 @@ def test_graph_layer_matches_dense_reference(univariate_suite, multivariate_suit
     for f in systems:
         levels = levels_to_halt(f, ar)
         assert len(levels) >= 2
-        for fn, graph, comps, report in levels[-2:]:
-            _assert_graph_layer_matches_dense(fn, graph, comps, report, ar, monkeypatch)
+        for fn, graph, ids, report in levels[-2:]:
+            _assert_graph_layer_matches_dense(fn, graph, ids, report, ar, monkeypatch)
 
 
 def test_graph_layer_matches_dense_reference_n3(monkeypatch):
@@ -738,14 +737,14 @@ def test_graph_layer_matches_dense_reference_n3(monkeypatch):
         [{"J": [0, 0, 0, 2], "c": 1.0}, {"J": [2, 0, 0, 0], "c": -0.5},
          {"J": [0, 0, 2, 0], "c": 0.25}],
     ]}).normalized()
+    result, levels = _graphed_levels(f, EXACT, 9 - engine.initial_level(3) + 1)
+    assert result.status == "iteration-cap-reached"
     sizes = []
-    for graph, comps, report, _ in engine._levels(f):
+    for graph, ids, report in levels:
         if graph.spec.k >= 7:
-            assert len(comps.components) == 4
+            assert len(ids) == 4
             sizes.append(graph.n_vertices)
-            _assert_graph_layer_matches_dense(f, graph, comps, report, EXACT, monkeypatch)
-        if graph.spec.k == 9:
-            break
+            _assert_graph_layer_matches_dense(f, graph, ids, report, EXACT, monkeypatch)
     assert sizes == [32, 180, 1736]
 
 
