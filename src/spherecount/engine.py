@@ -27,6 +27,16 @@ grid.  When a whole-grid level resolves nothing, as at coarse levels and
 at low precision, the next level is the whole grid again, taken without
 expanding children.
 
+The grids are nested: the level-k point y 2^-k is the level-(k+1) point
+(2y) 2^-(k+1), exactly.  So a run evaluates one whole canonical grid of at
+most _COARSE rows, at the finest level K it may reach within the cap
+(`_coarse_grid`), and each level k <= K reads its rows' data from it, the
+same bits its own evaluation gives (`evaluate_level`).  Levels past K, and
+every level of a run whose first grid is larger, evaluate their rows
+themselves.  A run's coarse levels hold tens of rows each, so their cost
+is mostly the point kernel's fixed cost per call, and one call serves them
+all.
+
 Grid data is computed once per antipodal pair: every certified quantity is
 invariant under x -> -x, so the engine evaluates only canonical points
 (first nonzero lattice coordinate positive) and takes each vertex's
@@ -58,7 +68,8 @@ reads every distance from it; a larger level never holds the V x V
 matrix.
 
 One loop runs every level (`count_levels`): it makes the level's rows,
-runs `evaluate_level` (points, residuals, sigma_min and the vertex test),
+runs `evaluate_level` (points, residuals, sigma_min and the vertex test,
+or their selection from the coarse grid),
 then `build_graph` on the evaluated level, `connected_components` and
 `halting_report`.  `count_roots` graphs every level.  `sweep` keeps no
 reports (`count_levels(..., reports=False)`): it graphs a level only where
@@ -80,6 +91,7 @@ from .rounding import EXACT, make_arithmetic
 
 _CHUNK = 1 << 15
 _BLOCK = 1 << 16  # distance entries per row block of the graph layer
+_COARSE = 1 << 10  # canonical rows of the largest grid a run's coarse levels read from
 
 
 class InternalConsistencyError(RuntimeError):
@@ -136,7 +148,7 @@ class IterationReport:
 class LevelTrace:
     """Per-level figures for `count --trace`, outside the result document."""
 
-    evaluated: int               # grid points with computed data, antipodes included
+    evaluated: int               # the level's rows and their antipodes, computed or selected
     thr_i: float                 # condition (i) threshold
     thr_ii: float                # condition (ii) threshold
 
@@ -222,6 +234,7 @@ def evaluate_level(
     ar=EXACT,
     workers: int = 1,
     inherited_fsup: float = math.inf,
+    grid: GridLevel | None = None,
 ) -> GridLevel:
     """Evaluate a grid level's points and take the mode's vertex test.
 
@@ -231,14 +244,35 @@ def evaluate_level(
     `sphere.children` return them; both check the grid cap where they make
     the rows.  The grid points left out must be certified non-vertices
     whose residuals are at least `inherited_fsup`.  Each row is projected
-    and gets its residual sup norm and sigma_min, _CHUNK rows at a time,
-    the chunks split over `workers` threads; a row's antipode has the same
-    data, with the point negated.  The level's graph is
-    `build_graph(f, level, ar)`, through the same provider.
+    and gets its residual sup norm and sigma_min (`_point_data`); a row's
+    antipode has the same data, with the point negated.  The level's graph
+    is `build_graph(f, level, ar)`, through the same provider.
+
+    `grid`, when given, is the whole canonical grid of a level K >= k,
+    evaluated through the same provider (`_coarse_grid`).  The grids are
+    nested: a level-k row y is the level-K row 2^(K-k) y, and
+    y 2^-k = (2^(K-k) y) 2^-K exactly, so the kernel computes the same bits
+    for both.  The rows' data are then read from the grid, by one
+    `sphere.lattice_index` at K and one search in the grid's indices.
     """
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("the grid levels need a normalized system (||f|| = 1)")
     rows, row_index = level
+    if grid is None:
+        data = _point_data(f, spec, rows, ar, workers)
+    else:
+        at = np.searchsorted(grid.row_index,
+                             sphere.lattice_index(grid.spec, rows * 2 ** (grid.spec.k - spec.k)))
+        data = grid.row_points[at], grid.f_sup[at], grid.sigma_min[at], grid.vertex_mask[at]
+    return GridLevel(spec, rows, row_index, *data, inherited_fsup)
+
+
+def _point_data(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, rows: np.ndarray,
+                ar, workers: int) -> tuple:
+    """(points, f_sup, sigma_min, vertex_mask) of the level's rows: each row
+    projected, with its residual sup norm, sigma_min and the mode's vertex
+    test, _CHUNK rows at a time, the chunks split over `workers` threads.
+    Each row's data depend on that row alone."""
     m = len(rows)
     X = np.empty((m, spec.n + 1))
     f_sup = np.empty(m)
@@ -259,8 +293,38 @@ def evaluate_level(
     else:
         for b in bounds:
             work(*b)
-    return GridLevel(spec, rows, row_index, X, f_sup, smin, vertex_test(f, f_sup, smin, ar),
-                     inherited_fsup)
+    return X, f_sup, smin, vertex_test(f, f_sup, smin, ar)
+
+
+def _coarse_grid(f: polysys.PolynomialSystem, first: sphere.CubeGridSpec, ar, cap: int,
+                 max_iterations: int) -> GridLevel | None:
+    """The whole canonical grid, evaluated, that a run's levels k <= K read
+    their rows' data from (`evaluate_level`), or None.
+
+    K is the finest level the run may reach, from the first level on,
+    whose grid has at most _COARSE canonical rows and passes
+    `sphere.check_cap`.  So no row finer than the run's last level is
+    evaluated, and the grid passes every limit a level would meet there:
+    `cap` and the int64 index bound.  A run whose first grid is larger has
+    no such level, and evaluates every level's rows itself.  A run's
+    coarse levels are small, so the kernel's fixed cost per call outweighs
+    their per-row work: one call on a small grid serves them all.  The
+    grid fits in one _CHUNK, so it runs on one thread.
+    """
+    spec = None
+    for k in range(first.k, first.k + max_iterations):
+        finer = sphere.CubeGridSpec(n=first.n, k=k)
+        if finer.point_count() // 2 > _COARSE:
+            break
+        try:
+            sphere.check_cap(finer, finer.point_count(), cap)
+        except sphere.GridTooLargeError:
+            break
+        spec = finer
+    if spec is None:
+        return None
+    rows, index = sphere.canonical_grid(spec, cap)
+    return GridLevel(spec, rows, index, *_point_data(f, spec, rows, ar, 1), math.inf)
 
 
 def build_graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
@@ -755,7 +819,9 @@ def count_levels(
     A level evaluates (`evaluate_level`) the whole grid first
     (`sphere.canonical_grid`), then the children of the points the level
     before left unresolved (`_unresolved_children`), made once that level
-    has not halted; both check the point cap.  It is then graphed
+    has not halted; both check the point cap.  A level at or below the
+    run's coarse grid (`_coarse_grid`), made after the first level's rows,
+    reads its rows' data from it.  The level is then graphed
     (`build_graph`) and checked.  With reports=False the result has no
     iterations or trace either, and a level is graphed only where condition
     (ii) passes, as no other level can halt.  The count, status, condition
@@ -772,6 +838,7 @@ def count_levels(
     representatives = np.empty((0, fn.n_vars))
     spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
     rows, inherited = sphere.canonical_grid(spec, grid_cap), math.inf
+    grid = _coarse_grid(fn, spec, ar, grid_cap, max_iterations)
     for done in range(max_iterations):
         if done:
             spec = sphere.CubeGridSpec(n=fn.n, k=spec.k + 1)
@@ -780,7 +847,8 @@ def count_levels(
             except sphere.GridTooLargeError:
                 # A later level over the cap ends the run as the last level does.
                 break
-        level = evaluate_level(fn, spec, rows, ar, workers, inherited)
+        served = grid if grid is not None and spec.k <= grid.spec.k else None
+        level = evaluate_level(fn, spec, rows, ar, workers, inherited, served)
         thr_i, thr_ii = _thresholds(fn, spec, ar)
         kappa = _kappa_level_estimate(level.f_sup, level.sigma_min, fn.n)
         result.kappa_lower_bound = max(result.kappa_lower_bound, kappa)

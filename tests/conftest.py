@@ -45,8 +45,8 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-@pytest.fixture(scope="session")
-def univariate_suite():
+def univariate_cases():
+    """The univariate suite: [{"system", "count", "kappa_hat"}], in draw order."""
     rng = random.Random(UNIVARIATE_RNG_SEED)
     suite = []
     while len(suite) < UNIVARIATE_SIZE:
@@ -61,8 +61,9 @@ def univariate_suite():
     return suite
 
 
-@pytest.fixture(scope="session")
-def multivariate_suite():
+def multivariate_cases():
+    """The multivariate suite: [{"system", "count", "rays", "degrees", "seed",
+    "rounded_feasible"}], in MULTIVARIATE_SPEC order."""
     suite = []
     for degrees, coeff_range, min_sigma, seeds in MULTIVARIATE_SPEC:
         for seed in seeds:
@@ -82,3 +83,13 @@ def multivariate_suite():
             )
     assert len(suite) == 10
     return suite
+
+
+@pytest.fixture(scope="session")
+def univariate_suite():
+    return univariate_cases()
+
+
+@pytest.fixture(scope="session")
+def multivariate_suite():
+    return multivariate_cases()

@@ -533,17 +533,19 @@ def test_kappa_grid_beyond_cap(system_file, capsys):
 
 
 def test_sweep_document(system_file, capsys):
+    """Each row's u is 2^-t for its bit count t, down to the host's 2^-53:
+    from 53 bits on nothing is rounded."""
     rc = cli.main(
-        ["sweep", "--input", system_file(TWOLINES), "--bits", "53,24"]
+        ["sweep", "--input", system_file(TWOLINES), "--bits", "64,53,24"]
     )
     captured = capsys.readouterr()
     assert rc == 0
     doc = json.loads(captured.out)
     assert doc["exact_count"] == 2
     assert doc["required_precision"] > 0
-    assert [row["bits"] for row in doc["rows"]] == [53, 24]
+    assert [row["bits"] for row in doc["rows"]] == [64, 53, 24]
+    assert [row["u"] for row in doc["rows"]] == [2.0**-53, 2.0**-53, 2.0**-24]
     for row in doc["rows"]:
-        assert row["u"] == math.ldexp(1.0, -row["bits"])
         assert row["status"] == "converged"
         assert row["agrees_with_exact"] is True
 

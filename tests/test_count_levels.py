@@ -1,12 +1,17 @@
-"""The level loop without per-level reports, as `sweep` runs it.
+"""The level loop without per-level reports, as `sweep` runs it, and the
+coarse grid its small levels read from.
 
 `count_levels(..., reports=False)` evaluates every level's points and
 vertex test but builds a level's vertex list, radii and graph only where
 condition (ii) passes.  Its count, status, condition estimate and
 representatives must be those of the loop with reports, bit for bit, and
-its caps must act at the same levels.
+its caps must act at the same levels.  A level at or below the run's
+coarse grid (`engine._coarse_grid`) reads its rows' data from that grid;
+they must be the bits its own evaluation gives, and the grid must pass no
+cap and no last level the run has.
 """
 
+import dataclasses
 import functools
 import random
 
@@ -137,9 +142,18 @@ def test_later_cap_ends_the_run_at_the_same_level(monkeypatch, doc, bits, cap, e
     """A grid cap that bites at a later, non-halting level ends both loops
     as iteration-cap-reached, after the same levels.  The cap counts
     points only: X1^3 - X0 X1^2 runs to k = 12, whose 100 vertices make
-    4,950 pairs, and stops at k = 13."""
+    4,950 pairs, and stops at k = 13.  The coarse grid stays within the
+    cap, which at 1000 is below the grid it takes uncapped (k = 8, 2048
+    points), and the run ends as it does with no coarse grid at all."""
     fn = parse_system(doc).normalized()
     ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    grids, coarse_grid = [], engine._coarse_grid
+
+    def recorded(*args):
+        grids.append(coarse_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(engine, "_coarse_grid", recorded)
     (full, full_ks, full_errors), (bare, bare_ks, bare_errors) = [
         _levels_run(monkeypatch, lambda r=r: engine.count_levels(fn, ar, 24, grid_cap=cap,
                                                                  reports=r))
@@ -149,6 +163,80 @@ def test_later_cap_ends_the_run_at_the_same_level(monkeypatch, doc, bits, cap, e
     assert [it.k for it in full.iterations] == full_ks == bare_ks
     assert 1 < len(full_ks) < 24
     assert full_errors == bare_errors and len(full_errors) == 1 and error in full_errors[0]
+    assert len(grids) == 2 and all(g.spec.point_count() <= cap for g in grids)
+    monkeypatch.setattr(engine, "_COARSE", 0)
+    plain, plain_ks, plain_errors = _levels_run(
+        monkeypatch, lambda: engine.count_levels(fn, ar, 24, grid_cap=cap))
+    assert grids[-1] is None
+    assert plain.to_dict() == full.to_dict()
+    assert (plain_ks, plain_errors) == (full_ks, full_errors)
+
+
+def _same_bits(a: engine.GridLevel, b: engine.GridLevel) -> bool:
+    """Every field of two evaluated levels equal, arrays bit for bit."""
+    for field in dataclasses.fields(engine.GridLevel):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            if x.dtype != y.dtype or x.shape != y.shape:
+                return False
+            if x.dtype == float:
+                x, y = x.view(np.int64), y.view(np.int64)
+            if not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("bits", [None, 53, 24, 12])
+def test_served_levels_hold_their_own_evaluation(univariate_suite, multivariate_suite,
+                                                 monkeypatch, bits):
+    """A level read from the run's coarse grid equals `evaluate_level` on
+    its own rows, bit for bit, whole-grid and pruned levels alike, at
+    n = 1 and n = 2."""
+    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    (pair,) = [c["system"] for c in multivariate_suite
+               if c["degrees"] == (1, 1) and c["seed"] == 0]
+    evaluate, pruned = engine.evaluate_level, []
+    for f in (univariate_suite[0]["system"], univariate_suite[5]["system"], pair):
+        served = []
+
+        def checked(f, spec, level, ar, workers, inherited, grid):
+            got = evaluate(f, spec, level, ar, workers, inherited, grid)
+            if grid is not None:
+                served.append(_same_bits(got, evaluate(f, spec, level, ar, workers, inherited)))
+                pruned.append(2 * len(level[0]) < spec.point_count())
+            return got
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "evaluate_level", checked)
+            result, _ = engine.count_levels(f.normalized(), ar)
+        assert result.status == "converged"
+        assert len(served) > 1 and all(served)
+    assert any(pruned)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_no_row_past_the_last_level_is_evaluated(multivariate_suite, monkeypatch, levels):
+    """A run of at most `levels` levels projects no grid point finer than
+    its last level's: the coarse grid stops there too."""
+    (pair,) = [c["system"] for c in multivariate_suite
+               if c["degrees"] == (1, 1) and c["seed"] == 0]
+    project, projected = sphere.project_many, []
+
+    def recorded(Y, *args):
+        projected.append(np.asarray(Y))
+        return project(Y, *args)
+
+    monkeypatch.setattr(sphere, "project_many", recorded)
+    for fn in (parse_system(DOUBLE).normalized(), pair.normalized()):
+        for reports in (True, False):
+            projected.clear()
+            engine.count_levels(fn, EXACT, levels, reports=reports)
+            last = engine.initial_level(fn.n) + levels - 1
+            scaled = np.concatenate(projected) * 2**last
+            assert len(scaled) and np.array_equal(scaled, np.round(scaled))
+            assert not np.array_equal(scaled / 2, np.round(scaled / 2))
 
 
 def test_index_bound_ends_the_run_at_the_same_level(monkeypatch):

@@ -639,9 +639,10 @@ def test_one_block_level_computes_each_norm_once(monkeypatch):
 def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, monkeypatch):
     """Each level's rows come with their grid_lattice indices, so
     sphere.lattice_index runs once per level that expands children, from
-    sphere.children only: never in build_graph."""
-    callers, expansions = [], []
-    lattice_index, children = sphere.lattice_index, sphere.children
+    sphere.children, and once per level that reads its rows' data from the
+    run's coarse grid, from evaluate_level: never in build_graph."""
+    callers, expansions, served = [], [], []
+    lattice_index, children, evaluate = sphere.lattice_index, sphere.children, engine.evaluate_level
 
     def counted_index(spec, rows):
         callers.append(sys._getframe(1).f_code.co_name)
@@ -651,16 +652,23 @@ def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, m
         expansions.append(args[0].k)
         return children(*args, **kwargs)
 
+    def counted_level(*args):
+        served.append(args[6] is not None)
+        return evaluate(*args)
+
     monkeypatch.setattr(sphere, "lattice_index", counted_index)
     monkeypatch.setattr(sphere, "children", counted_children)
+    monkeypatch.setattr(engine, "evaluate_level", counted_level)
     f = _suite_system(multivariate_suite, (1, 1), 0)
     runs = [(f, "exact", None), (f, "rounded", 24), (univariate_suite[0]["system"], "exact", None)]
     for g, mode, bits in runs:
         callers.clear()
         expansions.clear()
+        served.clear()
         assert engine.count_roots(g, mode=mode, bits=bits).status == "converged"
-        assert len(expansions) > 0
-        assert callers == ["children"] * len(expansions)
+        assert len(expansions) > 0 and any(served)
+        assert sorted(callers) == sorted(["children"] * len(expansions)
+                                         + ["evaluate_level"] * sum(served))
 
 
 def _assert_spanning_forest(edges, labels, near):
