@@ -18,7 +18,7 @@ the children of the points its predecessor left unresolved: a point whose
 residual exceeds, by the Lipschitz bound over its cell plus a round-off
 margin, both the vertex bound and the next condition (ii) threshold
 certifies every finer grid point in its cell as a non-vertex that passes
-(ii) (`_unresolved_children`).  The margin and the vertex bound come from
+(ii) (`_prune`).  The margin and the vertex bound come from
 one round-off derivation at the provider's unit round-off
 (`_prune_bounds`); host arithmetic is the case u = 2^-53.  The skipped
 points enter condition (ii) through that certified lower bound, so the
@@ -30,12 +30,20 @@ expanding children.
 The grids are nested: the level-k point y 2^-k is the level-(k+1) point
 (2y) 2^-(k+1), exactly.  So a run evaluates one whole canonical grid of at
 most _COARSE rows, at the finest level K it may reach within the cap
-(`_coarse_grid`), and each level k <= K reads its rows' data from it, the
-same bits its own evaluation gives (`evaluate_level`).  Levels past K, and
-every level of a run whose first grid is larger, evaluate their rows
-themselves.  A run's coarse levels hold tens of rows each, so their cost
-is mostly the point kernel's fixed cost per call, and one call serves them
-all.
+(`_coarse_grid`), and serves each level k <= K from it, with the same bits
+its own evaluation gives.  A served level is a sorted array of positions
+in that grid, as scaling keeps grid order: its kappa estimate and its
+condition (ii) minimum are gathers from per-row arrays computed once per
+run, its pruning bound is computed on its gathered residuals, and the next
+level's positions come from a table of each row's canonical children,
+built once per process (`_served_tables`).  No served level calls
+`sphere.children` or the point kernel; an evaluated level, a `GridLevel`,
+is made from its positions (`_served_level`) only where it is graphed or
+where level K hands over to `sphere.children`.  Levels past K, and every
+level of a run whose first grid is larger, evaluate their rows themselves
+(`evaluate_level`).  A run's coarse levels hold tens of rows each, so
+their cost is mostly fixed cost per call: one kernel call serves them
+all, and each level then costs a few array operations.
 
 Grid data is computed once per antipodal pair: every certified quantity is
 invariant under x -> -x, so the engine evaluates only canonical points
@@ -51,8 +59,9 @@ deduplicates by, and an antipode's index is closed form
 (`sphere.antipode_index`).  So `build_graph` lists the vertices in grid
 order without locating any row in the grid again.  The grid cap is the
 only limit: it bounds the points a level holds, and is checked only where
-a level's rows are made, by those two functions.  The engine passes it
-on and checks nothing itself.
+a level's rows are made, by those two functions; the coarse grid passes
+it, so the levels it serves, which are no larger, need no check.  The
+engine passes it on and checks nothing itself.
 
 The graph layer labels components from pivots (`_proximity`): the
 smallest unlabelled vertex takes one distance row, which holds its
@@ -68,13 +77,13 @@ reads every distance from it; a larger level never holds the V x V
 matrix.
 
 One loop runs every level (`count_levels`): it makes the level's rows,
-runs `evaluate_level` (points, residuals, sigma_min and the vertex test,
-or their selection from the coarse grid),
-then `build_graph` on the evaluated level, `connected_components` and
-`halting_report`.  `count_roots` graphs every level.  `sweep` keeps no
-reports (`count_levels(..., reports=False)`): it graphs a level only where
+runs `evaluate_level` (points, residuals, sigma_min and the vertex test)
+or serves the level from the coarse grid, then `build_graph` on the
+evaluated level, `connected_components` and `halting_report`.
+`count_roots` graphs every level.  `sweep` keeps no reports
+(`count_levels(..., reports=False)`): it graphs a level only where
 condition (ii) passes, since no other level can halt, and reads each
-level's kappa estimate from the evaluated points.
+level's kappa estimate from the evaluated or served points.
 """
 
 from __future__ import annotations
@@ -91,7 +100,7 @@ from .rounding import EXACT, make_arithmetic
 
 _CHUNK = 1 << 15
 _BLOCK = 1 << 16  # distance entries per row block of the graph layer
-_COARSE = 1 << 10  # canonical rows of the largest grid a run's coarse levels read from
+_COARSE = 1 << 11  # canonical rows of the largest grid a run's coarse levels read from
 
 
 class InternalConsistencyError(RuntimeError):
@@ -234,7 +243,6 @@ def evaluate_level(
     ar=EXACT,
     workers: int = 1,
     inherited_fsup: float = math.inf,
-    grid: GridLevel | None = None,
 ) -> GridLevel:
     """Evaluate a grid level's points and take the mode's vertex test.
 
@@ -247,24 +255,12 @@ def evaluate_level(
     and gets its residual sup norm and sigma_min (`_point_data`); a row's
     antipode has the same data, with the point negated.  The level's graph
     is `build_graph(f, level, ar)`, through the same provider.
-
-    `grid`, when given, is the whole canonical grid of a level K >= k,
-    evaluated through the same provider (`_coarse_grid`).  The grids are
-    nested: a level-k row y is the level-K row 2^(K-k) y, and
-    y 2^-k = (2^(K-k) y) 2^-K exactly, so the kernel computes the same bits
-    for both.  The rows' data are then read from the grid, by one
-    `sphere.lattice_index` at K and one search in the grid's indices.
     """
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("the grid levels need a normalized system (||f|| = 1)")
     rows, row_index = level
-    if grid is None:
-        data = _point_data(f, spec, rows, ar, workers)
-    else:
-        at = np.searchsorted(grid.row_index,
-                             sphere.lattice_index(grid.spec, rows * 2 ** (grid.spec.k - spec.k)))
-        data = grid.row_points[at], grid.f_sup[at], grid.sigma_min[at], grid.vertex_mask[at]
-    return GridLevel(spec, rows, row_index, *data, inherited_fsup)
+    return GridLevel(spec, rows, row_index, *_point_data(f, spec, rows, ar, workers),
+                     inherited_fsup)
 
 
 def _point_data(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, rows: np.ndarray,
@@ -296,20 +292,32 @@ def _point_data(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, rows: np
     return X, f_sup, smin, vertex_test(f, f_sup, smin, ar)
 
 
+@dataclass
+class CoarseGrid(GridLevel):
+    """The whole canonical grid of a run's level K, evaluated, and what the
+    levels it serves gather from it (`_coarse_grid`)."""
+
+    kappa: np.ndarray            # (m,) each row's kappa estimate (`_kappa_estimates`)
+    excluded: np.ndarray         # (m,) f_sup where the vertex test fails, inf where it passes
+    levels: tuple                # `_served_tables(n, K, k0)`: (whole, children) per level
+
+
 def _coarse_grid(f: polysys.PolynomialSystem, first: sphere.CubeGridSpec, ar, cap: int,
-                 max_iterations: int) -> GridLevel | None:
-    """The whole canonical grid, evaluated, that a run's levels k <= K read
-    their rows' data from (`evaluate_level`), or None.
+                 max_iterations: int) -> CoarseGrid | None:
+    """The whole canonical grid, evaluated, that serves a run's levels
+    k <= K, or None.
 
     K is the finest level the run may reach, from the first level on,
     whose grid has at most _COARSE canonical rows and passes
     `sphere.check_cap`.  So no row finer than the run's last level is
     evaluated, and the grid passes every limit a level would meet there:
-    `cap` and the int64 index bound.  A run whose first grid is larger has
-    no such level, and evaluates every level's rows itself.  A run's
-    coarse levels are small, so the kernel's fixed cost per call outweighs
-    their per-row work: one call on a small grid serves them all.  The
-    grid fits in one _CHUNK, so it runs on one thread.
+    `cap` and the int64 index bound.  A served level holds at most the
+    grid's points, so it passes them too and is made without a check.  A
+    run whose first grid is larger has no such level, and evaluates every
+    level's rows itself.  A run's coarse levels are small, so the kernel's
+    fixed cost per call outweighs their per-row work: one call on a small
+    grid serves them all.  The grid fits in one _CHUNK, so it runs on one
+    thread.
     """
     spec = None
     for k in range(first.k, first.k + max_iterations):
@@ -324,7 +332,64 @@ def _coarse_grid(f: polysys.PolynomialSystem, first: sphere.CubeGridSpec, ar, ca
     if spec is None:
         return None
     rows, index = sphere.canonical_grid(spec, cap)
-    return GridLevel(spec, rows, index, *_point_data(f, spec, rows, ar, 1), math.inf)
+    X, f_sup, smin, mask = _point_data(f, spec, rows, ar, 1)
+    return CoarseGrid(spec, rows, index, X, f_sup, smin, mask, math.inf,
+                      kappa=_kappa_estimates(f_sup, smin, f.n),
+                      excluded=np.where(mask, math.inf, f_sup),
+                      levels=_served_tables(f.n, spec.k, first.k))
+
+
+@lru_cache(maxsize=8)
+def _served_tables(n: int, K: int, k0: int) -> tuple:
+    """(whole, children) for each level k0..K of a run whose coarse grid
+    is at K, as positions in that grid's canonical rows.
+
+    The grids are nested: the level-k row y is the level-K row
+    2^(K-k) y, and y 2^-k = (2^(K-k) y) 2^-K exactly, so the kernel
+    computes the same bits for both.  Scaling keeps a row's face block and
+    its C order within the block, so a level's rows, in grid order, are
+    increasing positions.  `whole` holds those of the whole level-k grid:
+    the coarse rows whose coordinates 2^(K-k) divides.  `children` (None
+    at K) has one row per row of the whole level-k grid, in that order:
+    the positions of its canonical level-(k+1) children
+    (`sphere.child_candidates`, the expansion `sphere.children` makes),
+    each once, increasing, and padded with the first.  So the children of
+    level-k positions p are the distinct values (`_distinct`) of the table
+    rows `np.searchsorted(whole, p)`: the rows `sphere.children` returns,
+    in the same order.  The arrays are read-only.
+    """
+    coarse = sphere.CubeGridSpec(n=n, k=K)
+    rows, index = sphere.canonical_grid(coarse)
+    levels = []
+    for k in range(k0, K + 1):
+        whole = np.flatnonzero((rows % 2 ** (K - k) == 0).all(axis=1))
+        whole.flags.writeable = False
+        table = None
+        if k < K:
+            cand, parent = sphere.child_candidates(sphere.CubeGridSpec(n=n, k=k),
+                                                   (rows[whole] >> (K - k)).T)
+            child = np.searchsorted(index,
+                                    sphere.lattice_index(coarse, (cand << (K - k - 1)).T))
+            # Each (parent, child) pair once, by parent and then position.
+            pair = _distinct(np.repeat(parent, 3**n) * len(rows) + child)
+            parent, child = np.divmod(pair, len(rows))
+            first = np.searchsorted(parent, np.arange(len(whole)))
+            slot = np.arange(len(pair)) - first[parent]
+            table = np.repeat(child[first, None], slot.max() + 1, axis=1)
+            table[parent, slot] = child
+            table.flags.writeable = False
+        levels.append((whole, table))
+    return tuple(levels)
+
+
+def _served_level(grid: CoarseGrid, spec: sphere.CubeGridSpec, pos: np.ndarray,
+                  inherited_fsup: float) -> GridLevel:
+    """The evaluated level of spec whose rows are the coarse grid's rows at
+    positions `pos`, scaled down to its level: what `evaluate_level` gives
+    on those rows, bit for bit."""
+    rows = grid.rows[pos] >> (grid.spec.k - spec.k)
+    return GridLevel(spec, rows, sphere.lattice_index(spec, rows), grid.row_points[pos],
+                     grid.f_sup[pos], grid.sigma_min[pos], grid.vertex_mask[pos], inherited_fsup)
 
 
 def build_graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
@@ -441,7 +506,12 @@ def _proximity(points: np.ndarray, radii: np.ndarray, ar, mirror: np.ndarray) ->
 
     Minimum.  A level with V^2 <= _BLOCK computes its distances as one
     matrix, reads the pivot rows and exact tests from it, and takes the
-    minimum over its cross-component entries.  A larger level holds no
+    minimum over its cross-component entries.  It computes the rows of one
+    vertex of each antipodal pair only, and reads the row of -x from that
+    of x at the mirrored columns: d(-x, y) = d(x, -y) bit for bit, as both
+    dot products are the same rounded products negated (rounding to
+    nearest is symmetric), the norms are equal, and so both distances take
+    arccos of the same clamped quotient.  A larger level holds no
     distance array of more than max(_BLOCK, V) entries.  Its U starts as
     the smallest entry of a pivot row outside the pivot's component, a
     distance between components.  Each component b takes one more row from
@@ -459,8 +529,14 @@ def _proximity(points: np.ndarray, radii: np.ndarray, ar, mirror: np.ndarray) ->
     """
     V = len(points)
     slack = _bound_slack(points.shape[1], float(np.max(radii, initial=0.0)), ar)
-    # Y = None computes each norm once.
-    whole = sphere.pairwise_distances(points, ar) if V * V <= _BLOCK else None
+    whole = None
+    if V * V <= _BLOCK:
+        # Rows of one vertex of each antipodal pair; d(-x, y) = d(x, -y)
+        # fills the others.
+        half = np.flatnonzero(np.arange(V) < mirror)
+        whole = np.empty((V, V))
+        whole[half] = sphere.pairwise_distances(points[half], ar, points)
+        whole[mirror[half]] = whole[half][:, mirror]
 
     def blocks(rows, cols):
         """(lo, distances from rows[lo:lo + step] to cols) over the rows."""
@@ -750,12 +826,14 @@ def _prune_bounds(f: polysys.PolynomialSystem, ar, a0: float) -> tuple[float, fl
     return 2.0 * e_f + e_c, floor
 
 
-def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
-                         cap: int = sphere.DEFAULT_GRID_CAP):
-    """The next level's (rows, index) pair, the rows it must evaluate and
-    their grid_lattice indices, and the next level's inherited bound.
+def _prune(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, f_sup: np.ndarray,
+           inherited_fsup: float, ar) -> tuple[np.ndarray | None, float]:
+    """(unresolved, inherited): which points of an evaluated level keep
+    their cells for the next level, and the next level's inherited bound.
 
-    The descendants of an evaluated level-k point p (its children 2p + e,
+    `f_sup` holds the residuals of the level's evaluated canonical rows,
+    and `inherited_fsup` the bound of the points it skipped.  The
+    descendants of an evaluated level-k point p (its children 2p + e,
     e in {-1, 0, 1}^(n+1), their children, and so on) lie on the cube
     within sup-distance sum_i 2^-(k+i) < 2^-k of p, so by the projection
     bound d(phi(y), phi(z)) <= (pi/2) ||y - z|| within angle
@@ -773,21 +851,57 @@ def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
     above the smallest b(p) over all resolved points, which the returned
     bound carries.
 
-    A level that evaluated the whole grid and resolved nothing passes on
-    the whole next grid, `sphere.canonical_grid(finer)`: the same rows as
-    the children of all its rows, without expanding 3^(n+1) candidates
-    each.
-    An empty level stays empty.
+    unresolved is None when the level holds the whole grid and resolves
+    nothing: the next level is then the whole finer grid, the same rows as
+    the children of all its rows, taken without expanding them.
     """
-    finer = sphere.CubeGridSpec(n=level.spec.n, k=level.spec.k + 1)
+    finer = sphere.CubeGridSpec(n=spec.n, k=spec.k + 1)
     rho = 0.5 * math.pi * finer.eta * math.sqrt(f.n + 1)
     c = _run_constants(f, ar)
-    bound = level.f_sup - 2.0 * math.sqrt(f.D) * rho - c.margin
+    bound = f_sup - 2.0 * math.sqrt(f.D) * rho - c.margin
     resolved = bound > max(c.floor, float(_thresholds(f, finer, ar)[1]))
-    if not resolved.any() and 2 * len(level.rows) == level.spec.point_count():
-        return sphere.canonical_grid(finer, cap), level.inherited_fsup
-    inherited = min(level.inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
-    return sphere.children(level.spec, level.rows[~resolved], cap), inherited
+    if not resolved.any() and 2 * len(f_sup) == spec.point_count():
+        return None, inherited_fsup
+    return ~resolved, min(inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
+
+
+def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
+                         cap: int = sphere.DEFAULT_GRID_CAP):
+    """The next level's (rows, index) pair, the rows it must evaluate and
+    their grid_lattice indices, and the next level's inherited bound: the
+    children of the level's unresolved rows (`_prune`, `sphere.children`),
+    or the whole finer grid (`sphere.canonical_grid`).  Both check `cap`.
+    An empty level stays empty.
+    """
+    keep, inherited = _prune(f, level.spec, level.f_sup, level.inherited_fsup, ar)
+    if keep is None:
+        finer = sphere.CubeGridSpec(n=level.spec.n, k=level.spec.k + 1)
+        return sphere.canonical_grid(finer, cap), inherited
+    return sphere.children(level.spec, level.rows[keep], cap), inherited
+
+
+def _served_children(f: polysys.PolynomialSystem, grid: CoarseGrid, spec: sphere.CubeGridSpec,
+                     pos: np.ndarray, inherited_fsup: float, ar) -> tuple[np.ndarray, float]:
+    """The next level's positions and inherited bound after the level of
+    spec served at positions `pos` of the coarse grid, k < K: what
+    `_unresolved_children` gives, read from the grid's tables
+    (`_served_tables`)."""
+    keep, inherited = _prune(f, spec, grid.f_sup[pos], inherited_fsup, ar)
+    # grid.levels ends at K: level k is entry k - K - 1.
+    if keep is None:
+        return grid.levels[spec.k - grid.spec.k][0], inherited
+    whole, table = grid.levels[spec.k - grid.spec.k - 1]
+    return _distinct(table[np.searchsorted(whole, pos[keep])]), inherited
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, increasing, as `np.unique(x)` gives them,
+    by one sort.  On arrays this small np.unique's hashing costs two to
+    eight times more, and it imports numpy.ma (about 1 MB)."""
+    x = np.sort(x, axis=None)
+    first = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return x[first]
 
 
 def initial_level(n: int) -> int:
@@ -796,12 +910,17 @@ def initial_level(n: int) -> int:
     return max(1, math.ceil(-math.log2(eta0)))
 
 
-def _kappa_level_estimate(f_sup: np.ndarray, smin: np.ndarray, n: int) -> float:
+def _kappa_estimates(f_sup: np.ndarray, smin: np.ndarray, n: int) -> np.ndarray:
+    """min{mu_norm(f, x), 1 / ||f(x)||_inf} at each point, mu_norm = sqrt(n) / sigma_min."""
     # Quotients the selects discard may divide by 0, and 1 / (a subnormal) overflows.
     with np.errstate(divide="ignore", over="ignore"):
         mu = np.where(smin > 0, math.sqrt(n) / smin, np.inf)
         inv_res = np.where(f_sup > 0, 1.0 / f_sup, np.inf)
-    return float(np.max(np.minimum(mu, inv_res), initial=-math.inf))
+    return np.minimum(mu, inv_res)
+
+
+def _kappa_level_estimate(f_sup: np.ndarray, smin: np.ndarray, n: int) -> float:
+    return float(np.max(_kappa_estimates(f_sup, smin, n), initial=-math.inf))
 
 
 def count_levels(
@@ -820,11 +939,15 @@ def count_levels(
     (`sphere.canonical_grid`), then the children of the points the level
     before left unresolved (`_unresolved_children`), made once that level
     has not halted; both check the point cap.  A level at or below the
-    run's coarse grid (`_coarse_grid`), made after the first level's rows,
-    reads its rows' data from it.  The level is then graphed
-    (`build_graph`) and checked.  With reports=False the result has no
-    iterations or trace either, and a level is graphed only where condition
-    (ii) passes, as no other level can halt.  The count, status, condition
+    run's coarse grid (`_coarse_grid`), which is evaluated first, is
+    served from it instead: its rows are positions in that grid, the next
+    level's come from `_served_children`, and its kappa estimate and
+    condition (ii) minimum are gathers.  It is made into an evaluated
+    level (`_served_level`) only where it is graphed or, at the grid's
+    level K, where it hands over to `_unresolved_children`.  The level is
+    then graphed (`build_graph`) and checked.  With reports=False the
+    result has no iterations or trace either, and a level is graphed only
+    where condition (ii) passes, as no other level can halt.  The count, status, condition
     estimate and representatives are those of the run with reports, bit
     for bit.  `sweep`, which reads only counts and the condition estimate,
     runs this.
@@ -837,23 +960,39 @@ def count_levels(
                          original_norm=fn.original_norm)
     representatives = np.empty((0, fn.n_vars))
     spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
-    rows, inherited = sphere.canonical_grid(spec, grid_cap), math.inf
     grid = _coarse_grid(fn, spec, ar, grid_cap, max_iterations)
+    if grid is None:
+        last_served, rows = 0, sphere.canonical_grid(spec, grid_cap)
+    else:
+        last_served, pos = grid.spec.k, grid.levels[0][0]
+    inherited, level = math.inf, None
     for done in range(max_iterations):
         if done:
-            spec = sphere.CubeGridSpec(n=fn.n, k=spec.k + 1)
-            try:
-                rows, inherited = _unresolved_children(fn, level, ar, grid_cap)
-            except sphere.GridTooLargeError:
-                # A later level over the cap ends the run as the last level does.
-                break
-        served = grid if grid is not None and spec.k <= grid.spec.k else None
-        level = evaluate_level(fn, spec, rows, ar, workers, inherited, served)
+            before, spec = spec, sphere.CubeGridSpec(n=fn.n, k=spec.k + 1)
+            if spec.k <= last_served:
+                pos, inherited = _served_children(fn, grid, before, pos, inherited, ar)
+            else:
+                if level is None:
+                    level = _served_level(grid, before, pos, inherited)
+                try:
+                    rows, inherited = _unresolved_children(fn, level, ar, grid_cap)
+                except sphere.GridTooLargeError:
+                    # A later level over the cap ends the run as the last level does.
+                    break
         thr_i, thr_ii = _thresholds(fn, spec, ar)
-        kappa = _kappa_level_estimate(level.f_sup, level.sigma_min, fn.n)
+        if spec.k <= last_served:
+            level = None
+            kappa = float(np.max(grid.kappa[pos], initial=-math.inf))
+            min_excluded = min(float(np.min(grid.excluded[pos], initial=math.inf)), inherited)
+        else:
+            level = evaluate_level(fn, spec, rows, ar, workers, inherited)
+            kappa = _kappa_level_estimate(level.f_sup, level.sigma_min, fn.n)
+            min_excluded = _condition_ii(level, thr_ii)[0]
         result.kappa_lower_bound = max(result.kappa_lower_bound, kappa)
-        if not (reports or _condition_ii(level, thr_ii)[1]):
+        if not (reports or min_excluded > thr_ii):
             continue
+        if level is None:
+            level = _served_level(grid, spec, pos, inherited)
         level = build_graph(fn, level, ar)
         ids = connected_components(level)
         report = halting_report(level, ids, thr_i, thr_ii)

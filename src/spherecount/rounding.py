@@ -25,20 +25,57 @@ import numpy as np
 def round_value(t: int, x):
     """Round the significand of x to t bits, nearest-even ties.
 
-    One path for scalars and arrays: a float64 copy of x, at least 1-d,
-    becomes ldexp(rint(ldexp(m, t)), e - t) with (m, e) = frexp(x), in
-    place; for t >= 53 that is x itself (m has 53 bits).  A scalar or 0-d
-    array gives a float.  Zero, infinities and NaN pass through; a value
-    that rounds past the largest double becomes an infinity.
+    The reference is the frexp formula: with (m, e) = frexp(x), m in
+    [1/2, 1), the result is ldexp(rint(ldexp(m, t)), e - t).  m has 53
+    bits, so for t >= 53 that is x itself.  Zero, infinities and NaN pass
+    through, and a value that rounds past the largest double becomes an
+    infinity.  A float scalar, Python or numpy, or a 0-d array gives a
+    float; an array gives a new float64 array of its shape.
+
+    * Arrays: Veltkamp's split (Dekker, "A floating-point technique for
+      extending the available precision", Numer. Math. 18, 1971).  With
+      s = 53 - t and c = x (2^s + 1), computed in doubles, the split's high
+      part c - (c - x) is x rounded to 53 - s = t bits: three operations in
+      place of frexp, two ldexp and rint.  It holds while c does not
+      overflow, which |x| < 1e150 ensures for every t >= 2 (2^51 1e150 is
+      far below the largest double).  One `np.vdot(x, x) < 1e300` guard
+      checks that for the whole array; it fails for any |x| >= 1e150, and
+      for an infinity or NaN, whose square sum is inf or NaN, and the array
+      then takes the frexp formula.  Ties go to even and subnormal inputs
+      round as in the frexp formula: `tests/rounding_sweep.py` checks every
+      t = 2..52 on exact ties over the whole exponent range, on subnormals
+      and on the band 2^-1074..2^-960, bit for bit.
+    * Float scalars: the frexp formula in Python's math module, exact step
+      by step.  math.frexp splits x exactly; m 2^t is exact, a power of two
+      times a 53-bit significand below 2^53; round() rounds a float half to
+      even, as rint does; its integer, at most 2^t, converts to a double
+      exactly, and math.ldexp scales it by 2^(e - t), rounding once where
+      the result is subnormal, as np.ldexp does.  math.ldexp raises on
+      overflow where np.ldexp gives an infinity, which is returned instead.
     """
-    out = np.array(x, dtype=np.float64, ndmin=1)
-    if t < 53:
-        m, e = np.frexp(out)
-        np.ldexp(m, t, out=m)
-        np.rint(m, out=m)
+    if isinstance(x, float):
+        if t >= 53 or x == 0.0 or not math.isfinite(x):
+            return float(x)
+        m, e = math.frexp(x)
+        try:
+            return math.ldexp(round(m * 2.0**t), e - t)
+        except OverflowError:
+            return math.copysign(math.inf, x)
+    scalar = np.ndim(x) == 0
+    x = np.array(x, dtype=np.float64, ndmin=1) if scalar else np.asarray(x, dtype=np.float64)
+    if t >= 53:
+        out = x.copy()
+    elif np.vdot(x, x) < 1e300:
+        c = x * (2.0 ** (53 - t) + 1.0)
+        out = c - x
+        np.subtract(c, out, out=out)
+    else:
+        out, e = np.frexp(x)
+        np.ldexp(out, t, out=out)
+        np.rint(out, out=out)
         e -= t
-        np.ldexp(m, e, out=out)
-    return out if np.ndim(x) else float(out[0])
+        np.ldexp(out, e, out=out)
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ A row's position in that stream, its grid index, is linear in the row
 within each face block: `lattice_index` reads it from one cached table of
 weights and bases per block.  A pruned level's rows are the children of
 its predecessor's unresolved rows (`children`): expanded only along the
-faces each parent lies on, made canonical by a sign key and indexed by
-that table.  Indices are int64, so a grid of more than 2^63 - 1 points is
+faces each parent lies on (`child_candidates`), made canonical by a sign
+key and indexed by that table.  Indices are int64, so a grid of more than 2^63 - 1 points is
 refused (`check_cap`).
 """
 
@@ -239,6 +239,27 @@ def _expansion(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return steps, powers
 
 
+def child_candidates(spec: CubeGridSpec, parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical children of level-k rows, with repeats: `children`'s
+    expansion before it indexes and deduplicates them.
+
+    parents is coordinate-major, (n+1, N).  A parent is expanded once
+    along each face it lies on: P expansions of 3^n candidates each.
+    Returns the candidates, coordinate-major (n+1, 3^n P), and the parents'
+    columns, (P,): candidate c is a child of parents[:, parent[c // 3^n]].
+    """
+    dim = spec.n + 1
+    half = 2 ** (spec.k + 1)
+    steps, powers = _expansion(dim)
+    face, parent = (np.abs(parents) == 2**spec.k).nonzero()
+    cand = 2 * parents.take(parent, axis=1)[:, :, None] + steps.take(face, axis=1)
+    cand = cand.reshape(dim, -1)
+    np.minimum(cand, half, out=cand)
+    np.maximum(cand, -half, out=cand)
+    cand *= np.sign(powers @ np.sign(cand))
+    return cand, parent
+
+
 def children(spec: CubeGridSpec, rows: np.ndarray,
              cap: int = DEFAULT_GRID_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Canonical level-(k+1) rows 2p + {-1, 0, 1}^(n+1) of level-k rows p.
@@ -256,11 +277,12 @@ def children(spec: CubeGridSpec, rows: np.ndarray,
     3^n offsets a face, not 3^(n+1).  Along face j, an offset that pushes a
     second face coordinate past the surface is clipped back onto it: that
     is the child with e_i = 0 there, which the expansion already holds.
-    The candidates are held coordinate-major, (n+1, N).  Each is made
-    canonical by the sign of its key sum_i sign(c_i) 3^(n-i), which is the
-    sign of its first nonzero coordinate and stays below 3^(n+1) / 2.  One
-    `lattice_index` call indexes them all from its per-block table, and
-    one stable argsort (`np.unique`) keeps each index once.
+    The candidates (`child_candidates`) are held coordinate-major,
+    (n+1, N).  Each is made canonical by the sign of its key
+    sum_i sign(c_i) 3^(n-i), which is the sign of its first nonzero
+    coordinate and stays below 3^(n+1) / 2.  One `lattice_index` call
+    indexes them all from its per-block table, and one stable argsort
+    (`np.unique`) keeps each index once.
 
     Raises GridTooLargeError when the children and their antipodes exceed
     `cap` points, or when the finer grid's indices would not fit int64
@@ -272,18 +294,10 @@ def children(spec: CubeGridSpec, rows: np.ndarray,
     """
     dim = spec.n + 1
     finer = CubeGridSpec(n=spec.n, k=spec.k + 1)
-    half = 2**finer.k
-    steps, powers = _expansion(dim)
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim)
     index, found, held, limit = [], [], 0, cap // 2
     for lo in range(0, max(len(rows), 1), _CHUNK):
-        parents = rows[lo:lo + _CHUNK].T
-        face, parent = (np.abs(parents) == 2**spec.k).nonzero()
-        cand = 2 * parents.take(parent, axis=1)[:, :, None] + steps.take(face, axis=1)
-        cand = cand.reshape(dim, -1)
-        np.minimum(cand, half, out=cand)
-        np.maximum(cand, -half, out=cand)
-        cand *= np.sign(powers @ np.sign(cand))
+        cand, _ = child_candidates(spec, rows[lo:lo + _CHUNK].T)
         idx, first = np.unique(lattice_index(finer, cand.T), return_index=True)
         index.append(idx)
         found.append(cand.T.take(first, axis=0))

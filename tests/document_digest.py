@@ -6,7 +6,9 @@ Runs `count --trace` exact and at 53, 24 and 12 bits, each with the
 default grid cap and with `--grid-cap 5000`, and `sweep --bits 53,24,12`,
 on the univariate suite and the rounded-feasible members of the
 multivariate suite (`tests/conftest.py`): 225 runs.  It adds `count --trace`
-on an n = 3 system with `--workers 1` and `--workers 4`.  Each run is made
+on an n = 3 system with `--workers 1` and `--workers 4`, and `kappa` at
+level 8 on the univariate suite and at level 4 on those multivariate
+systems: 252 runs in all.  Each run is made
 in process through `spherecount.cli.main`; its digest covers the exit
 code, standard output and standard error.  One line per group gives the
 group, its run count and the SHA-256 of its runs' digests; the last line
@@ -53,8 +55,9 @@ def run_digest(argv: list[str]) -> bytes:
     return hashlib.sha256(run.encode()).digest()
 
 
-def groups(paths: list[str], n3_path: str) -> dict[str, list[list[str]]]:
-    """Run group name -> the argv lists of its runs."""
+def groups(paths: list[str], n3_path: str, univariate: int) -> dict[str, list[list[str]]]:
+    """Run group name -> the argv lists of its runs; the first `univariate`
+    paths hold the univariate suite."""
     out = {}
     for bits in PRECISIONS:
         mode = ["--mode", "exact"] if bits is None else ["--mode", "rounded", "--bits", str(bits)]
@@ -66,12 +69,17 @@ def groups(paths: list[str], n3_path: str) -> dict[str, list[list[str]]]:
     for workers in (1, 4):
         out[f"count-n3-workers{workers}"] = [
             ["count", "--input", n3_path, "--trace", "--workers", str(workers)]]
+    out["kappa-univariate-k8"] = [["kappa", "--input", p, "--level", "8"]
+                                  for p in paths[:univariate]]
+    out["kappa-multivariate-k4"] = [["kappa", "--input", p, "--level", "4"]
+                                    for p in paths[univariate:]]
     return out
 
 
 def main() -> int:
     print(f"spherecount from {os.path.dirname(cli.__file__)}", file=sys.stderr)
-    systems = [case["system"] for case in univariate_cases()] + [
+    univariate = [case["system"] for case in univariate_cases()]
+    systems = univariate + [
         case["system"] for case in multivariate_cases() if case["rounded_feasible"]]
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
@@ -80,7 +88,7 @@ def main() -> int:
             paths.append(os.path.join(workdir, f"system{i:02d}.json"))
             with open(paths[-1], "w") as fh:
                 fh.write(cli.canonical_json(system_to_document(f)))
-        for name, runs in groups(paths[:-1], paths[-1]).items():
+        for name, runs in groups(paths[:-1], paths[-1], len(univariate)).items():
             digest = hashlib.sha256()
             for argv in runs:
                 digest.update(run_digest(argv))

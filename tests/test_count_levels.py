@@ -1,19 +1,21 @@
 """The level loop without per-level reports, as `sweep` runs it, and the
-coarse grid its small levels read from.
+coarse grid its small levels are served from.
 
 `count_levels(..., reports=False)` evaluates every level's points and
 vertex test but builds a level's vertex list, radii and graph only where
 condition (ii) passes.  Its count, status, condition estimate and
 representatives must be those of the loop with reports, bit for bit, and
 its caps must act at the same levels.  A level at or below the run's
-coarse grid (`engine._coarse_grid`) reads its rows' data from that grid;
-they must be the bits its own evaluation gives, and the grid must pass no
-cap and no last level the run has.
+coarse grid (`engine._coarse_grid`) is served from that grid, as positions
+in it; its rows and data must be the bits that `sphere.children` and its
+own evaluation give, and the grid must pass no cap and no last level the
+run has.
 """
 
 import dataclasses
 import functools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -92,14 +94,17 @@ def test_reports_do_not_change_the_outcome_on_the_suites(univariate_suite, multi
 
 
 def _levels_run(monkeypatch, run):
-    """(result, k of every level the loop evaluated, the cap errors its
-    children raised)."""
+    """(result, k of every level the loop evaluated or served, the cap
+    errors its children raised).  The loop takes each level's thresholds
+    once, whether the level is evaluated or served from the coarse grid;
+    `_prune` takes those of the next level too, which are not counted."""
     ks, errors = [], []
-    evaluate, children = engine.evaluate_level, engine._unresolved_children
+    thresholds, children = engine._thresholds, engine._unresolved_children
 
-    def evaluated(f, spec, *args):
-        ks.append(spec.k)
-        return evaluate(f, spec, *args)
+    def recorded(f, spec, *args):
+        if sys._getframe(1).f_code.co_name == "count_levels":
+            ks.append(spec.k)
+        return thresholds(f, spec, *args)
 
     def expanded(*args):
         try:
@@ -109,7 +114,7 @@ def _levels_run(monkeypatch, run):
             raise
 
     with monkeypatch.context() as m:
-        m.setattr(engine, "evaluate_level", evaluated)
+        m.setattr(engine, "_thresholds", recorded)
         m.setattr(engine, "_unresolved_children", expanded)
         result, _ = run()
     return result, ks, errors
@@ -118,15 +123,17 @@ def _levels_run(monkeypatch, run):
 @pytest.mark.parametrize("reports", [True, False])
 def test_no_children_after_the_last_level(monkeypatch, reports):
     """A run that reaches max_iterations makes the children of every level
-    but the last: the loop expands a level only to evaluate the next."""
+    but the last: the loop expands a level only to evaluate the next.
+    Levels served from the coarse grid and evaluated levels both prune
+    through `_prune` before they expand."""
     fn = parse_system(DOUBLE).normalized()
-    expanded, children = [], engine._unresolved_children
+    expanded, prune = [], engine._prune
 
-    def counted(f, level, *args):
-        expanded.append(level.spec.k)
-        return children(f, level, *args)
+    def counted(f, spec, *args):
+        expanded.append(spec.k)
+        return prune(f, spec, *args)
 
-    monkeypatch.setattr(engine, "_unresolved_children", counted)
+    monkeypatch.setattr(engine, "_prune", counted)
     result, _ = engine.count_levels(fn, EXACT, 5, reports=reports)
     assert result.status == "iteration-cap-reached"
     assert expanded == [1, 2, 3, 4]
@@ -193,27 +200,102 @@ def test_served_levels_hold_their_own_evaluation(univariate_suite, multivariate_
                                                  monkeypatch, bits):
     """A level read from the run's coarse grid equals `evaluate_level` on
     its own rows, bit for bit, whole-grid and pruned levels alike, at
-    n = 1 and n = 2."""
+    n = 1 and n = 2.  With reports, every served level is graphed, so
+    `_served_level` makes each one's evaluated level."""
     ar = EXACT if bits is None else make_arithmetic("rounded", bits)
     (pair,) = [c["system"] for c in multivariate_suite
                if c["degrees"] == (1, 1) and c["seed"] == 0]
-    evaluate, pruned = engine.evaluate_level, []
+    served_level, pruned = engine._served_level, []
     for f in (univariate_suite[0]["system"], univariate_suite[5]["system"], pair):
-        served = []
+        served, fn = [], f.normalized()
 
-        def checked(f, spec, level, ar, workers, inherited, grid):
-            got = evaluate(f, spec, level, ar, workers, inherited, grid)
-            if grid is not None:
-                served.append(_same_bits(got, evaluate(f, spec, level, ar, workers, inherited)))
-                pruned.append(2 * len(level[0]) < spec.point_count())
+        def checked(grid, spec, pos, inherited):
+            got = served_level(grid, spec, pos, inherited)
+            level = (got.rows, got.row_index)
+            served.append(_same_bits(got, engine.evaluate_level(fn, spec, level, ar, 1, inherited)))
+            pruned.append(2 * len(level[0]) < spec.point_count())
             return got
 
         with monkeypatch.context() as m:
-            m.setattr(engine, "evaluate_level", checked)
-            result, _ = engine.count_levels(f.normalized(), ar)
+            m.setattr(engine, "_served_level", checked)
+            result, _ = engine.count_levels(fn, ar)
         assert result.status == "converged"
         assert len(served) > 1 and all(served)
     assert any(pruned)
+
+
+@pytest.mark.parametrize("n, K", [(1, 9), (2, 3), (2, 4), (3, 2)])
+def test_served_tables_give_the_children(n, K):
+    """At each level k < K, the table rows of any set of level-k positions
+    give, through `np.unique` and `engine._distinct` alike, the positions
+    of the rows and indices `sphere.children` returns for those rows;
+    `whole` holds the positions of the whole level-k grid, in grid order."""
+    coarse = CubeGridSpec(n=n, k=K)
+    rows, _ = sphere.canonical_grid(coarse)
+    rng = np.random.default_rng(n * K)
+    assert engine._distinct(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+    levels = engine._served_tables(n, K, 1)
+    assert len(levels) == K and levels[-1][1] is None
+    for k, (whole, table) in enumerate(levels, start=1):
+        spec = CubeGridSpec(n=n, k=k)
+        assert np.array_equal(rows[whole] >> (K - k), sphere.canonical_grid(spec)[0])
+        if table is None:
+            continue
+        assert table.shape[0] == len(whole) and not table.flags.writeable
+        finer = CubeGridSpec(n=n, k=k + 1)
+        for size in (1, 2, len(whole) // 3, len(whole)):
+            pos = np.sort(rng.choice(whole, size, replace=False))
+            got = np.unique(table[np.searchsorted(whole, pos)])
+            assert np.array_equal(engine._distinct(table[np.searchsorted(whole, pos)]), got)
+            want_rows, want_index = sphere.children(spec, rows[pos] >> (K - k))
+            assert np.array_equal(rows[got] >> (K - k - 1), want_rows)
+            assert np.array_equal(sphere.lattice_index(finer, want_rows), want_index)
+
+
+def _graphed_levels(fn, ar, cap):
+    """(result, every level of count_levels with reports, as graphed)."""
+    levels, graph = [], engine.build_graph
+
+    def recorded(f, level, ar):
+        levels.append(level)
+        return graph(f, level, ar)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "build_graph", recorded)
+        result, _ = engine.count_levels(fn, ar, grid_cap=cap)
+    return result, levels
+
+
+@pytest.mark.parametrize("bits", [None, 53, 24, 12])
+def test_served_levels_match_children_and_evaluation(univariate_suite, multivariate_suite,
+                                                     monkeypatch, bits):
+    """Every level served from the coarse grid, as positions, has the rows,
+    grid indices, points, f_sup, sigma_min, vertex mask and inherited bound
+    that `sphere.children` (or the whole grid) and `evaluate_level` give
+    with no coarse grid, bit for bit, at n = 1 and n = 2, under the default
+    cap, a cap of 5000 points and a cap at the coarse grid's point count;
+    so are the levels after the coarse grid's, made by `sphere.children`
+    from the last served level, and the run's document."""
+    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    (pair,) = [c["system"] for c in multivariate_suite
+               if c["degrees"] == (1, 1) and c["seed"] == 0]
+    pruned, handed_over = [], []
+    for f in (univariate_suite[0]["system"], univariate_suite[5]["system"], pair):
+        fn = f.normalized()
+        first = CubeGridSpec(n=fn.n, k=engine.initial_level(fn.n))
+        coarse = engine._coarse_grid(fn, first, ar, sphere.DEFAULT_GRID_CAP, 24).spec
+        for cap in (sphere.DEFAULT_GRID_CAP, 5000, coarse.point_count()):
+            result, served = _graphed_levels(fn, ar, cap)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_COARSE", 0)
+                plain, evaluated = _graphed_levels(fn, ar, cap)
+            assert plain.to_dict() == result.to_dict() and plain.trace == result.trace
+            assert len(served) == len(evaluated) > 1
+            assert all(_same_bits(a, b) for a, b in zip(served, evaluated))
+            pruned += [2 * len(level.rows) < level.spec.point_count()
+                       for level in served if level.spec.k <= coarse.k]
+            handed_over.append(served[-1].spec.k > coarse.k)
+    assert any(pruned) and any(handed_over) and not all(handed_over)
 
 
 @pytest.mark.parametrize("levels", [1, 2])

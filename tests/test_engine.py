@@ -476,13 +476,13 @@ def test_thresholds_match_longhand_at_every_level():
 
 
 def _uniform_grid(monkeypatch):
-    """Turn pruning off: every level evaluates the whole grid."""
+    """Turn pruning off: every level, evaluated or served from the coarse
+    grid, passes on the whole next grid."""
 
-    def whole_next_grid(f, graph, ar, cap=sphere.DEFAULT_GRID_CAP):
-        finer = CubeGridSpec(n=graph.spec.n, k=graph.spec.k + 1)
-        return sphere.canonical_grid(finer, cap), math.inf
+    def whole_next_grid(f, spec, f_sup, inherited, ar):
+        return None, math.inf
 
-    monkeypatch.setattr(engine, "_unresolved_children", whole_next_grid)
+    monkeypatch.setattr(engine, "_prune", whole_next_grid)
 
 
 def _assert_pruning_keeps_decisions(pruned, uniform):
@@ -612,13 +612,14 @@ def test_small_canonical_grids_are_shared_read_only():
 
 
 def test_one_block_level_computes_each_norm_once(monkeypatch):
-    """A level whose vertices fit in one block passes Y = None to
-    pairwise_distances, so the rows' norms are computed once; more blocks
-    pass the later columns."""
-    calls, distances = [], sphere.pairwise_distances
+    """A level whose vertices fit in one block takes one pairwise_distances
+    call, of one vertex of each antipodal pair against all V vertices;
+    more blocks pass the later columns."""
+    calls, shapes, distances = [], [], sphere.pairwise_distances
 
     def recorded(X, ar, Y=None):
         calls.append(Y is None)
+        shapes.append((len(X), len(X if Y is None else Y)))
         return distances(X, ar, Y)
 
     monkeypatch.setattr(sphere, "pairwise_distances", recorded)
@@ -628,7 +629,7 @@ def test_one_block_level_computes_each_norm_once(monkeypatch):
     points, radii = np.concatenate((points, -points)), np.full(40, 0.3)
     mirror = (np.arange(40) + 20) % 40
     whole = engine._proximity(points, radii, EXACT, mirror)
-    assert calls == [True]
+    assert calls == [False] and shapes == [(20, 40)]
     calls.clear()
     monkeypatch.setattr(engine, "_BLOCK", 40 * 7)
     blocks = engine._proximity(points, radii, EXACT, mirror)
@@ -636,13 +637,41 @@ def test_one_block_level_computes_each_norm_once(monkeypatch):
     assert np.array_equal(whole[0], blocks[0]) and _bits(whole[1]) == _bits(blocks[1])
 
 
+@pytest.mark.parametrize("t", [None, 53, 24, 12, 5, 2])
+def test_one_block_proximity_matches_full_matrix(t):
+    """A one-block level reads the rows of one vertex of each antipodal
+    pair from pairwise_distances and fills the others by
+    d(-x, y) = d(x, -y): the full matrix's rows, bit for bit, and so its
+    labels and minimum, on random antipodally closed vertex sets listed in
+    random order."""
+    ar = EXACT if t is None else make_arithmetic("rounded", t)
+    rng = np.random.default_rng(t or 0)
+    for _ in range(8):
+        half = rng.standard_normal((int(rng.integers(1, 128)), int(rng.integers(2, 5))))
+        half = ar.const(half / np.linalg.norm(half, axis=1)[:, None])
+        order = rng.permutation(2 * len(half))
+        points = np.concatenate((half, -half))[order]
+        position = np.argsort(order)
+        mirror = position[(order + len(half)) % len(points)]
+        assert np.array_equal(points[mirror], -points)
+        full = sphere.pairwise_distances(points, ar)
+        assert np.array_equal(_bits(full[mirror]), _bits(full[:, mirror]))
+        radii = rng.uniform(0.0, 0.3, len(half))[order % len(half)]
+        labels, min_cross, _ = dense_proximity(points, radii, ar)
+        got, got_min, _ = engine._proximity(points, radii, ar, mirror)
+        assert len(points) ** 2 <= engine._BLOCK
+        assert np.array_equal(got, labels) and _bits(got_min) == _bits(min_cross)
+
+
 def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, monkeypatch):
     """Each level's rows come with their grid_lattice indices, so
     sphere.lattice_index runs once per level that expands children, from
-    sphere.children, and once per level that reads its rows' data from the
-    run's coarse grid, from evaluate_level: never in build_graph."""
+    sphere.children, and once per level served from the run's coarse grid
+    that is graphed or hands over to sphere.children, from _served_level:
+    never in build_graph.  The coarse grid's tables are built once per
+    process, by a first run of each case."""
     callers, expansions, served = [], [], []
-    lattice_index, children, evaluate = sphere.lattice_index, sphere.children, engine.evaluate_level
+    lattice_index, children, evaluate = sphere.lattice_index, sphere.children, engine._served_level
 
     def counted_index(spec, rows):
         callers.append(sys._getframe(1).f_code.co_name)
@@ -653,14 +682,16 @@ def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, m
         return children(*args, **kwargs)
 
     def counted_level(*args):
-        served.append(args[6] is not None)
+        served.append(True)
         return evaluate(*args)
 
-    monkeypatch.setattr(sphere, "lattice_index", counted_index)
-    monkeypatch.setattr(sphere, "children", counted_children)
-    monkeypatch.setattr(engine, "evaluate_level", counted_level)
     f = _suite_system(multivariate_suite, (1, 1), 0)
     runs = [(f, "exact", None), (f, "rounded", 24), (univariate_suite[0]["system"], "exact", None)]
+    for g, mode, bits in runs:
+        engine.count_roots(g, mode=mode, bits=bits)
+    monkeypatch.setattr(sphere, "lattice_index", counted_index)
+    monkeypatch.setattr(sphere, "children", counted_children)
+    monkeypatch.setattr(engine, "_served_level", counted_level)
     for g, mode, bits in runs:
         callers.clear()
         expansions.clear()
@@ -668,7 +699,7 @@ def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, m
         assert engine.count_roots(g, mode=mode, bits=bits).status == "converged"
         assert len(expansions) > 0 and any(served)
         assert sorted(callers) == sorted(["children"] * len(expansions)
-                                         + ["evaluate_level"] * sum(served))
+                                         + ["_served_level"] * sum(served))
 
 
 def _assert_spanning_forest(edges, labels, near):

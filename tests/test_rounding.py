@@ -71,19 +71,32 @@ KERNEL_BITS = (2, 12, 24, 52, 53, 60)
 
 
 def _kernel_inputs():
-    """Ties at each width, signed zeros, subnormals, infinities, NaN, the
-    largest double and random values over the whole exponent range."""
+    """Groups of values, each rounded as one array and value by value.
+
+    Ties at each width t = 2..52, signed zeros, subnormals, a seeded sample
+    of the band 2^-1074..2^-960, infinities, NaN, the largest double,
+    values just below and above the 1e150 guard of `round_value`'s split,
+    random values over the whole exponent range, and arrays of small values
+    that hold one value at or past the guard, which sends the whole array
+    to the frexp formula."""
     big, tiny = sys.float_info.max, sys.float_info.min
     special = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, 1.5e-310, -7.7e-315,
                math.inf, -math.inf, math.nan, big, -big, 1.0, -1.3, 1.0 / 3.0]
     # (N + 1/2) 2^-t with 2^(t-1) <= N < 2^t is a tie at t bits; N odd
     # rounds up, N even down.
     ties = [s * (2.0 ** (t - 1) + j + 0.5) * 2.0**-t
-            for t in KERNEL_BITS if t < 53 for j in (1, 2) for s in (1.0, -1.0)]
+            for t in range(2, 53) for j in (1, 2) for s in (1.0, -1.0)]
+    guard = [np.nextafter(1e150, 0.0), 1e150, np.nextafter(1e150, math.inf)]
+    guard += [-g for g in guard]
     rng = np.random.default_rng(17)
     normal = rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60)
-    subnormal = rng.integers(1, 2**52, 20) * 5e-324
-    return np.concatenate([special, ties, normal, subnormal])
+    subnormal = rng.integers(1, 2**52, 40) * 5e-324
+    band = rng.choice([-1.0, 1.0], 40) * np.ldexp(rng.uniform(0.5, 1.0, 40),
+                                                   rng.integers(-1073, -959, 40))
+    small = rng.standard_normal(8)
+    mixed = [np.append(small, g) for g in (1e150, -3e200, guard[0], big)]
+    return [np.array(group, dtype=np.float64)
+            for group in (special, ties, guard, normal, subnormal, band, *mixed)]
 
 
 def _recorded(fn, *args):
@@ -100,9 +113,11 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("t", KERNEL_BITS)
 def test_round_value_matches_frexp_reference(t):
-    """Bit for bit the frexp formula, for every input kind, and no warning
-    the formula does not give."""
-    values = _kernel_inputs()
+    """Bit for bit the frexp formula, for every input kind, as scalars and
+    as arrays on either side of the split's guard, and no warning the
+    formula does not give."""
+    groups = _kernel_inputs()
+    values = np.concatenate(groups)
     for form in (float, np.float64, np.array):
         for v in values:
             x = form(v)
@@ -110,10 +125,13 @@ def test_round_value_matches_frexp_reference(t):
             ref, old = _recorded(frexp_round_value, t, x)
             assert type(got) is float and _same_bits(got, ref), (form, v)
             assert new <= old
-    got, new = _recorded(round_value, t, values)
-    ref, old = _recorded(frexp_round_value, t, values)
-    assert got.dtype == np.float64 and _same_bits(got, ref) and new <= old
-    assert _same_bits(values, _kernel_inputs())  # the input is not written
+    for group in [*groups, values, values.reshape(-1, 2)]:
+        got, new = _recorded(round_value, t, group)
+        ref, old = _recorded(frexp_round_value, t, group)
+        assert got.dtype == np.float64 and got.shape == group.shape
+        assert _same_bits(got, ref) and new <= old, group
+    # The input is not written.
+    assert all(_same_bits(a, b) for a, b in zip(groups, _kernel_inputs()))
 
 
 def test_rounded_ops_match_round_of_host_op():
