@@ -32,18 +32,17 @@ The grids are nested: the level-k point y 2^-k is the level-(k+1) point
 most _COARSE rows, at the finest level K it may reach within the cap
 (`_coarse_grid`), and serves each level k <= K from it, with the same bits
 its own evaluation gives.  A served level is a sorted array of positions
-in that grid, as scaling keeps grid order: its kappa estimate and its
-condition (ii) minimum are gathers from per-row arrays computed once per
-run, its pruning bound is computed on its gathered residuals, and the next
-level's positions come from a table of each row's canonical children,
-built once per process (`_served_tables`).  No served level calls
-`sphere.children` or the point kernel; an evaluated level, a `GridLevel`,
-is made from its positions (`_served_level`) only where it is graphed or
-where level K hands over to `sphere.children`.  Levels past K, and every
+in its own whole canonical grid, which lines up with the rows of the
+coarse grid that are its points, as scaling keeps grid order: its rows,
+indices and data are gathers (`_served_level`), and the next level's
+positions come from a table of each row's canonical children, built once
+per process (`_served_tables`).  No served level calls `sphere.children`,
+`sphere.lattice_index` or the point kernel.  Levels past K, and every
 level of a run whose first grid is larger, evaluate their rows themselves
 (`evaluate_level`).  A run's coarse levels hold tens of rows each, so
 their cost is mostly fixed cost per call: one kernel call serves them
-all, and each level then costs a few array operations.
+all, and each level then costs a few array operations.  Either way a
+level is a `GridLevel`, and the loop reads it the same way.
 
 Grid data is computed once per antipodal pair: every certified quantity is
 invariant under x -> -x, so the engine evaluates only canonical points
@@ -76,14 +75,14 @@ whose V^2 distances fit in one block computes them as one matrix and
 reads every distance from it; a larger level never holds the V x V
 matrix.
 
-One loop runs every level (`count_levels`): it makes the level's rows,
-runs `evaluate_level` (points, residuals, sigma_min and the vertex test)
-or serves the level from the coarse grid, then `build_graph` on the
-evaluated level, `connected_components` and `halting_report`.
+One loop runs every level (`count_levels`): it serves the level from the
+coarse grid or makes its rows and runs `evaluate_level` (points,
+residuals, sigma_min, the vertex test and the kappa estimates), then
+reads the level's kappa estimate and condition (ii) minimum, and runs
+`build_graph`, `connected_components` and `halting_report` on it.
 `count_roots` graphs every level.  `sweep` keeps no reports
 (`count_levels(..., reports=False)`): it graphs a level only where
-condition (ii) passes, since no other level can halt, and reads each
-level's kappa estimate from the evaluated or served points.
+condition (ii) passes, since no other level can halt.
 """
 
 from __future__ import annotations
@@ -118,6 +117,7 @@ class GridLevel:
     f_sup: np.ndarray            # (m,) residual sup norms at rows
     sigma_min: np.ndarray        # (m,)
     vertex_mask: np.ndarray      # (m,) bool, the mode's A-test at rows
+    kappa: np.ndarray            # (m,) kappa estimates at rows (`_kappa_estimates`)
     inherited_fsup: float        # lower bound of the skipped points' residuals (inf: none)
 
 
@@ -252,12 +252,11 @@ def evaluate_level(
     `sphere.children` return them; both check the grid cap where they make
     the rows.  The grid points left out must be certified non-vertices
     whose residuals are at least `inherited_fsup`.  Each row is projected
-    and gets its residual sup norm and sigma_min (`_point_data`); a row's
-    antipode has the same data, with the point negated.  The level's graph
-    is `build_graph(f, level, ar)`, through the same provider.
+    and gets its residual sup norm, sigma_min and kappa estimate
+    (`_point_data`); a row's antipode has the same data, with the point
+    negated.  The level's graph is `build_graph(f, level, ar)`, through the
+    same provider.
     """
-    if abs(f.norm - 1.0) > 1e-9:
-        raise ValueError("the grid levels need a normalized system (||f|| = 1)")
     rows, row_index = level
     return GridLevel(spec, rows, row_index, *_point_data(f, spec, rows, ar, workers),
                      inherited_fsup)
@@ -265,10 +264,14 @@ def evaluate_level(
 
 def _point_data(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, rows: np.ndarray,
                 ar, workers: int) -> tuple:
-    """(points, f_sup, sigma_min, vertex_mask) of the level's rows: each row
-    projected, with its residual sup norm, sigma_min and the mode's vertex
-    test, _CHUNK rows at a time, the chunks split over `workers` threads.
-    Each row's data depend on that row alone."""
+    """(points, f_sup, sigma_min, vertex_mask, kappa) of the level's rows:
+    each row projected, with its residual sup norm, sigma_min, the mode's
+    vertex test and its kappa estimate, _CHUNK rows at a time, the chunks
+    split over `workers` threads.  Each row's data depend on that row
+    alone.  Every level's data, served or evaluated, are computed here, so
+    this is where a system that is not normalized (||f|| = 1) is refused."""
+    if abs(f.norm - 1.0) > 1e-9:
+        raise ValueError("the grid levels need a normalized system (||f|| = 1)")
     m = len(rows)
     X = np.empty((m, spec.n + 1))
     f_sup = np.empty(m)
@@ -289,21 +292,11 @@ def _point_data(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, rows: np
     else:
         for b in bounds:
             work(*b)
-    return X, f_sup, smin, vertex_test(f, f_sup, smin, ar)
-
-
-@dataclass
-class CoarseGrid(GridLevel):
-    """The whole canonical grid of a run's level K, evaluated, and what the
-    levels it serves gather from it (`_coarse_grid`)."""
-
-    kappa: np.ndarray            # (m,) each row's kappa estimate (`_kappa_estimates`)
-    excluded: np.ndarray         # (m,) f_sup where the vertex test fails, inf where it passes
-    levels: tuple                # `_served_tables(n, K, k0)`: (whole, children) per level
+    return X, f_sup, smin, vertex_test(f, f_sup, smin, ar), _kappa_estimates(f_sup, smin, f.n)
 
 
 def _coarse_grid(f: polysys.PolynomialSystem, first: sphere.CubeGridSpec, ar, cap: int,
-                 max_iterations: int) -> CoarseGrid | None:
+                 max_iterations: int) -> GridLevel | None:
     """The whole canonical grid, evaluated, that serves a run's levels
     k <= K, or None.
 
@@ -331,65 +324,63 @@ def _coarse_grid(f: polysys.PolynomialSystem, first: sphere.CubeGridSpec, ar, ca
         spec = finer
     if spec is None:
         return None
-    rows, index = sphere.canonical_grid(spec, cap)
-    X, f_sup, smin, mask = _point_data(f, spec, rows, ar, 1)
-    return CoarseGrid(spec, rows, index, X, f_sup, smin, mask, math.inf,
-                      kappa=_kappa_estimates(f_sup, smin, f.n),
-                      excluded=np.where(mask, math.inf, f_sup),
-                      levels=_served_tables(f.n, spec.k, first.k))
+    return evaluate_level(f, spec, sphere.canonical_grid(spec, cap), ar)
 
 
 @lru_cache(maxsize=8)
 def _served_tables(n: int, K: int, k0: int) -> tuple:
-    """(whole, children) for each level k0..K of a run whose coarse grid
-    is at K, as positions in that grid's canonical rows.
+    """(whole, (rows, index), children) for each level k0..K of a run
+    whose coarse grid is at K.
 
-    The grids are nested: the level-k row y is the level-K row
-    2^(K-k) y, and y 2^-k = (2^(K-k) y) 2^-K exactly, so the kernel
-    computes the same bits for both.  Scaling keeps a row's face block and
-    its C order within the block, so a level's rows, in grid order, are
-    increasing positions.  `whole` holds those of the whole level-k grid:
-    the coarse rows whose coordinates 2^(K-k) divides.  `children` (None
-    at K) has one row per row of the whole level-k grid, in that order:
-    the positions of its canonical level-(k+1) children
+    A served level is a sorted array of positions in its own whole
+    canonical grid, (rows, index) = `sphere.canonical_grid` of its spec,
+    which is cached and read-only.  The grids are nested: the level-k row
+    y is the level-K row 2^(K-k) y, and y 2^-k = (2^(K-k) y) 2^-K exactly,
+    so the kernel computes the same bits for both.  Scaling keeps a row's
+    face block and its C order within the block, so the level-k grid, in
+    grid order, is the coarse rows whose coordinates 2^(K-k) divides, in
+    the coarse grid's order: `whole` holds their positions in it, and a
+    level's data at positions p are the coarse grid's at whole[p].
+    `children` (None at K) has one row per level-k position: the
+    level-(k+1) positions of its canonical children
     (`sphere.child_candidates`, the expansion `sphere.children` makes),
     each once, increasing, and padded with the first.  So the children of
-    level-k positions p are the distinct values (`_distinct`) of the table
-    rows `np.searchsorted(whole, p)`: the rows `sphere.children` returns,
-    in the same order.  The arrays are read-only.
+    level-k positions p are the distinct values (`_distinct`) of
+    children[p]: the rows `sphere.children` returns, in the same order.
+    The arrays are read-only.
     """
-    coarse = sphere.CubeGridSpec(n=n, k=K)
-    rows, index = sphere.canonical_grid(coarse)
+    coarse, _ = sphere.canonical_grid(sphere.CubeGridSpec(n=n, k=K))
+    grids = [sphere.canonical_grid(sphere.CubeGridSpec(n=n, k=k)) for k in range(k0, K + 1)]
     levels = []
-    for k in range(k0, K + 1):
-        whole = np.flatnonzero((rows % 2 ** (K - k) == 0).all(axis=1))
+    for k, (rows, index) in enumerate(grids, start=k0):
+        whole = np.flatnonzero((coarse % 2 ** (K - k) == 0).all(axis=1))
         whole.flags.writeable = False
         table = None
         if k < K:
-            cand, parent = sphere.child_candidates(sphere.CubeGridSpec(n=n, k=k),
-                                                   (rows[whole] >> (K - k)).T)
-            child = np.searchsorted(index,
-                                    sphere.lattice_index(coarse, (cand << (K - k - 1)).T))
+            finer, finer_index = sphere.CubeGridSpec(n=n, k=k + 1), grids[k + 1 - k0][1]
+            cand, parent = sphere.child_candidates(sphere.CubeGridSpec(n=n, k=k), rows.T)
+            child = np.searchsorted(finer_index, sphere.lattice_index(finer, cand.T))
             # Each (parent, child) pair once, by parent and then position.
-            pair = _distinct(np.repeat(parent, 3**n) * len(rows) + child)
-            parent, child = np.divmod(pair, len(rows))
-            first = np.searchsorted(parent, np.arange(len(whole)))
+            pair = _distinct(np.repeat(parent, 3**n) * len(finer_index) + child)
+            parent, child = np.divmod(pair, len(finer_index))
+            first = np.searchsorted(parent, np.arange(len(rows)))
             slot = np.arange(len(pair)) - first[parent]
             table = np.repeat(child[first, None], slot.max() + 1, axis=1)
             table[parent, slot] = child
             table.flags.writeable = False
-        levels.append((whole, table))
+        levels.append((whole, (rows, index), table))
     return tuple(levels)
 
 
-def _served_level(grid: CoarseGrid, spec: sphere.CubeGridSpec, pos: np.ndarray,
+def _served_level(grid: GridLevel, entry: tuple, spec: sphere.CubeGridSpec, pos: np.ndarray,
                   inherited_fsup: float) -> GridLevel:
-    """The evaluated level of spec whose rows are the coarse grid's rows at
-    positions `pos`, scaled down to its level: what `evaluate_level` gives
-    on those rows, bit for bit."""
-    rows = grid.rows[pos] >> (grid.spec.k - spec.k)
-    return GridLevel(spec, rows, sphere.lattice_index(spec, rows), grid.row_points[pos],
-                     grid.f_sup[pos], grid.sigma_min[pos], grid.vertex_mask[pos], inherited_fsup)
+    """The evaluated level of spec at positions `pos` of its whole grid,
+    gathered from the coarse grid through the level's `_served_tables`
+    entry: what `evaluate_level` gives on those rows, bit for bit."""
+    whole, (rows, index), _ = entry
+    at = whole[pos]
+    return GridLevel(spec, rows[pos], index[pos], grid.row_points[at], grid.f_sup[at],
+                     grid.sigma_min[at], grid.vertex_mask[at], grid.kappa[at], inherited_fsup)
 
 
 def build_graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
@@ -826,13 +817,12 @@ def _prune_bounds(f: polysys.PolynomialSystem, ar, a0: float) -> tuple[float, fl
     return 2.0 * e_f + e_c, floor
 
 
-def _prune(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, f_sup: np.ndarray,
-           inherited_fsup: float, ar) -> tuple[np.ndarray | None, float]:
+def _prune(f: polysys.PolynomialSystem, level: GridLevel, ar) -> tuple[np.ndarray | None, float]:
     """(unresolved, inherited): which points of an evaluated level keep
     their cells for the next level, and the next level's inherited bound.
 
-    `f_sup` holds the residuals of the level's evaluated canonical rows,
-    and `inherited_fsup` the bound of the points it skipped.  The
+    The level's `f_sup` holds the residuals of its evaluated canonical
+    rows, and its `inherited_fsup` the bound of the points it skipped.  The
     descendants of an evaluated level-k point p (its children 2p + e,
     e in {-1, 0, 1}^(n+1), their children, and so on) lie on the cube
     within sup-distance sum_i 2^-(k+i) < 2^-k of p, so by the projection
@@ -855,12 +845,13 @@ def _prune(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, f_sup: np.nda
     nothing: the next level is then the whole finer grid, the same rows as
     the children of all its rows, taken without expanding them.
     """
+    spec, inherited_fsup = level.spec, level.inherited_fsup
     finer = sphere.CubeGridSpec(n=spec.n, k=spec.k + 1)
     rho = 0.5 * math.pi * finer.eta * math.sqrt(f.n + 1)
     c = _run_constants(f, ar)
-    bound = f_sup - 2.0 * math.sqrt(f.D) * rho - c.margin
+    bound = level.f_sup - 2.0 * math.sqrt(f.D) * rho - c.margin
     resolved = bound > max(c.floor, float(_thresholds(f, finer, ar)[1]))
-    if not resolved.any() and 2 * len(f_sup) == spec.point_count():
+    if not resolved.any() and 2 * len(resolved) == spec.point_count():
         return None, inherited_fsup
     return ~resolved, min(inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
 
@@ -873,25 +864,24 @@ def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
     or the whole finer grid (`sphere.canonical_grid`).  Both check `cap`.
     An empty level stays empty.
     """
-    keep, inherited = _prune(f, level.spec, level.f_sup, level.inherited_fsup, ar)
+    keep, inherited = _prune(f, level, ar)
     if keep is None:
         finer = sphere.CubeGridSpec(n=level.spec.n, k=level.spec.k + 1)
         return sphere.canonical_grid(finer, cap), inherited
     return sphere.children(level.spec, level.rows[keep], cap), inherited
 
 
-def _served_children(f: polysys.PolynomialSystem, grid: CoarseGrid, spec: sphere.CubeGridSpec,
-                     pos: np.ndarray, inherited_fsup: float, ar) -> tuple[np.ndarray, float]:
-    """The next level's positions and inherited bound after the level of
-    spec served at positions `pos` of the coarse grid, k < K: what
-    `_unresolved_children` gives, read from the grid's tables
-    (`_served_tables`)."""
-    keep, inherited = _prune(f, spec, grid.f_sup[pos], inherited_fsup, ar)
-    # grid.levels ends at K: level k is entry k - K - 1.
+def _served_children(f: polysys.PolynomialSystem, level: GridLevel, pos: np.ndarray,
+                     table: np.ndarray, ar) -> tuple[np.ndarray, float]:
+    """The next level's positions and inherited bound after a served level
+    at positions `pos`, k < K: the rows `_unresolved_children` gives, as
+    positions in the next level's whole grid, read from the level's
+    children table (`_served_tables`)."""
+    keep, inherited = _prune(f, level, ar)
     if keep is None:
-        return grid.levels[spec.k - grid.spec.k][0], inherited
-    whole, table = grid.levels[spec.k - grid.spec.k - 1]
-    return _distinct(table[np.searchsorted(whole, pos[keep])]), inherited
+        finer = sphere.CubeGridSpec(n=level.spec.n, k=level.spec.k + 1)
+        return np.arange(finer.point_count() // 2), inherited
+    return _distinct(table[pos[keep]]), inherited
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -919,10 +909,6 @@ def _kappa_estimates(f_sup: np.ndarray, smin: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(mu, inv_res)
 
 
-def _kappa_level_estimate(f_sup: np.ndarray, smin: np.ndarray, n: int) -> float:
-    return float(np.max(_kappa_estimates(f_sup, smin, n), initial=-math.inf))
-
-
 def count_levels(
     fn: polysys.PolynomialSystem,
     ar=EXACT,
@@ -940,17 +926,17 @@ def count_levels(
     before left unresolved (`_unresolved_children`), made once that level
     has not halted; both check the point cap.  A level at or below the
     run's coarse grid (`_coarse_grid`), which is evaluated first, is
-    served from it instead: its rows are positions in that grid, the next
-    level's come from `_served_children`, and its kappa estimate and
-    condition (ii) minimum are gathers.  It is made into an evaluated
-    level (`_served_level`) only where it is graphed or, at the grid's
-    level K, where it hands over to `_unresolved_children`.  The level is
-    then graphed (`build_graph`) and checked.  With reports=False the
-    result has no iterations or trace either, and a level is graphed only
-    where condition (ii) passes, as no other level can halt.  The count, status, condition
-    estimate and representatives are those of the run with reports, bit
-    for bit.  `sweep`, which reads only counts and the condition estimate,
-    runs this.
+    served from it instead (`_served_level`): its rows are positions in
+    its own whole grid, and the next level's come from `_served_children`.
+    That choice is the only branch on how a level is made: at the grid's
+    level K the served level hands over to `_unresolved_children` as an
+    evaluated one does.  Every level then gives its kappa estimate and
+    condition (ii) minimum, and is graphed (`build_graph`) and checked.
+    With reports=False the result has no iterations or trace either, and a
+    level is graphed only where condition (ii) passes, as no other level
+    can halt.  The count, status, condition estimate and representatives
+    are those of the run with reports, bit for bit.  `sweep`, which reads
+    only counts and the condition estimate, runs this.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -959,40 +945,34 @@ def count_levels(
     result = CountResult(count=None, status="iteration-cap-reached",
                          original_norm=fn.original_norm)
     representatives = np.empty((0, fn.n_vars))
-    spec = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
-    grid = _coarse_grid(fn, spec, ar, grid_cap, max_iterations)
+    first = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
+    grid = _coarse_grid(fn, first, ar, grid_cap, max_iterations)
     if grid is None:
-        last_served, rows = 0, sphere.canonical_grid(spec, grid_cap)
+        tables, rows = (), sphere.canonical_grid(first, grid_cap)
     else:
-        last_served, pos = grid.spec.k, grid.levels[0][0]
+        tables = _served_tables(fn.n, grid.spec.k, first.k)
+        pos = np.arange(first.point_count() // 2)
     inherited, level = math.inf, None
     for done in range(max_iterations):
-        if done:
-            before, spec = spec, sphere.CubeGridSpec(n=fn.n, k=spec.k + 1)
-            if spec.k <= last_served:
-                pos, inherited = _served_children(fn, grid, before, pos, inherited, ar)
-            else:
-                if level is None:
-                    level = _served_level(grid, before, pos, inherited)
+        spec = sphere.CubeGridSpec(n=fn.n, k=first.k + done)
+        if done < len(tables):
+            if done:
+                pos, inherited = _served_children(fn, level, pos, tables[done - 1][2], ar)
+            level = _served_level(grid, tables[done], spec, pos, inherited)
+        else:
+            if done:
                 try:
                     rows, inherited = _unresolved_children(fn, level, ar, grid_cap)
                 except sphere.GridTooLargeError:
                     # A later level over the cap ends the run as the last level does.
                     break
-        thr_i, thr_ii = _thresholds(fn, spec, ar)
-        if spec.k <= last_served:
-            level = None
-            kappa = float(np.max(grid.kappa[pos], initial=-math.inf))
-            min_excluded = min(float(np.min(grid.excluded[pos], initial=math.inf)), inherited)
-        else:
             level = evaluate_level(fn, spec, rows, ar, workers, inherited)
-            kappa = _kappa_level_estimate(level.f_sup, level.sigma_min, fn.n)
-            min_excluded = _condition_ii(level, thr_ii)[0]
+        thr_i, thr_ii = _thresholds(fn, spec, ar)
+        kappa = float(np.max(level.kappa, initial=-math.inf))
+        min_excluded = _condition_ii(level, thr_ii)[0]
         result.kappa_lower_bound = max(result.kappa_lower_bound, kappa)
         if not (reports or min_excluded > thr_ii):
             continue
-        if level is None:
-            level = _served_level(grid, spec, pos, inherited)
         level = build_graph(fn, level, ar)
         ids = connected_components(level)
         report = halting_report(level, ids, thr_i, thr_ii)
@@ -1054,4 +1034,4 @@ def estimate_kappa(
         raise ValueError("workers must be >= 1")
     fn = f.normalized()
     level = evaluate_level(fn, spec, sphere.canonical_grid(spec), EXACT, workers)
-    return _kappa_level_estimate(level.f_sup, level.sigma_min, fn.n)
+    return float(np.max(level.kappa, initial=-math.inf))

@@ -5,10 +5,12 @@
 Runs `count --trace` exact and at 53, 24 and 12 bits, each with the
 default grid cap and with `--grid-cap 5000`, and `sweep --bits 53,24,12`,
 on the univariate suite and the rounded-feasible members of the
-multivariate suite (`tests/conftest.py`): 225 runs.  It adds `count --trace`
-on an n = 3 system with `--workers 1` and `--workers 4`, and `kappa` at
-level 8 on the univariate suite and at level 4 on those multivariate
-systems: 252 runs in all.  Each run is made
+multivariate suite (`tests/conftest.py`): 225 runs.  On the same systems
+it runs `count --trace --max-iter 5`, exact and at 12 bits, whose runs
+mostly stop at or just past the last level the coarse grid serves: 50
+runs.  It adds `count --trace` on an n = 3 system with `--workers 1` and
+`--workers 4`, and `kappa` at level 8 on the univariate suite and at
+level 4 on those multivariate systems: 302 runs in all.  Each run is made
 in process through `spherecount.cli.main`; its digest covers the exit
 code, standard output and standard error.  One line per group gives the
 group, its run count and the SHA-256 of its runs' digests; the last line
@@ -65,6 +67,9 @@ def groups(paths: list[str], n3_path: str, univariate: int) -> dict[str, list[li
             name = f"count-{bits or 'exact'}" + (f"-cap{cap}" if cap else "")
             extra = ["--grid-cap", str(cap)] if cap else []
             out[name] = [["count", "--input", p, "--trace", *mode, *extra] for p in paths]
+        if bits in (None, 12):
+            out[f"count-{bits or 'exact'}-iter5"] = [
+                ["count", "--input", p, "--trace", "--max-iter", "5", *mode] for p in paths]
     out["sweep"] = [["sweep", "--input", p, "--bits", "53,24,12"] for p in paths]
     for workers in (1, 4):
         out[f"count-n3-workers{workers}"] = [

@@ -129,9 +129,9 @@ def test_no_children_after_the_last_level(monkeypatch, reports):
     fn = parse_system(DOUBLE).normalized()
     expanded, prune = [], engine._prune
 
-    def counted(f, spec, *args):
-        expanded.append(spec.k)
-        return prune(f, spec, *args)
+    def counted(f, level, *args):
+        expanded.append(level.spec.k)
+        return prune(f, level, *args)
 
     monkeypatch.setattr(engine, "_prune", counted)
     result, _ = engine.count_levels(fn, EXACT, 5, reports=reports)
@@ -179,6 +179,64 @@ def test_later_cap_ends_the_run_at_the_same_level(monkeypatch, doc, bits, cap, e
     assert (plain_ks, plain_errors) == (full_ks, full_errors)
 
 
+# 3 X1^2 - X0^2 and (2 X1 - X0, X2 + 3 X0), left unnormalized (||f|| = sqrt(10)).
+UNNORMALIZED = [
+    {"n": 1, "degrees": [2], "polys": [[{"J": [0, 2], "c": 3.0}, {"J": [2, 0], "c": -1.0}]]},
+    {"n": 2, "degrees": [1, 1], "polys": [
+        [{"J": [0, 1, 0], "c": 2.0}, {"J": [1, 0, 0], "c": -1.0}],
+        [{"J": [0, 0, 1], "c": 1.0}, {"J": [1, 0, 0], "c": 3.0}]]},
+]
+
+
+@pytest.mark.parametrize("reports", [True, False])
+@pytest.mark.parametrize("doc", UNNORMALIZED, ids=["n1", "n2"])
+def test_count_levels_refuses_an_unnormalized_system(doc, reports):
+    """The levels' data need ||f|| = 1, whether a level is served from the
+    coarse grid or evaluated: the n = 1 run would be served throughout, and
+    its normalized system halts only at the eighth level."""
+    f = parse_system(doc)
+    assert abs(f.norm - 1.0) > 1e-9
+    with pytest.raises(ValueError, match="normalized"):
+        engine.count_levels(f, reports=reports)
+    result, _ = engine.count_levels(f.normalized(), reports=reports)
+    assert result.status == "converged"
+
+
+@pytest.mark.parametrize("bits", [None, 53, 24, 12])
+def test_served_levels_run_no_point_kernel(univariate_suite, multivariate_suite, monkeypatch,
+                                           bits):
+    """A run with a coarse grid computes point data once for that grid, at
+    its level K, and once for each level past K; a served level gathers its
+    data and runs no kernel.  Over the univariate suite and the (1,1)
+    systems, with and without reports; some runs stop at or before K, and
+    some go past it."""
+    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    systems = [c["system"] for c in univariate_suite] + [
+        c["system"] for c in multivariate_suite if c["degrees"] == (1, 1)]
+    point_data, calls, past = engine._point_data, [], []
+
+    def counted(f, spec, rows, *args):
+        calls.append((spec.k, 2 * len(rows) == spec.point_count()))
+        return point_data(f, spec, rows, *args)
+
+    monkeypatch.setattr(engine, "_point_data", counted)
+    for f in systems:
+        fn = f.normalized()
+        k0 = engine.initial_level(fn.n)
+        K = max(k for k in range(k0, k0 + 24)
+                if CubeGridSpec(n=fn.n, k=k).point_count() // 2 <= engine._COARSE)
+        for reports in (True, False):
+            calls.clear()
+            result, _ = engine.count_levels(fn, ar, reports=reports)
+            assert result.status == "converged"
+            if reports:  # the run without reports has the same levels
+                ks = [it.k for it in result.iterations]
+            assert calls[0] == (K, True)
+            assert [k for k, _ in calls[1:]] == [k for k in ks if k > K]
+        past.append(ks[-1] > K)
+    assert any(past) and not all(past)
+
+
 def _same_bits(a: engine.GridLevel, b: engine.GridLevel) -> bool:
     """Every field of two evaluated levels equal, arrays bit for bit."""
     for field in dataclasses.fields(engine.GridLevel):
@@ -209,10 +267,11 @@ def test_served_levels_hold_their_own_evaluation(univariate_suite, multivariate_
     for f in (univariate_suite[0]["system"], univariate_suite[5]["system"], pair):
         served, fn = [], f.normalized()
 
-        def checked(grid, spec, pos, inherited):
-            got = served_level(grid, spec, pos, inherited)
-            level = (got.rows, got.row_index)
-            served.append(_same_bits(got, engine.evaluate_level(fn, spec, level, ar, 1, inherited)))
+        def checked(*args):
+            got = served_level(*args)
+            level, spec = (got.rows, got.row_index), got.spec
+            served.append(_same_bits(got, engine.evaluate_level(fn, spec, level, ar, 1,
+                                                                got.inherited_fsup)))
             pruned.append(2 * len(level[0]) < spec.point_count())
             return got
 
@@ -226,30 +285,36 @@ def test_served_levels_hold_their_own_evaluation(univariate_suite, multivariate_
 
 @pytest.mark.parametrize("n, K", [(1, 9), (2, 3), (2, 4), (3, 2)])
 def test_served_tables_give_the_children(n, K):
-    """At each level k < K, the table rows of any set of level-k positions
-    give, through `np.unique` and `engine._distinct` alike, the positions
-    of the rows and indices `sphere.children` returns for those rows;
-    `whole` holds the positions of the whole level-k grid, in grid order."""
+    """Each level's cached grid is `sphere.canonical_grid` of its spec and
+    lines up with `whole`: the coarse rows at `whole`, scaled down, are its
+    rows, in grid order.  At each level k < K, the table rows of any set of
+    level-k positions give, through `np.unique` and `engine._distinct`
+    alike, the level-(k+1) positions of the rows and indices
+    `sphere.children` returns for those rows."""
     coarse = CubeGridSpec(n=n, k=K)
     rows, _ = sphere.canonical_grid(coarse)
     rng = np.random.default_rng(n * K)
     assert engine._distinct(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
     levels = engine._served_tables(n, K, 1)
-    assert len(levels) == K and levels[-1][1] is None
-    for k, (whole, table) in enumerate(levels, start=1):
+    assert len(levels) == K and levels[-1][2] is None
+    for k, (whole, (level_rows, level_index), table) in enumerate(levels, start=1):
         spec = CubeGridSpec(n=n, k=k)
-        assert np.array_equal(rows[whole] >> (K - k), sphere.canonical_grid(spec)[0])
+        want_grid = sphere.canonical_grid(spec)
+        assert np.array_equal(level_rows, want_grid[0])
+        assert np.array_equal(level_index, want_grid[1])
+        assert np.array_equal(rows[whole] >> (K - k), level_rows)
+        assert np.array_equal(sphere.lattice_index(spec, level_rows), level_index)
         if table is None:
             continue
         assert table.shape[0] == len(whole) and not table.flags.writeable
-        finer = CubeGridSpec(n=n, k=k + 1)
+        _, (finer_rows, finer_index), _ = levels[k]
         for size in (1, 2, len(whole) // 3, len(whole)):
-            pos = np.sort(rng.choice(whole, size, replace=False))
-            got = np.unique(table[np.searchsorted(whole, pos)])
-            assert np.array_equal(engine._distinct(table[np.searchsorted(whole, pos)]), got)
-            want_rows, want_index = sphere.children(spec, rows[pos] >> (K - k))
-            assert np.array_equal(rows[got] >> (K - k - 1), want_rows)
-            assert np.array_equal(sphere.lattice_index(finer, want_rows), want_index)
+            pos = np.sort(rng.choice(len(whole), size, replace=False))
+            got = np.unique(table[pos])
+            assert np.array_equal(engine._distinct(table[pos]), got)
+            want_rows, want_index = sphere.children(spec, level_rows[pos])
+            assert np.array_equal(finer_rows[got], want_rows)
+            assert np.array_equal(finer_index[got], want_index)
 
 
 def _graphed_levels(fn, ar, cap):

@@ -421,6 +421,7 @@ def _halting_verdicts(f, spec, ar, min_cross, min_excluded):
         f_sup=np.array([0.0, 0.0, min_excluded]),
         sigma_min=np.ones(3),
         vertex_mask=np.array([True, True, False]),
+        kappa=np.ones(3),
         inherited_fsup=math.inf,
         vertex_indices=np.array([0, 1]),
         vertex_points=np.zeros((2, spec.n + 1)),
@@ -479,7 +480,7 @@ def _uniform_grid(monkeypatch):
     """Turn pruning off: every level, evaluated or served from the coarse
     grid, passes on the whole next grid."""
 
-    def whole_next_grid(f, spec, f_sup, inherited, ar):
+    def whole_next_grid(f, level, ar):
         return None, math.inf
 
     monkeypatch.setattr(engine, "_prune", whole_next_grid)
@@ -556,7 +557,7 @@ def test_level_with_nothing_left_to_evaluate():
     assert graph.n_vertices == 0 and report.grid_size == spec.point_count()
     assert report.min_excluded_fsup == 0.5
     assert report.condition_i_pass and report.condition_ii_pass
-    assert engine._kappa_level_estimate(graph.f_sup, graph.sigma_min, 1) == -math.inf
+    assert graph.kappa.shape == (0,) and np.max(graph.kappa, initial=-math.inf) == -math.inf
     (rows, index), inherited = engine._unresolved_children(f, graph, EXACT)
     assert rows.shape == (0, 2) and index.shape == (0,) and inherited == 0.5
 
@@ -666,10 +667,10 @@ def test_one_block_proximity_matches_full_matrix(t):
 def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, monkeypatch):
     """Each level's rows come with their grid_lattice indices, so
     sphere.lattice_index runs once per level that expands children, from
-    sphere.children, and once per level served from the run's coarse grid
-    that is graphed or hands over to sphere.children, from _served_level:
-    never in build_graph.  The coarse grid's tables are built once per
-    process, by a first run of each case."""
+    sphere.children, and never for a level served from the run's coarse
+    grid, whose indices _served_level gathers, nor in build_graph.  The
+    coarse grid's tables are built once per process, by a first run of
+    each case."""
     callers, expansions, served = [], [], []
     lattice_index, children, evaluate = sphere.lattice_index, sphere.children, engine._served_level
 
@@ -698,8 +699,7 @@ def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, m
         served.clear()
         assert engine.count_roots(g, mode=mode, bits=bits).status == "converged"
         assert len(expansions) > 0 and any(served)
-        assert sorted(callers) == sorted(["children"] * len(expansions)
-                                         + ["_served_level"] * sum(served))
+        assert callers == ["children"] * len(expansions)
 
 
 def _assert_spanning_forest(edges, labels, near):
