@@ -25,7 +25,7 @@ points enter condition (ii) through that certified lower bound, so the
 vertices, edges, components and halting verdicts are those of the whole
 grid.  When a whole-grid level resolves nothing, as at coarse levels and
 at low precision, the next level is the whole grid again, taken without
-expanding children.
+expanding children: the rule that makes the first level.
 
 The grids are nested: the level-k point y 2^-k is the level-(k+1) point
 (2y) 2^-(k+1), exactly.  So a run evaluates one whole canonical grid of at
@@ -75,11 +75,12 @@ whose V^2 distances fit in one block computes them as one matrix and
 reads every distance from it; a larger level never holds the V x V
 matrix.
 
-One loop runs every level (`count_levels`): it serves the level from the
-coarse grid or makes its rows and runs `evaluate_level` (points,
-residuals, sigma_min, the vertex test and the kappa estimates), then
-reads the level's kappa estimate and condition (ii) minimum, and runs
-`build_graph`, `connected_components` and `halting_report` on it.
+One loop runs every level (`count_levels`): it prunes the level before
+once (`_prune`), serves the level from the coarse grid or makes its rows
+and runs `evaluate_level` (points, residuals, sigma_min, the vertex test
+and the kappa estimates), then reads the level's kappa estimate and
+condition (ii) minimum, and runs `build_graph`, `connected_components`
+and `halting_report` on it.
 `count_roots` graphs every level.  `sweep` keeps no reports
 (`count_levels(..., reports=False)`): it graphs a level only where
 condition (ii) passes, since no other level can halt.
@@ -296,35 +297,34 @@ def _point_data(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, rows: np
 
 
 def _coarse_grid(f: polysys.PolynomialSystem, first: sphere.CubeGridSpec, ar, cap: int,
-                 max_iterations: int) -> GridLevel | None:
-    """The whole canonical grid, evaluated, that serves a run's levels
-    k <= K, or None.
+                 max_iterations: int) -> tuple:
+    """(grid, tables): the whole canonical grid, evaluated, that serves a
+    run's levels k <= K, and their `_served_tables`; (None, ()) when no
+    level qualifies.
 
     K is the finest level the run may reach, from the first level on,
-    whose grid has at most _COARSE canonical rows and passes
-    `sphere.check_cap`.  So no row finer than the run's last level is
+    whose grid has at most _COARSE canonical rows and at most `cap`
+    points.  Point counts are even, so that is point_count() <=
+    min(2 _COARSE, cap).  So no row finer than the run's last level is
     evaluated, and the grid passes every limit a level would meet there:
-    `cap` and the int64 index bound.  A served level holds at most the
-    grid's points, so it passes them too and is made without a check.  A
-    run whose first grid is larger has no such level, and evaluates every
+    `cap`, and the int64 index bound of `sphere.check_cap`, which no grid
+    of 2 _COARSE points reaches.  A served level holds at most the grid's
+    points, so it passes them too and is made without a check.  A run
+    whose first grid is larger has no such level, and evaluates every
     level's rows itself.  A run's coarse levels are small, so the kernel's
     fixed cost per call outweighs their per-row work: one call on a small
-    grid serves them all.  The grid fits in one _CHUNK, so it runs on one
-    thread.
+    grid serves them all.  The grid is the level-K grid the tables cache,
+    and fits in one _CHUNK, so it runs on one thread.
     """
-    spec = None
+    K = None
     for k in range(first.k, first.k + max_iterations):
-        finer = sphere.CubeGridSpec(n=first.n, k=k)
-        if finer.point_count() // 2 > _COARSE:
+        if sphere.CubeGridSpec(n=first.n, k=k).point_count() > min(2 * _COARSE, cap):
             break
-        try:
-            sphere.check_cap(finer, finer.point_count(), cap)
-        except sphere.GridTooLargeError:
-            break
-        spec = finer
-    if spec is None:
-        return None
-    return evaluate_level(f, spec, sphere.canonical_grid(spec, cap), ar)
+        K = k
+    if K is None:
+        return None, ()
+    tables = _served_tables(first.n, K, first.k)
+    return evaluate_level(f, sphere.CubeGridSpec(n=first.n, k=K), tables[-1][1], ar), tables
 
 
 @lru_cache(maxsize=8)
@@ -349,8 +349,8 @@ def _served_tables(n: int, K: int, k0: int) -> tuple:
     children[p]: the rows `sphere.children` returns, in the same order.
     The arrays are read-only.
     """
-    coarse, _ = sphere.canonical_grid(sphere.CubeGridSpec(n=n, k=K))
     grids = [sphere.canonical_grid(sphere.CubeGridSpec(n=n, k=k)) for k in range(k0, K + 1)]
+    coarse = grids[-1][0]
     levels = []
     for k, (rows, index) in enumerate(grids, start=k0):
         whole = np.flatnonzero((coarse % 2 ** (K - k) == 0).all(axis=1))
@@ -764,7 +764,7 @@ def _prune_bounds(f: polysys.PolynomialSystem, ar, a0: float) -> tuple[float, fl
     """(margin, floor) of the pruning test for the provider ar.
 
     A point p resolves its cell when b(p) = f_sup(p) - 2 sqrt(D) rho - margin
-    exceeds max(floor, thr_ii(k+1)) (`_unresolved_children`).  With e_f and
+    exceeds max(floor, thr_ii(k+1)) (`_prune`).  With e_f and
     d_s of `_round_off_bounds`, u' = `ar.unit_roundoff`, g_k = gamma_k and
     the mode's vertex alpha a0 (unrounded); host arithmetic is the case
     u' = 2^-53:
@@ -787,7 +787,7 @@ def _prune_bounds(f: polysys.PolynomialSystem, ar, a0: float) -> tuple[float, fl
         largest computed residual.  floor = a (1 + D (2a + e_f)^2) gives
         w(floor) = a D ((2a + e_f)^2 - (floor + e_f)^2) >= 0 when
         floor <= 2a; when that or w(F) >= 0 fails, floor is inf.
-    (c) The test itself.  `_unresolved_children` computes b(p) in host
+    (c) The test itself.  `_prune` computes b(p) in host
         doubles, so its error stays at 2^-53: b(p) takes seven roundings on
         quantities below 2 + 2 sqrt(D) rho_1 (rho_1 = (pi/4) sqrt(n+1)
         bounds every rho, and a resolved point has margin < f_sup <= F < 2),
@@ -836,14 +836,15 @@ def _prune(f: polysys.PolynomialSystem, level: GridLevel, ar) -> tuple[np.ndarra
     and, as thr_ii halves with eta, at every later level.  Both modes take
     the margin and the floor from one derivation at the provider's unit
     round-off, `_prune_bounds`, through `_run_constants`.
-    The next level evaluates the children of the unresolved points only.
-    Every grid point it skips has a resolved ancestor, so its residual is
-    above the smallest b(p) over all resolved points, which the returned
-    bound carries.
+    The next level holds the children of the unresolved points only
+    (`sphere.children`, or the served tables' rows).  Every grid point it
+    skips has a resolved ancestor, so its residual is above the smallest
+    b(p) over all resolved points, which the returned bound carries.
 
     unresolved is None when the level holds the whole grid and resolves
     nothing: the next level is then the whole finer grid, the same rows as
-    the children of all its rows, taken without expanding them.
+    the children of all its rows, which `count_levels` takes as it takes
+    its first level, without expanding them.
     """
     spec, inherited_fsup = level.spec, level.inherited_fsup
     finer = sphere.CubeGridSpec(n=spec.n, k=spec.k + 1)
@@ -854,34 +855,6 @@ def _prune(f: polysys.PolynomialSystem, level: GridLevel, ar) -> tuple[np.ndarra
     if not resolved.any() and 2 * len(resolved) == spec.point_count():
         return None, inherited_fsup
     return ~resolved, min(inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))
-
-
-def _unresolved_children(f: polysys.PolynomialSystem, level: GridLevel, ar,
-                         cap: int = sphere.DEFAULT_GRID_CAP):
-    """The next level's (rows, index) pair, the rows it must evaluate and
-    their grid_lattice indices, and the next level's inherited bound: the
-    children of the level's unresolved rows (`_prune`, `sphere.children`),
-    or the whole finer grid (`sphere.canonical_grid`).  Both check `cap`.
-    An empty level stays empty.
-    """
-    keep, inherited = _prune(f, level, ar)
-    if keep is None:
-        finer = sphere.CubeGridSpec(n=level.spec.n, k=level.spec.k + 1)
-        return sphere.canonical_grid(finer, cap), inherited
-    return sphere.children(level.spec, level.rows[keep], cap), inherited
-
-
-def _served_children(f: polysys.PolynomialSystem, level: GridLevel, pos: np.ndarray,
-                     table: np.ndarray, ar) -> tuple[np.ndarray, float]:
-    """The next level's positions and inherited bound after a served level
-    at positions `pos`, k < K: the rows `_unresolved_children` gives, as
-    positions in the next level's whole grid, read from the level's
-    children table (`_served_tables`)."""
-    keep, inherited = _prune(f, level, ar)
-    if keep is None:
-        finer = sphere.CubeGridSpec(n=level.spec.n, k=level.spec.k + 1)
-        return np.arange(finer.point_count() // 2), inherited
-    return _distinct(table[pos[keep]]), inherited
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -921,17 +894,19 @@ def count_levels(
     Newton refinement: the result has no components, and the second value
     holds the first vertex of each component at halt (no rows otherwise).
 
-    A level evaluates (`evaluate_level`) the whole grid first
-    (`sphere.canonical_grid`), then the children of the points the level
-    before left unresolved (`_unresolved_children`), made once that level
-    has not halted; both check the point cap.  A level at or below the
-    run's coarse grid (`_coarse_grid`), which is evaluated first, is
-    served from it instead (`_served_level`): its rows are positions in
-    its own whole grid, and the next level's come from `_served_children`.
-    That choice is the only branch on how a level is made: at the grid's
-    level K the served level hands over to `_unresolved_children` as an
-    evaluated one does.  Every level then gives its kappa estimate and
-    condition (ii) minimum, and is graphed (`build_graph`) and checked.
+    Each level after the first prunes the level before (`_prune`), once
+    that level has not halted.  The first level, and a level after a
+    whole grid that resolved nothing, is its whole grid; any other holds
+    the children of the unresolved rows.  A level at or below the run's
+    coarse grid (`_coarse_grid`), which is evaluated first, is served from
+    it (`_served_level`): its rows are positions in its own whole grid, all
+    of them or the children table's (`_served_tables`).  A later level
+    evaluates (`evaluate_level`) its rows, `sphere.canonical_grid` or
+    `sphere.children`, which check the point cap: over the cap, the first
+    level raises and a later one ends the run.  At the grid's level K the
+    served level hands over as an evaluated one does.  Every level then
+    gives its kappa estimate and condition (ii) minimum, and is graphed
+    (`build_graph`) and checked.
     With reports=False the result has no iterations or trace either, and a
     level is graphed only where condition (ii) passes, as no other level
     can halt.  The count, status, condition estimate and representatives
@@ -946,26 +921,28 @@ def count_levels(
                          original_norm=fn.original_norm)
     representatives = np.empty((0, fn.n_vars))
     first = sphere.CubeGridSpec(n=fn.n, k=initial_level(fn.n))
-    grid = _coarse_grid(fn, first, ar, grid_cap, max_iterations)
-    if grid is None:
-        tables, rows = (), sphere.canonical_grid(first, grid_cap)
-    else:
-        tables = _served_tables(fn.n, grid.spec.k, first.k)
-        pos = np.arange(first.point_count() // 2)
-    inherited, level = math.inf, None
+    grid, tables = _coarse_grid(fn, first, ar, grid_cap, max_iterations)
+    inherited, level, keep = math.inf, None, None
     for done in range(max_iterations):
         spec = sphere.CubeGridSpec(n=fn.n, k=first.k + done)
+        if done:
+            keep, inherited = _prune(fn, level, ar)
+        # The level is its whole grid: the first, or one after a whole grid
+        # that resolved nothing.
+        whole = keep is None
         if done < len(tables):
-            if done:
-                pos, inherited = _served_children(fn, level, pos, tables[done - 1][2], ar)
+            pos = (np.arange(spec.point_count() // 2) if whole
+                   else _distinct(tables[done - 1][2][pos[keep]]))
             level = _served_level(grid, tables[done], spec, pos, inherited)
         else:
-            if done:
-                try:
-                    rows, inherited = _unresolved_children(fn, level, ar, grid_cap)
-                except sphere.GridTooLargeError:
-                    # A later level over the cap ends the run as the last level does.
-                    break
+            try:
+                rows = (sphere.canonical_grid(spec, grid_cap) if whole
+                        else sphere.children(level.spec, level.rows[keep], grid_cap))
+            except sphere.GridTooLargeError:
+                if not done:
+                    raise
+                # A later level over the cap ends the run as the last level does.
+                break
             level = evaluate_level(fn, spec, rows, ar, workers, inherited)
         thr_i, thr_ii = _thresholds(fn, spec, ar)
         kappa = float(np.max(level.kappa, initial=-math.inf))

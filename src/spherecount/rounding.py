@@ -74,7 +74,8 @@ def round_value(t: int, x):
         np.ldexp(out, t, out=out)
         np.rint(out, out=out)
         e -= t
-        np.ldexp(out, e, out=out)
+        with np.errstate(over="ignore"):  # past the largest double: an infinity
+            np.ldexp(out, e, out=out)
     return float(out[0]) if scalar else out
 
 

@@ -10,7 +10,11 @@ it runs `count --trace --max-iter 5`, exact and at 12 bits, whose runs
 mostly stop at or just past the last level the coarse grid serves: 50
 runs.  It adds `count --trace` on an n = 3 system with `--workers 1` and
 `--workers 4`, and `kappa` at level 8 on the univariate suite and at
-level 4 on those multivariate systems: 302 runs in all.  Each run is made
+level 4 on those multivariate systems.  At the cap boundary it runs
+`count --trace`, exact and at 12 bits, on every system here, the n = 3
+one included, with `--grid-cap` P - 1, which refuses the first level,
+and P, which runs it, where P is the first level's point count: 104
+runs, 406 in all.  Each run is made
 in process through `spherecount.cli.main`; its digest covers the exit
 code, standard output and standard error.  One line per group gives the
 group, its run count and the SHA-256 of its runs' digests; the last line
@@ -32,8 +36,9 @@ import os
 import sys
 import tempfile
 
-from spherecount import cli
+from spherecount import cli, engine
 from spherecount.polysys import parse_system, system_to_document
+from spherecount.sphere import CubeGridSpec
 
 from conftest import multivariate_cases, univariate_cases
 
@@ -57,9 +62,11 @@ def run_digest(argv: list[str]) -> bytes:
     return hashlib.sha256(run.encode()).digest()
 
 
-def groups(paths: list[str], n3_path: str, univariate: int) -> dict[str, list[list[str]]]:
+def groups(paths: list[str], n3_path: str, univariate: int,
+           first_points: list[int]) -> dict[str, list[list[str]]]:
     """Run group name -> the argv lists of its runs; the first `univariate`
-    paths hold the univariate suite."""
+    paths hold the univariate suite, and `first_points` the first level's
+    point count of each system, paths and then n3_path."""
     out = {}
     for bits in PRECISIONS:
         mode = ["--mode", "exact"] if bits is None else ["--mode", "rounded", "--bits", str(bits)]
@@ -74,6 +81,11 @@ def groups(paths: list[str], n3_path: str, univariate: int) -> dict[str, list[li
     for workers in (1, 4):
         out[f"count-n3-workers{workers}"] = [
             ["count", "--input", n3_path, "--trace", "--workers", str(workers)]]
+    out["count-cap-first"] = [
+        ["count", "--input", p, "--trace", *mode, "--grid-cap", str(cap)]
+        for mode in (["--mode", "exact"], ["--mode", "rounded", "--bits", "12"])
+        for p, points in zip(paths + [n3_path], first_points)
+        for cap in (points - 1, points)]
     out["kappa-univariate-k8"] = [["kappa", "--input", p, "--level", "8"]
                                   for p in paths[:univariate]]
     out["kappa-multivariate-k4"] = [["kappa", "--input", p, "--level", "4"]
@@ -86,14 +98,17 @@ def main() -> int:
     univariate = [case["system"] for case in univariate_cases()]
     systems = univariate + [
         case["system"] for case in multivariate_cases() if case["rounded_feasible"]]
+    systems.append(parse_system(N3))
+    first_points = [CubeGridSpec(n=f.n, k=engine.initial_level(f.n)).point_count()
+                    for f in systems]
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
         paths = []
-        for i, f in enumerate(systems + [parse_system(N3)]):
+        for i, f in enumerate(systems):
             paths.append(os.path.join(workdir, f"system{i:02d}.json"))
             with open(paths[-1], "w") as fh:
                 fh.write(cli.canonical_json(system_to_document(f)))
-        for name, runs in groups(paths[:-1], paths[-1], len(univariate)).items():
+        for name, runs in groups(paths[:-1], paths[-1], len(univariate), first_points).items():
             digest = hashlib.sha256()
             for argv in runs:
                 digest.update(run_digest(argv))

@@ -95,27 +95,34 @@ def test_reports_do_not_change_the_outcome_on_the_suites(univariate_suite, multi
 
 def _levels_run(monkeypatch, run):
     """(result, k of every level the loop evaluated or served, the cap
-    errors its children raised).  The loop takes each level's thresholds
-    once, whether the level is evaluated or served from the coarse grid;
-    `_prune` takes those of the next level too, which are not counted."""
+    errors raised where the loop made a level's rows).  The loop takes each
+    level's thresholds once, whether the level is evaluated or served from
+    the coarse grid; `_prune` takes those of the next level too, which are
+    not counted.  It makes an evaluated level's rows by
+    `sphere.canonical_grid` or `sphere.children`; calls from elsewhere are
+    not counted."""
     ks, errors = [], []
-    thresholds, children = engine._thresholds, engine._unresolved_children
+    thresholds = engine._thresholds
 
     def recorded(f, spec, *args):
         if sys._getframe(1).f_code.co_name == "count_levels":
             ks.append(spec.k)
         return thresholds(f, spec, *args)
 
-    def expanded(*args):
-        try:
-            return children(*args)
-        except sphere.GridTooLargeError as exc:
-            errors.append(str(exc))
-            raise
+    def checked(make):
+        def made(*args):
+            try:
+                return make(*args)
+            except sphere.GridTooLargeError as exc:
+                if sys._getframe(1).f_code.co_name == "count_levels":
+                    errors.append(str(exc))
+                raise
+        return made
 
     with monkeypatch.context() as m:
         m.setattr(engine, "_thresholds", recorded)
-        m.setattr(engine, "_unresolved_children", expanded)
+        for name in ("canonical_grid", "children"):
+            m.setattr(sphere, name, checked(getattr(sphere, name)))
         result, _ = run()
     return result, ks, errors
 
@@ -157,8 +164,9 @@ def test_later_cap_ends_the_run_at_the_same_level(monkeypatch, doc, bits, cap, e
     grids, coarse_grid = [], engine._coarse_grid
 
     def recorded(*args):
-        grids.append(coarse_grid(*args))
-        return grids[-1]
+        got = coarse_grid(*args)
+        grids.append(got[0])
+        return got
 
     monkeypatch.setattr(engine, "_coarse_grid", recorded)
     (full, full_ks, full_errors), (bare, bare_ks, bare_errors) = [
@@ -348,7 +356,7 @@ def test_served_levels_match_children_and_evaluation(univariate_suite, multivari
     for f in (univariate_suite[0]["system"], univariate_suite[5]["system"], pair):
         fn = f.normalized()
         first = CubeGridSpec(n=fn.n, k=engine.initial_level(fn.n))
-        coarse = engine._coarse_grid(fn, first, ar, sphere.DEFAULT_GRID_CAP, 24).spec
+        coarse = engine._coarse_grid(fn, first, ar, sphere.DEFAULT_GRID_CAP, 24)[0].spec
         for cap in (sphere.DEFAULT_GRID_CAP, 5000, coarse.point_count()):
             result, served = _graphed_levels(fn, ar, cap)
             with monkeypatch.context() as m:
@@ -390,9 +398,13 @@ def test_index_bound_ends_the_run_at_the_same_level(monkeypatch):
     """A level whose grid indices would not fit int64 is refused like one
     over the cap: both loops end as iteration-cap-reached after the level
     before it.  The bound is lowered to the level-6 grid of n = 1 here, as
-    a real run reaches it only at k = 60."""
+    a real run reaches it only at k = 60.  No coarse grid reaches the real
+    bound, so `_COARSE` is lowered with it: the coarse grid stops at k = 6
+    too, and level 7 is evaluated."""
     fn = parse_system(DOUBLE).normalized()
-    monkeypatch.setattr(sphere, "_INDEX_LIMIT", CubeGridSpec(n=1, k=6).point_count())
+    limit = CubeGridSpec(n=1, k=6).point_count()
+    monkeypatch.setattr(sphere, "_INDEX_LIMIT", limit)
+    monkeypatch.setattr(engine, "_COARSE", limit // 2)
     runs = [
         _levels_run(monkeypatch, lambda r=r: engine.count_levels(fn, EXACT, 24, reports=r))
         for r in (True, False)
@@ -403,12 +415,34 @@ def test_index_bound_ends_the_run_at_the_same_level(monkeypatch):
     assert runs[0][1] == runs[1][1]
 
 
+# (X1^2, X2) and (X1^2, X2, X3): a double zero, which never halts.  The
+# n = 3 first level (k = 2) has 4,160 points, more than any coarse grid.
+NEVER_HALTS = [DOUBLE,
+               {"n": 2, "degrees": [2, 1], "polys": [[{"J": [0, 2, 0], "c": 1.0}],
+                                                     [{"J": [0, 0, 1], "c": 1.0}]]},
+               {"n": 3, "degrees": [2, 1, 1], "polys": [[{"J": [0, 2, 0, 0], "c": 1.0}],
+                                                        [{"J": [0, 0, 1, 0], "c": 1.0}],
+                                                        [{"J": [0, 0, 0, 1], "c": 1.0}]]}]
+
+
 def test_cap_below_the_first_level_still_fails(tmp_path, capsys, monkeypatch):
-    """No level runs: the loop raises, and sweep exits 1."""
+    """No level runs: the loop raises at n = 1, 2 and 3, with and without
+    reports, and sweep exits 1.  At n = 3 there is no coarse grid, so the
+    loop's own whole grid raises.  A cap at the first level's point count
+    runs that level alone."""
+    for doc in NEVER_HALTS:
+        fn = parse_system(doc).normalized()
+        first = CubeGridSpec(n=fn.n, k=engine.initial_level(fn.n))
+        for reports in (True, False):
+            with pytest.raises(sphere.GridTooLargeError):
+                engine.count_levels(fn, grid_cap=first.point_count() - 1, reports=reports)
+            result, _ = engine.count_levels(fn, grid_cap=first.point_count(), reports=reports)
+            assert result.status == "iteration-cap-reached"
+            if reports:
+                assert [it.k for it in result.iterations] == [first.k]
+        assert (first.point_count() // 2 > engine._COARSE) == (fn.n == 3)
     fn = parse_system(DOUBLE).normalized()
     first = CubeGridSpec(n=1, k=engine.initial_level(1)).point_count()
-    with pytest.raises(sphere.GridTooLargeError):
-        engine.count_levels(fn, grid_cap=first - 1, reports=False)
     path = tmp_path / "system.json"
     path.write_text(cli.canonical_json(DOUBLE))
     monkeypatch.setattr(cli.engine, "count_levels",
@@ -417,6 +451,39 @@ def test_cap_below_the_first_level_still_fails(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == f"error: level k=1 needs {first} grid points, cap is {first - 1}\n"
+
+
+@pytest.mark.parametrize("doc", NEVER_HALTS, ids=["n1", "n2", "n3"])
+def test_coarse_grid_is_the_finest_level_within_the_cap(doc):
+    """The coarse grid is at the finest level k the run may reach whose grid
+    has at most 2 _COARSE points and passes `sphere.check_cap` at its point
+    count, and comes with the served tables of the levels up to it; with no
+    such level it is (None, ()).  Caps at each level's point count and one
+    below it, and max_iterations 1 to 4."""
+    fn = parse_system(doc).normalized()
+    k0 = engine.initial_level(fn.n)
+    specs = [CubeGridSpec(n=fn.n, k=k) for k in range(k0, k0 + 4)]
+
+    def qualifies(spec, cap):
+        try:
+            sphere.check_cap(spec, spec.point_count(), cap)
+        except sphere.GridTooLargeError:
+            return False
+        return spec.point_count() <= 2 * engine._COARSE
+
+    chosen = set()
+    for cap in sorted({c for spec in specs for c in (spec.point_count() - 1,
+                                                      spec.point_count())}):
+        for levels in range(1, 5):
+            want = [spec.k for spec in specs[:levels] if qualifies(spec, cap)]
+            grid, tables = engine._coarse_grid(fn, specs[0], EXACT, cap, levels)
+            if not want:
+                assert grid is None and tables == ()
+                continue
+            assert grid.spec.k == max(want) and len(tables) == max(want) - k0 + 1
+            assert tables is engine._served_tables(fn.n, max(want), k0)
+            chosen.add(grid.spec.k)
+    assert len(chosen) == sum(spec.point_count() <= 2 * engine._COARSE for spec in specs)
 
 
 def test_sweep_builds_graphs_only_where_condition_ii_passes(univariate_suite, multivariate_suite,

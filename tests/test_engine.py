@@ -558,7 +558,8 @@ def test_level_with_nothing_left_to_evaluate():
     assert report.min_excluded_fsup == 0.5
     assert report.condition_i_pass and report.condition_ii_pass
     assert graph.kappa.shape == (0,) and np.max(graph.kappa, initial=-math.inf) == -math.inf
-    (rows, index), inherited = engine._unresolved_children(f, graph, EXACT)
+    keep, inherited = engine._prune(f, graph, EXACT)
+    rows, index = sphere.children(spec, graph.rows[keep])
     assert rows.shape == (0, 2) and index.shape == (0,) and inherited == 0.5
 
 
@@ -570,7 +571,10 @@ def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_su
     for ar in (EXACT, make_arithmetic("rounded", 12), make_arithmetic("rounded", 3)):
         level = whole_level(f, CubeGridSpec(n=2, k=1), ar)
         finer = CubeGridSpec(n=2, k=2)
-        (rows, index), inherited = engine._unresolved_children(f, level, ar)
+        keep, inherited = engine._prune(f, level, ar)
+        assert keep is None
+        rows, index = (sphere.canonical_grid(finer) if keep is None
+                       else sphere.children(level.spec, level.rows[keep]))
         whole_rows, whole_index = sphere.canonical_grid(finer)
         child_rows, child_index = sphere.children(level.spec, level.rows)
         assert np.array_equal(rows, whole_rows) and np.array_equal(rows, child_rows)

@@ -134,6 +134,19 @@ def test_round_value_matches_frexp_reference(t):
     assert all(_same_bits(a, b) for a, b in zip(groups, _kernel_inputs()))
 
 
+@pytest.mark.parametrize("t", [2, 12, 24, 52])
+def test_round_value_overflow_is_silent_in_arrays(t):
+    """An array holding +-max, which rounds past the largest double, gives
+    +-inf without a warning, as a float does."""
+    big = sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.array([big, -big]), np.array([[1.0, big], [-0.5, -big]])):
+            at = np.abs(x) == big
+            assert np.array_equal(round_value(t, x)[at], np.sign(x[at]) * math.inf)
+        assert round_value(t, big) == math.inf and round_value(t, -big) == -math.inf
+
+
 def test_rounded_ops_match_round_of_host_op():
     ar = make_arithmetic("rounded", 9)
     rng = np.random.RandomState(3)
