@@ -33,16 +33,16 @@ most _COARSE rows, at the finest level K it may reach within the cap
 (`_coarse_grid`), and serves each level k <= K from it, with the same bits
 its own evaluation gives.  A served level is a sorted array of positions
 in its own whole canonical grid, which lines up with the rows of the
-coarse grid that are its points, as scaling keeps grid order: its rows,
-indices and data are gathers (`_served_level`), and the next level's
-positions come from a table of each row's canonical children, built once
-per process (`_served_tables`).  No served level calls `sphere.children`,
-`sphere.lattice_index` or the point kernel.  Levels past K, and every
-level of a run whose first grid is larger, evaluate their rows themselves
-(`evaluate_level`).  A run's coarse levels hold tens of rows each, so
-their cost is mostly fixed cost per call: one kernel call serves them
-all, and each level then costs a few array operations.  Either way a
-level is a `GridLevel`, and the loop reads it the same way.
+coarse grid that are its points, as scaling keeps grid order: its rows
+and data are gathers (`_served_level`), and the next level's positions
+come from a table of each row's canonical children, built once per
+process (`_served_tables`).  No served level calls `sphere.children` or
+evaluates a row.  Levels past K, and every level of a run whose first
+grid is larger, evaluate their rows themselves (`evaluate_level`).  A
+run's coarse levels hold tens of rows each, so their cost is mostly fixed
+cost per call: one kernel call serves them all, and each level then costs
+a few array operations.  Either way a level is a `GridLevel`, and the
+loop reads it the same way.
 
 Grid data is computed once per antipodal pair: every certified quantity is
 invariant under x -> -x, so the engine evaluates only canonical points
@@ -51,16 +51,13 @@ antipode as its negation.  This halves the work and makes the antipodal
 symmetry of the vertex set, and hence the evenness of r, structural rather
 than numerical.
 
-Each level carries its rows' grid_lattice indices through the loop: a
-whole-grid level's are the positions of its canonical rows
-(`sphere.canonical_grid`), a pruned level's are the keys `sphere.children`
-deduplicates by, and an antipode's index is closed form
-(`sphere.antipode_index`).  So `build_graph` lists the vertices in grid
-order without locating any row in the grid again.  The grid cap is the
-only limit: it bounds the points a level holds, and is checked only where
-a level's rows are made, by those two functions; the coarse grid passes
-it, so the levels it serves, which are no larger, need no check.  The
-engine passes it on and checks nothing itself.
+A level holds its rows and their certified values only: `build_graph`
+projects its vertices and orders them by their closed-form grid index.
+The grid cap is the only limit: it bounds the points a level holds, and
+is checked only where a level's rows are made, by `sphere.canonical_grid`
+and `sphere.children`; the coarse grid passes it, so the levels it
+serves, which are no larger, need no check.  The engine passes it on and
+checks nothing itself.
 
 The graph layer labels components from pivots (`_proximity`): the
 smallest unlabelled vertex takes one distance row, which holds its
@@ -109,12 +106,14 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass
 class GridLevel:
-    """A level's evaluated points: what condition (ii), pruning and kappa read."""
+    """A level's evaluated points: what condition (ii), pruning and kappa read.
+
+    Each evaluated canonical row holds 8n + 33 bytes: 8 (n+1) for its int64
+    row, 8 each for f_sup, sigma_min and kappa, and 1 for its mask entry.
+    """
 
     spec: sphere.CubeGridSpec
     rows: np.ndarray             # (m, n+1) evaluated canonical lattice rows, grid order
-    row_index: np.ndarray        # (m,) grid_lattice indices of rows
-    row_points: np.ndarray       # (m, n+1) projected rows
     f_sup: np.ndarray            # (m,) residual sup norms at rows
     sigma_min: np.ndarray        # (m,)
     vertex_mask: np.ndarray      # (m,) bool, the mode's A-test at rows
@@ -240,51 +239,36 @@ def vertex_test(f: polysys.PolynomialSystem, f_sup, smin, ar) -> np.ndarray:
 def evaluate_level(
     f: polysys.PolynomialSystem,
     spec: sphere.CubeGridSpec,
-    level: tuple[np.ndarray, np.ndarray],
+    rows: np.ndarray,
     ar=EXACT,
     workers: int = 1,
     inherited_fsup: float = math.inf,
 ) -> GridLevel:
     """Evaluate a grid level's points and take the mode's vertex test.
 
-    f must be normalized (||f|| = 1).  `level` is the pair (rows, index):
-    the canonical lattice rows to evaluate, in grid_lattice order, and
-    their grid_lattice indices, as `sphere.canonical_grid` and
-    `sphere.children` return them; both check the grid cap where they make
-    the rows.  The grid points left out must be certified non-vertices
+    f must be normalized (||f|| = 1).  `rows` are the canonical lattice
+    rows to evaluate, in grid_lattice order, as `sphere.canonical_grid`
+    and `sphere.children` return them; both check the grid cap where they
+    make the rows.  The grid points left out must be certified non-vertices
     whose residuals are at least `inherited_fsup`.  Each row is projected
-    and gets its residual sup norm, sigma_min and kappa estimate
-    (`_point_data`); a row's antipode has the same data, with the point
-    negated.  The level's graph is `build_graph(f, level, ar)`, through the
-    same provider.
+    and gets its residual sup norm, sigma_min, the mode's vertex test and
+    its kappa estimate, _CHUNK rows at a time, the chunks split over
+    `workers` threads; the projected points are not kept.  Each row's data
+    depend on that row alone, and a row's antipode has the same data.
+    Every level's data, served or evaluated, are computed here, so this is
+    where a system that is not normalized is refused.  The level's graph is
+    `build_graph(f, level, ar)`, through the same provider.
     """
-    rows, row_index = level
-    return GridLevel(spec, rows, row_index, *_point_data(f, spec, rows, ar, workers),
-                     inherited_fsup)
-
-
-def _point_data(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, rows: np.ndarray,
-                ar, workers: int) -> tuple:
-    """(points, f_sup, sigma_min, vertex_mask, kappa) of the level's rows:
-    each row projected, with its residual sup norm, sigma_min, the mode's
-    vertex test and its kappa estimate, _CHUNK rows at a time, the chunks
-    split over `workers` threads.  Each row's data depend on that row
-    alone.  Every level's data, served or evaluated, are computed here, so
-    this is where a system that is not normalized (||f|| = 1) is refused."""
     if abs(f.norm - 1.0) > 1e-9:
         raise ValueError("the grid levels need a normalized system (||f|| = 1)")
     m = len(rows)
-    X = np.empty((m, spec.n + 1))
     f_sup = np.empty(m)
     smin = np.empty(m)
 
     def work(lo: int, hi: int):
-        Xc = sphere.project_many(rows[lo:hi] * spec.eta, ar)
-        _, sup = polysys.evaluate_many(f, Xc, ar)
-        M = alpha.compute_M_many(f, Xc, ar)
-        X[lo:hi] = Xc
-        f_sup[lo:hi] = sup
-        smin[lo:hi] = alpha.sigma_min_many(M, ar)
+        X = sphere.project_many(rows[lo:hi] * spec.eta, ar)
+        f_sup[lo:hi] = polysys.evaluate_many(f, X, ar)[1]
+        smin[lo:hi] = alpha.sigma_min_many(alpha.compute_M_many(f, X, ar), ar)
 
     bounds = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
     if workers > 1 and len(bounds) > 1:
@@ -293,7 +277,8 @@ def _point_data(f: polysys.PolynomialSystem, spec: sphere.CubeGridSpec, rows: np
     else:
         for b in bounds:
             work(*b)
-    return X, f_sup, smin, vertex_test(f, f_sup, smin, ar), _kappa_estimates(f_sup, smin, f.n)
+    return GridLevel(spec, rows, f_sup, smin, vertex_test(f, f_sup, smin, ar),
+                     _kappa_estimates(f_sup, smin, f.n), inherited_fsup)
 
 
 def _coarse_grid(f: polysys.PolynomialSystem, first: sphere.CubeGridSpec, ar, cap: int,
@@ -329,12 +314,12 @@ def _coarse_grid(f: polysys.PolynomialSystem, first: sphere.CubeGridSpec, ar, ca
 
 @lru_cache(maxsize=8)
 def _served_tables(n: int, K: int, k0: int) -> tuple:
-    """(whole, (rows, index), children) for each level k0..K of a run
-    whose coarse grid is at K.
+    """(whole, rows, children) for each level k0..K of a run whose coarse
+    grid is at K.
 
     A served level is a sorted array of positions in its own whole
-    canonical grid, (rows, index) = `sphere.canonical_grid` of its spec,
-    which is cached and read-only.  The grids are nested: the level-k row
+    canonical grid, rows = `sphere.canonical_grid` of its spec, which is
+    cached and read-only.  The grids are nested: the level-k row
     y is the level-K row 2^(K-k) y, and y 2^-k = (2^(K-k) y) 2^-K exactly,
     so the kernel computes the same bits for both.  Scaling keeps a row's
     face block and its C order within the block, so the level-k grid, in
@@ -344,20 +329,23 @@ def _served_tables(n: int, K: int, k0: int) -> tuple:
     `children` (None at K) has one row per level-k position: the
     level-(k+1) positions of its canonical children
     (`sphere.child_candidates`, the expansion `sphere.children` makes),
-    each once, increasing, and padded with the first.  So the children of
-    level-k positions p are the distinct values (`_distinct`) of
-    children[p]: the rows `sphere.children` returns, in the same order.
+    each once, increasing, and padded with the first; one
+    `sphere.lattice_index` call per level locates them in the finer grid.
+    So the children of level-k positions p are the distinct values
+    (`_distinct`) of children[p]: the rows `sphere.children` returns, in
+    the same order.
     The arrays are read-only.
     """
     grids = [sphere.canonical_grid(sphere.CubeGridSpec(n=n, k=k)) for k in range(k0, K + 1)]
-    coarse = grids[-1][0]
+    coarse = grids[-1]
     levels = []
-    for k, (rows, index) in enumerate(grids, start=k0):
+    for k, rows in enumerate(grids, start=k0):
         whole = np.flatnonzero((coarse % 2 ** (K - k) == 0).all(axis=1))
         whole.flags.writeable = False
         table = None
         if k < K:
-            finer, finer_index = sphere.CubeGridSpec(n=n, k=k + 1), grids[k + 1 - k0][1]
+            finer = sphere.CubeGridSpec(n=n, k=k + 1)
+            finer_index = sphere.lattice_index(finer, grids[k + 1 - k0])
             cand, parent = sphere.child_candidates(sphere.CubeGridSpec(n=n, k=k), rows.T)
             child = np.searchsorted(finer_index, sphere.lattice_index(finer, cand.T))
             # Each (parent, child) pair once, by parent and then position.
@@ -368,7 +356,7 @@ def _served_tables(n: int, K: int, k0: int) -> tuple:
             table = np.repeat(child[first, None], slot.max() + 1, axis=1)
             table[parent, slot] = child
             table.flags.writeable = False
-        levels.append((whole, (rows, index), table))
+        levels.append((whole, rows, table))
     return tuple(levels)
 
 
@@ -377,18 +365,24 @@ def _served_level(grid: GridLevel, entry: tuple, spec: sphere.CubeGridSpec, pos:
     """The evaluated level of spec at positions `pos` of its whole grid,
     gathered from the coarse grid through the level's `_served_tables`
     entry: what `evaluate_level` gives on those rows, bit for bit."""
-    whole, (rows, index), _ = entry
+    whole, rows, _ = entry
     at = whole[pos]
-    return GridLevel(spec, rows[pos], index[pos], grid.row_points[at], grid.f_sup[at],
-                     grid.sigma_min[at], grid.vertex_mask[at], grid.kappa[at], inherited_fsup)
+    return GridLevel(spec, rows[pos], grid.f_sup[at], grid.sigma_min[at], grid.vertex_mask[at],
+                     grid.kappa[at], inherited_fsup)
 
 
 def build_graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityGraph:
     """The proximity graph on the vertices of an evaluated level.
 
     `level` is `evaluate_level`'s for f through the provider ar.  ar has no
-    default: the radii and distances must be taken in the arithmetic of the
-    level's vertex test.  Vertices pass `vertex_test` and carry the radius
+    default: the points, radii and distances must be taken in the
+    arithmetic of the level's vertex test.  Each canonical vertex row y
+    stands for itself and its antipode.  Its point is
+    `sphere.project_many(y eta, ar)`, the bits the level's evaluation
+    projected, as each row's projection depends on that row alone, and its
+    antipode's is the exact negation.  The vertices are listed in
+    grid_lattice order, by `sphere.lattice_index` of +-y, which is closed
+    form.  Vertices pass `vertex_test` and carry the radius
     c sigma sqrt(n) ||f(x)||_inf / sigma_min, with c = 1 in exact mode and
     3/2 in rounded mode; every operation goes through the provider.  Edges
     join vertices with d(x, y) <= r_x + r_y, distances in the mode's
@@ -398,15 +392,13 @@ def build_graph(f: polysys.PolynomialSystem, level: GridLevel, ar) -> ProximityG
     its bounds leave (`_proximity`).  They are those of the full distance
     matrix, bit for bit.
     """
-    # Each canonical vertex stands for itself and its antipode; list both
-    # in grid_lattice order.
     canon = np.flatnonzero(level.vertex_mask)
-    index = np.concatenate((level.row_index[canon],
-                            sphere.antipode_index(level.spec, level.row_index[canon])))
+    rows = level.rows[canon]
+    index = sphere.lattice_index(level.spec, np.concatenate((rows, -rows)))
     order = np.argsort(index)
     source = np.concatenate((canon, canon))[order]
-    sign = np.repeat([1.0, -1.0], len(canon))[order]
-    Xv = level.row_points[source] * sign[:, None]
+    points = sphere.project_many(rows * level.spec.eta, ar)
+    Xv = np.concatenate((points, -points))[order]
     radii = ar.div(ar.mul(_run_constants(f, ar).radius_coef, level.f_sup[source]),
                    level.sigma_min[source])
     # List position of each vertex's antipode: entry q of the concatenation

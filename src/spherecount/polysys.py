@@ -217,6 +217,12 @@ class PolynomialSystem:
             )
             for cs, p in zip(prescaled, self.polynomials)
         ]
+        for i, p in enumerate(polys):
+            if not p.coefficients.any():
+                raise SystemFormatError(
+                    f"polynomial {i}: every coefficient underflows to zero when the "
+                    "system is scaled to norm 1"
+                )
         return PolynomialSystem(self.degrees, polys, original_norm=self.norm)
 
     def kernel_tables(self, ar=EXACT) -> "KernelTables":
@@ -290,6 +296,11 @@ def parse_system(document) -> PolynomialSystem:
                 raise SystemFormatError(
                     f"polynomial {i}: bad monomial entry {entry!r}"
                 ) from exc
+        if not any(m.coefficient for m in monomials):
+            raise SystemFormatError(
+                f"polynomial {i}: every coefficient is zero (the zero polynomial "
+                "has no well-defined zero set on the sphere)"
+            )
         polynomials.append(Polynomial(d, monomials, n + 1, index=i))
     return PolynomialSystem(degrees, polynomials)
 

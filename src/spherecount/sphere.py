@@ -106,23 +106,13 @@ def grid_lattice(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
     return out
 
 
-def _face_blocks(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(sizes, starts) of grid_lattice's face-pair blocks.
-
-    The pair of face j is the blocks (j, +half) and (j, -half), each of
-    size B_j = (side - 1)^j (side + 1)^(n - j); the pair starts at s_j.
-    """
-    side = 2 ** (spec.k + 1)
-    dim = spec.n + 1
-    sizes = np.array([(side - 1) ** j * (side + 1) ** (dim - 1 - j) for j in range(dim)])
-    return sizes, np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
-
-
 @lru_cache(maxsize=64)
 def _index_table(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(weights, bases) of `lattice_index`'s formula, one row per block.
 
-    Block b = 2j + 0 is (j, +half) and b = 2j + 1 is (j, -half).  In C order
+    Block b = 2j + 0 is (j, +half) and b = 2j + 1 is (j, -half), each of
+    size B_j = (2 half - 1)^j (2 half + 1)^(n - j); the pair of face j
+    starts at s_j = 2 (B_0 + ... + B_(j-1)).  In C order
     over the block's ranges a row c has the mixed-radix offset
     sum_i digit_i * weight_i, with radix 2 half - 1 and digit c_i + half - 1
     before j, radix 1 at j, radix 2 half + 1 and digit c_i + half after j;
@@ -134,14 +124,15 @@ def _index_table(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarray]:
     check_cap(spec, 0)  # the int64 bound; the table holds no points
     half = 2**spec.k
     dim = spec.n + 1
-    sizes, starts = _face_blocks(spec)
-    weights, bases = [], []
+    weights, bases, start = [], [], 0
     for j in range(dim):
         radix = [2 * half - 1] * j + [1] + [2 * half + 1] * (dim - 1 - j)
         weight = [math.prod(radix[i + 1:]) if i != j else 0 for i in range(dim)]
         center = sum(w * (half - (i < j)) for i, w in enumerate(weight))
+        size = math.prod(radix)
         weights += [weight, weight]
-        bases += [int(starts[j]) + center, int(starts[j] + sizes[j]) + center]
+        bases += [start + center, start + size + center]
+        start += 2 * size
     weights, bases = np.array(weights, dtype=np.int64), np.array(bases, dtype=np.int64)
     weights.flags.writeable = bases.flags.writeable = False
     return weights, bases
@@ -151,7 +142,7 @@ def lattice_index(spec: CubeGridSpec, rows: np.ndarray) -> np.ndarray:
     """Position of each lattice row in grid_lattice(spec), in closed form.
 
     grid_lattice is the face blocks (j, +half), (j, -half) for j = 0..n
-    (`_face_blocks`), each in C order over its coordinate ranges: interior
+    (`_index_table`), each in C order over its coordinate ranges: interior
     before j, the fixed face coordinate at j, the full range after j.  A
     row's block is its first coordinate at +-half, found by one argmax, and
     its position is linear in the row with that block's weights and base
@@ -171,19 +162,6 @@ def lattice_index(spec: CubeGridSpec, rows: np.ndarray) -> np.ndarray:
     return bases.take(block) + (coords * weights.take(block, axis=0).T).sum(axis=0)
 
 
-def antipode_index(spec: CubeGridSpec, index: np.ndarray) -> np.ndarray:
-    """grid_lattice positions of the antipodes of the rows at `index`.
-
-    Negation swaps the blocks (j, +half) and (j, -half) and reverses the C
-    order within them, as it reverses every coordinate range.  So the
-    antipode of position i in the pair of face j (start s_j, block size
-    B_j, `_face_blocks`) is at 2 s_j + 2 B_j - 1 - i.
-    """
-    sizes, starts = _face_blocks(spec)
-    face = np.searchsorted(starts + 2 * sizes, index, side="right")
-    return 2 * (starts + sizes)[face] - 1 - index
-
-
 def is_canonical(rows: np.ndarray) -> np.ndarray:
     """Mask of the nonzero rows whose first nonzero coordinate is positive.
 
@@ -194,11 +172,9 @@ def is_canonical(rows: np.ndarray) -> np.ndarray:
     return rows[np.arange(len(rows)), first] > 0
 
 
-def canonical_grid(spec: CubeGridSpec,
-                   cap: int = DEFAULT_GRID_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """Every canonical row of the level's grid, in grid_lattice order, and
-    its grid_lattice index: the pair (rows, index) of a whole-grid level,
-    as `children` returns it for a pruned one.
+def canonical_grid(spec: CubeGridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
+    """Every canonical row of the level's grid, in grid_lattice order: the
+    rows of a whole-grid level, as `children` gives them for a pruned one.
 
     Raises GridTooLargeError when the grid exceeds `cap` points; the cap is
     checked at every call.  A grid of at most _CHUNK canonical rows is built
@@ -211,17 +187,16 @@ def canonical_grid(spec: CubeGridSpec,
     return _shared_canonical_lattice(spec)
 
 
-def _canonical_lattice(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_lattice(spec: CubeGridSpec) -> np.ndarray:
     lattice = grid_lattice(spec, cap=spec.point_count())
-    index = np.flatnonzero(is_canonical(lattice))
-    return lattice[index], index
+    return lattice[is_canonical(lattice)]
 
 
 @lru_cache(maxsize=64)
-def _shared_canonical_lattice(spec: CubeGridSpec) -> tuple[np.ndarray, np.ndarray]:
-    rows, index = _canonical_lattice(spec)
-    rows.flags.writeable = index.flags.writeable = False
-    return rows, index
+def _shared_canonical_lattice(spec: CubeGridSpec) -> np.ndarray:
+    rows = _canonical_lattice(spec)
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=8)
@@ -260,16 +235,14 @@ def child_candidates(spec: CubeGridSpec, parents: np.ndarray) -> tuple[np.ndarra
     return cand, parent
 
 
-def children(spec: CubeGridSpec, rows: np.ndarray,
-             cap: int = DEFAULT_GRID_CAP) -> tuple[np.ndarray, np.ndarray]:
+def children(spec: CubeGridSpec, rows: np.ndarray, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
     """Canonical level-(k+1) rows 2p + {-1, 0, 1}^(n+1) of level-k rows p.
 
     Keeps the children on the level-(k+1) cube surface, replaces each by
     its canonical representative (the antipode's children are the negated
-    children), and returns every row once, in grid_lattice order, with its
-    level-(k+1) grid_lattice index: the pair (rows, index) the next level
-    evaluates.  Every level-(k+1) grid point is a child of some level-k
-    grid point.
+    children), and returns every row once, in grid_lattice order: the rows
+    the next level evaluates.  Every level-(k+1) grid point is a child of
+    some level-k grid point.
 
     A child 2p + e is on the finer surface exactly when it keeps a face
     coordinate of p, e_j = 0 where |p_j| = 2^k; no other coordinate can
@@ -282,7 +255,7 @@ def children(spec: CubeGridSpec, rows: np.ndarray,
     sum_i sign(c_i) 3^(n-i), which is the sign of its first nonzero
     coordinate and stays below 3^(n+1) / 2.  One `lattice_index` call
     indexes them all from its per-block table, and one stable argsort
-    (`np.unique`) keeps each index once.
+    (`np.unique`) keeps each index once and puts the rows in grid order.
 
     Raises GridTooLargeError when the children and their antipodes exceed
     `cap` points, or when the finer grid's indices would not fit int64
@@ -308,7 +281,7 @@ def children(spec: CubeGridSpec, rows: np.ndarray,
                 index, found = [idx], [np.concatenate(found)[first]]
             check_cap(finer, 2 * len(idx), cap)
             held, limit = len(idx), max(cap // 2, 2 * len(idx))
-    return found[0], index[0]
+    return found[0]
 
 
 def project_many(Y: np.ndarray, ar=EXACT) -> np.ndarray:

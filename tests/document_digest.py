@@ -14,7 +14,10 @@ level 4 on those multivariate systems.  At the cap boundary it runs
 `count --trace`, exact and at 12 bits, on every system here, the n = 3
 one included, with `--grid-cap` P - 1, which refuses the first level,
 and P, which runs it, where P is the first level's point count: 104
-runs, 406 in all.  Each run is made
+runs.  A deep run with many vertices, `count --trace` on
+X1^2 - 2^-16 X0^2 exact and at 53 and 24 bits, halts at k = 22 or 24
+with thousands of vertices, past the graph layer's one-matrix size: 3
+runs, 409 in all.  Each run is made
 in process through `spherecount.cli.main`; its digest covers the exit
 code, standard output and standard error.  One line per group gives the
 group, its run count and the SHA-256 of its runs' digests; the last line
@@ -51,6 +54,10 @@ N3 = {"n": 3, "degrees": [1, 1, 2], "polys": [
     [{"J": [0, 0, 0, 2], "c": 1.0}, {"J": [2, 0, 0, 0], "c": -0.5},
      {"J": [0, 0, 2, 0], "c": 0.25}],
 ]}
+# f = X1^2 - 2^-16 X0^2: two zero rays 2^-8 apart in slope.
+CLOSE_ZEROS = {"n": 1, "degrees": [2], "polys": [
+    [{"J": [0, 2], "c": 1.0}, {"J": [2, 0], "c": -2.0**-16}],
+]}
 
 
 def run_digest(argv: list[str]) -> bytes:
@@ -62,7 +69,7 @@ def run_digest(argv: list[str]) -> bytes:
     return hashlib.sha256(run.encode()).digest()
 
 
-def groups(paths: list[str], n3_path: str, univariate: int,
+def groups(paths: list[str], n3_path: str, close_path: str, univariate: int,
            first_points: list[int]) -> dict[str, list[list[str]]]:
     """Run group name -> the argv lists of its runs; the first `univariate`
     paths hold the univariate suite, and `first_points` the first level's
@@ -90,6 +97,10 @@ def groups(paths: list[str], n3_path: str, univariate: int,
                                   for p in paths[:univariate]]
     out["kappa-multivariate-k4"] = [["kappa", "--input", p, "--level", "4"]
                                     for p in paths[univariate:]]
+    out["count-close-zeros"] = [["count", "--input", close_path, "--trace", *mode]
+                                for mode in (["--mode", "exact"],
+                                             ["--mode", "rounded", "--bits", "53"],
+                                             ["--mode", "rounded", "--bits", "24"])]
     return out
 
 
@@ -101,6 +112,7 @@ def main() -> int:
     systems.append(parse_system(N3))
     first_points = [CubeGridSpec(n=f.n, k=engine.initial_level(f.n)).point_count()
                     for f in systems]
+    systems.append(parse_system(CLOSE_ZEROS))
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
         paths = []
@@ -108,7 +120,8 @@ def main() -> int:
             paths.append(os.path.join(workdir, f"system{i:02d}.json"))
             with open(paths[-1], "w") as fh:
                 fh.write(cli.canonical_json(system_to_document(f)))
-        for name, runs in groups(paths[:-1], paths[-1], len(univariate), first_points).items():
+        for name, runs in groups(paths[:-2], paths[-2], paths[-1], len(univariate),
+                                 first_points).items():
             digest = hashlib.sha256()
             for argv in runs:
                 digest.update(run_digest(argv))

@@ -218,9 +218,8 @@ def test_rounded_grid_data_within_round_off_bounds(n):
     # the computed value can exceed (1 + 2^-11 at 12 bits for n = 1).
     f = cases[-1].normalized()
     e0 = np.array([[2**spec.k] + [0] * n])
-    e0_level = (e0, sphere.lattice_index(spec, e0))
     for ar in (EXACT, Arithmetic(12), Arithmetic(24), Arithmetic(53)):
-        smin = engine.evaluate_level(f, spec, e0_level, ar).sigma_min[0]
+        smin = engine.evaluate_level(f, spec, e0, ar).sigma_min[0]
         assert abs(smin - 1.0) <= engine._round_off_bounds(f, ar)[1]
 
 

@@ -243,6 +243,32 @@ def test_count_oversized_degree_is_schema_error(system_file, capsys, degree, J):
     assert captured.err.startswith("error: polynomial 0: ") and captured.err.count("\n") == 1
 
 
+# Polynomial 0 is identically zero: as written, or once the system is
+# scaled to norm 1 (1e-300 (X1 - X0) next to 1e300 (X2 - X0), one ray).
+ZERO_EQUATION = {
+    "written": {"n": 2, "degrees": [1, 1], "polys": [
+        [{"J": [1, 0, 0], "c": 0}], [{"J": [0, 0, 1], "c": 1.0}]]},
+    "scaled": {"n": 2, "degrees": [1, 1], "polys": [
+        [{"J": [0, 1, 0], "c": 1e-300}, {"J": [1, 0, 0], "c": -1e-300}],
+        [{"J": [0, 0, 1], "c": 1e300}, {"J": [1, 0, 0], "c": -1e300}]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_EQUATION))
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--max-iter", "3"], ["sweep", "--bits", "24", "--max-iter", "3"],
+     ["kappa", "--level", "2"]],
+    ids=["count", "sweep", "kappa"],
+)
+def test_identically_zero_equation_is_schema_error(system_file, capsys, argv, case):
+    rc = cli.main([*argv, "--input", system_file(ZERO_EQUATION[case])])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: polynomial 0: ") and captured.err.count("\n") == 1
+
+
 def test_count_huge_degree_is_schema_error(system_file, capsys):
     # Its factor table would take 8 TiB; it is refused before allocation.
     degree = 2**40

@@ -221,13 +221,13 @@ def test_served_levels_run_no_point_kernel(univariate_suite, multivariate_suite,
     ar = EXACT if bits is None else make_arithmetic("rounded", bits)
     systems = [c["system"] for c in univariate_suite] + [
         c["system"] for c in multivariate_suite if c["degrees"] == (1, 1)]
-    point_data, calls, past = engine._point_data, [], []
+    evaluate, calls, past = engine.evaluate_level, [], []
 
     def counted(f, spec, rows, *args):
         calls.append((spec.k, 2 * len(rows) == spec.point_count()))
-        return point_data(f, spec, rows, *args)
+        return evaluate(f, spec, rows, *args)
 
-    monkeypatch.setattr(engine, "_point_data", counted)
+    monkeypatch.setattr(engine, "evaluate_level", counted)
     for f in systems:
         fn = f.normalized()
         k0 = engine.initial_level(fn.n)
@@ -277,10 +277,10 @@ def test_served_levels_hold_their_own_evaluation(univariate_suite, multivariate_
 
         def checked(*args):
             got = served_level(*args)
-            level, spec = (got.rows, got.row_index), got.spec
-            served.append(_same_bits(got, engine.evaluate_level(fn, spec, level, ar, 1,
+            rows, spec = got.rows, got.spec
+            served.append(_same_bits(got, engine.evaluate_level(fn, spec, rows, ar, 1,
                                                                 got.inherited_fsup)))
-            pruned.append(2 * len(level[0]) < spec.point_count())
+            pruned.append(2 * len(rows) < spec.point_count())
             return got
 
         with monkeypatch.context() as m:
@@ -297,32 +297,27 @@ def test_served_tables_give_the_children(n, K):
     lines up with `whole`: the coarse rows at `whole`, scaled down, are its
     rows, in grid order.  At each level k < K, the table rows of any set of
     level-k positions give, through `np.unique` and `engine._distinct`
-    alike, the level-(k+1) positions of the rows and indices
-    `sphere.children` returns for those rows."""
+    alike, the level-(k+1) positions of the rows `sphere.children` returns
+    for those rows."""
     coarse = CubeGridSpec(n=n, k=K)
-    rows, _ = sphere.canonical_grid(coarse)
+    rows = sphere.canonical_grid(coarse)
     rng = np.random.default_rng(n * K)
     assert engine._distinct(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
     levels = engine._served_tables(n, K, 1)
     assert len(levels) == K and levels[-1][2] is None
-    for k, (whole, (level_rows, level_index), table) in enumerate(levels, start=1):
+    for k, (whole, level_rows, table) in enumerate(levels, start=1):
         spec = CubeGridSpec(n=n, k=k)
-        want_grid = sphere.canonical_grid(spec)
-        assert np.array_equal(level_rows, want_grid[0])
-        assert np.array_equal(level_index, want_grid[1])
+        assert np.array_equal(level_rows, sphere.canonical_grid(spec))
         assert np.array_equal(rows[whole] >> (K - k), level_rows)
-        assert np.array_equal(sphere.lattice_index(spec, level_rows), level_index)
         if table is None:
             continue
         assert table.shape[0] == len(whole) and not table.flags.writeable
-        _, (finer_rows, finer_index), _ = levels[k]
+        finer_rows = levels[k][1]
         for size in (1, 2, len(whole) // 3, len(whole)):
             pos = np.sort(rng.choice(len(whole), size, replace=False))
             got = np.unique(table[pos])
             assert np.array_equal(engine._distinct(table[pos]), got)
-            want_rows, want_index = sphere.children(spec, level_rows[pos])
-            assert np.array_equal(finer_rows[got], want_rows)
-            assert np.array_equal(finer_index[got], want_index)
+            assert np.array_equal(finer_rows[got], sphere.children(spec, level_rows[pos]))
 
 
 def _graphed_levels(fn, ar, cap):
@@ -343,7 +338,7 @@ def _graphed_levels(fn, ar, cap):
 def test_served_levels_match_children_and_evaluation(univariate_suite, multivariate_suite,
                                                      monkeypatch, bits):
     """Every level served from the coarse grid, as positions, has the rows,
-    grid indices, points, f_sup, sigma_min, vertex mask and inherited bound
+    f_sup, sigma_min, vertex mask, kappa estimates and inherited bound
     that `sphere.children` (or the whole grid) and `evaluate_level` give
     with no coarse grid, bit for bit, at n = 1 and n = 2, under the default
     cap, a cap of 5000 points and a cap at the coarse grid's point count;

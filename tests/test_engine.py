@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import math
 import random
-import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -416,8 +415,6 @@ def _halting_verdicts(f, spec, ar, min_cross, min_excluded):
     graph = engine.ProximityGraph(
         spec=spec,
         rows=np.zeros((3, spec.n + 1), dtype=np.int64),
-        row_index=np.arange(3),
-        row_points=np.zeros((3, spec.n + 1)),
         f_sup=np.array([0.0, 0.0, min_excluded]),
         sigma_min=np.ones(3),
         vertex_mask=np.array([True, True, False]),
@@ -549,7 +546,7 @@ def test_level_with_nothing_left_to_evaluate():
     vertex, and passes condition (ii) on the inherited bound alone."""
     f = system(CIRCLE).normalized()
     spec = CubeGridSpec(n=1, k=4)
-    nothing = (np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    nothing = np.zeros((0, 2), dtype=np.int64)
     graph = engine.build_graph(
         f, engine.evaluate_level(f, spec, nothing, inherited_fsup=0.5), EXACT)
     report = engine.halting_report(graph, engine.connected_components(graph),
@@ -559,8 +556,8 @@ def test_level_with_nothing_left_to_evaluate():
     assert report.condition_i_pass and report.condition_ii_pass
     assert graph.kappa.shape == (0,) and np.max(graph.kappa, initial=-math.inf) == -math.inf
     keep, inherited = engine._prune(f, graph, EXACT)
-    rows, index = sphere.children(spec, graph.rows[keep])
-    assert rows.shape == (0, 2) and index.shape == (0,) and inherited == 0.5
+    rows = sphere.children(spec, graph.rows[keep])
+    assert rows.shape == (0, 2) and inherited == 0.5
 
 
 def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_suite):
@@ -573,13 +570,11 @@ def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_su
         finer = CubeGridSpec(n=2, k=2)
         keep, inherited = engine._prune(f, level, ar)
         assert keep is None
-        rows, index = (sphere.canonical_grid(finer) if keep is None
-                       else sphere.children(level.spec, level.rows[keep]))
-        whole_rows, whole_index = sphere.canonical_grid(finer)
-        child_rows, child_index = sphere.children(level.spec, level.rows)
-        assert np.array_equal(rows, whole_rows) and np.array_equal(rows, child_rows)
-        assert np.array_equal(index, whole_index) and np.array_equal(index, child_index)
-        assert np.array_equal(index, lattice_index(finer, rows))
+        rows = (sphere.canonical_grid(finer) if keep is None
+                else sphere.children(level.spec, level.rows[keep]))
+        assert np.array_equal(rows, sphere.children(level.spec, level.rows))
+        assert np.all(np.diff(lattice_index(finer, rows)) > 0)
+        assert 2 * len(rows) == finer.point_count()
         assert inherited == math.inf
     r = engine.count_roots(f, mode="rounded", bits=3, max_iterations=6)
     assert [lvl.evaluated for lvl in r.trace] == [it.grid_size for it in r.iterations]
@@ -593,27 +588,24 @@ def test_small_canonical_grids_are_shared_read_only():
     for n, k in ((1, 1), (1, 13), (2, 5), (3, 3)):
         spec = CubeGridSpec(n=n, k=k)
         assert spec.point_count() // 2 <= sphere._CHUNK
-        rows, index = sphere.canonical_grid(spec)
+        rows = sphere.canonical_grid(spec)
         lattice = sphere.grid_lattice(spec)
-        canonical = np.flatnonzero(sphere.is_canonical(lattice))
-        assert np.array_equal(rows, lattice[canonical]) and np.array_equal(index, canonical)
-        again = sphere.canonical_grid(spec, spec.point_count())
-        assert again[0] is rows and again[1] is index
-        for array in (rows, index):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+        assert np.array_equal(rows, lattice[sphere.is_canonical(lattice)])
+        assert sphere.canonical_grid(spec, spec.point_count()) is rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 0
         with pytest.raises(sphere.GridTooLargeError):
             sphere.canonical_grid(spec, spec.point_count() - 1)
     big = CubeGridSpec(n=1, k=14)
     assert big.point_count() // 2 > sphere._CHUNK
     held = sphere._shared_canonical_lattice.cache_info().currsize
-    rows, index = sphere.canonical_grid(big)
+    rows = sphere.canonical_grid(big)
     assert len(rows) == big.point_count() // 2 and rows.flags.writeable
     assert sphere._shared_canonical_lattice.cache_info().currsize == held
-    refs = [weakref.ref(rows), weakref.ref(index)]
-    del rows, index
+    ref = weakref.ref(rows)
+    del rows
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert ref() is None
 
 
 def test_one_block_level_computes_each_norm_once(monkeypatch):
@@ -666,44 +658,6 @@ def test_one_block_proximity_matches_full_matrix(t):
         got, got_min, _ = engine._proximity(points, radii, ar, mirror)
         assert len(points) ** 2 <= engine._BLOCK
         assert np.array_equal(got, labels) and _bits(got_min) == _bits(min_cross)
-
-
-def test_levels_carry_their_grid_indices(multivariate_suite, univariate_suite, monkeypatch):
-    """Each level's rows come with their grid_lattice indices, so
-    sphere.lattice_index runs once per level that expands children, from
-    sphere.children, and never for a level served from the run's coarse
-    grid, whose indices _served_level gathers, nor in build_graph.  The
-    coarse grid's tables are built once per process, by a first run of
-    each case."""
-    callers, expansions, served = [], [], []
-    lattice_index, children, evaluate = sphere.lattice_index, sphere.children, engine._served_level
-
-    def counted_index(spec, rows):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return lattice_index(spec, rows)
-
-    def counted_children(*args, **kwargs):
-        expansions.append(args[0].k)
-        return children(*args, **kwargs)
-
-    def counted_level(*args):
-        served.append(True)
-        return evaluate(*args)
-
-    f = _suite_system(multivariate_suite, (1, 1), 0)
-    runs = [(f, "exact", None), (f, "rounded", 24), (univariate_suite[0]["system"], "exact", None)]
-    for g, mode, bits in runs:
-        engine.count_roots(g, mode=mode, bits=bits)
-    monkeypatch.setattr(sphere, "lattice_index", counted_index)
-    monkeypatch.setattr(sphere, "children", counted_children)
-    monkeypatch.setattr(engine, "_served_level", counted_level)
-    for g, mode, bits in runs:
-        callers.clear()
-        expansions.clear()
-        served.clear()
-        assert engine.count_roots(g, mode=mode, bits=bits).status == "converged"
-        assert len(expansions) > 0 and any(served)
-        assert callers == ["children"] * len(expansions)
 
 
 def _assert_spanning_forest(edges, labels, near):
@@ -769,6 +723,34 @@ def test_graph_layer_matches_dense_reference(univariate_suite, multivariate_suit
         assert len(levels) >= 2
         for fn, graph, ids, report in levels[-2:]:
             _assert_graph_layer_matches_dense(fn, graph, ids, report, ar, monkeypatch)
+
+
+@pytest.mark.parametrize("mode, bits", MODES, ids=[m + str(b or "") for m, b in MODES])
+def test_graph_lists_its_vertices_in_grid_order(univariate_suite, multivariate_suite,
+                                                levels_to_halt, mode, bits):
+    """Every graphed level of both oracle suites (rounded: the members
+    marked rounded_feasible) lists its canonical vertex rows y and their
+    antipodes -y by increasing grid_lattice index, each once.  It gives y
+    the point `sphere.project_many` of its own lattice row through the
+    run's provider, bit for bit, and -y that point negated (a zero
+    coordinate becomes -0.0)."""
+    ar = make_arithmetic(mode, bits)
+    systems = [case["system"] for case in univariate_suite] + [
+        case["system"] for case in multivariate_suite
+        if mode == "exact" or case["rounded_feasible"]
+    ]
+    graphs = [graph for f in systems for _, graph, _, _ in levels_to_halt(f, ar)]
+    for graph in graphs:
+        canon = graph.rows[graph.vertex_mask]
+        rows = np.concatenate((canon, -canon))
+        index = lattice_index(graph.spec, rows)
+        order = np.argsort(index)
+        assert np.array_equal(graph.vertex_indices, index[order])
+        assert np.all(np.diff(graph.vertex_indices) > 0)
+        points = sphere.project_many(canon * graph.spec.eta, ar)
+        want = np.concatenate((points, -points))[order]
+        assert np.array_equal(_bits(graph.vertex_points), _bits(want))
+    assert sum(graph.n_vertices for graph in graphs) > 0
 
 
 def test_graph_layer_matches_dense_reference_n3(monkeypatch):

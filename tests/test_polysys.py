@@ -82,6 +82,9 @@ def test_parse_rejects_bad_documents():
         parse_system(dup)
     with pytest.raises(SystemFormatError):
         parse_system(dict(base, polys=[[]]))  # zero polynomial
+    zeros = [{"J": [2, 0], "c": 0.0}, {"J": [1, 1], "c": -0.0}]
+    with pytest.raises(SystemFormatError, match="polynomial 0: every coefficient is zero"):
+        parse_system(dict(base, polys=[zeros]))  # zero polynomial, written out
     with pytest.raises(SystemFormatError):
         parse_system("not json at all{")
 
@@ -206,6 +209,23 @@ def test_norms_over_the_full_double_range(coeffs):
     fn = f.normalized()
     assert abs(fn.norm - 1.0) < 1e-15
     assert fn.original_norm == f.norm
+
+
+def test_normalizing_refuses_an_equation_it_scales_to_zero():
+    """1e-300 (X1 - X0) next to 1e300 (X2 - X0): scaling to norm 1 leaves
+    f_0's coefficients 0 and -0, which the schema refuses by name.  A lone
+    5e-324 on X0^500 X1^500 is nonzero, but its Weyl norm underflows: the
+    system's norm is 0, which is the zero-system error."""
+    f = parse_system({"n": 2, "degrees": [1, 1], "polys": [
+        [{"J": [0, 1, 0], "c": 1e-300}, {"J": [1, 0, 0], "c": -1e-300}],
+        [{"J": [0, 0, 1], "c": 1e300}, {"J": [1, 0, 0], "c": -1e300}],
+    ]})
+    with pytest.raises(SystemFormatError, match="polynomial 0: every coefficient underflows"):
+        f.normalized()
+    tiny = parse_system({"n": 1, "degrees": [1000], "polys": [[{"J": [500, 500], "c": 5e-324}]]})
+    assert tiny.norm == 0.0
+    with pytest.raises(SystemFormatError, match="cannot normalize the zero system"):
+        tiny.normalized()
 
 
 @pytest.mark.parametrize("bits", [None, 53, 24, 12])

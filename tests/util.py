@@ -276,7 +276,10 @@ def reference_lattice_index(spec, rows):
     if np.any(np.abs(rows) > half) or not np.all(on_face.any(axis=1)):
         raise ValueError(f"rows are not on the level-{spec.k} cube surface")
     face = np.argmax(on_face, axis=1)
-    sizes, starts = sphere._face_blocks(spec)
+    # Face j's blocks (j, +half) and (j, -half) each hold
+    # (side - 1)^j (side + 1)^(n - j) rows.
+    sizes = np.array([(side - 1) ** j * (side + 1) ** (dim - 1 - j) for j in range(dim)])
+    starts = np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
     offset = np.zeros(len(rows), dtype=np.int64)
     for j in range(dim):
         before, after = j < face, j > face
@@ -290,8 +293,9 @@ def reference_lattice_index(spec, rows):
 def reference_children(spec, rows, cap=sphere.DEFAULT_GRID_CAP):
     """sphere.children by expanding all 3^(n+1) candidates 2p + e of each
     parent, filtering them to the finer surface, canonicalizing them with
-    is_canonical and indexing them with reference_lattice_index; parents
-    go sphere._CHUNK at a time, with the same merges and cap checks."""
+    is_canonical and keeping one of each reference_lattice_index in index
+    order; parents go sphere._CHUNK at a time, with the same merges and cap
+    checks."""
     dim = spec.n + 1
     finer = sphere.CubeGridSpec(n=spec.n, k=spec.k + 1)
     steps = np.indices((3,) * dim).reshape(dim, -1).T - 1
@@ -311,4 +315,4 @@ def reference_children(spec, rows, cap=sphere.DEFAULT_GRID_CAP):
                 index, found = [idx], [np.concatenate(found)[first]]
             sphere.check_cap(finer, 2 * len(idx), cap)
             held, limit = len(idx), max(cap // 2, 2 * len(idx))
-    return found[0], index[0]
+    return found[0]
