@@ -7,9 +7,10 @@ Two families with exactly known answers:
   the ray through (0, 1) when X0 divides p.  Root counting is done in exact
   rational arithmetic with Sturm sequences, so it shares no code path with
   the floating-point engine.
-* products of linear forms in three variables: each polynomial is a product
-  of integer linear forms, every zero ray is an exact pairwise kernel
-  intersection, and the count follows from rank checks over the integers.
+* products of linear forms in n + 1 variables: each polynomial is a product
+  of integer linear forms, every zero ray is the exact kernel line of one
+  form per polynomial, and the count follows from rank checks over the
+  integers.
 
 Generated coefficients are small integers, hence exact in float64, so the
 rational verdicts apply verbatim to the parsed systems.
@@ -18,7 +19,6 @@ rational verdicts apply verbatim to the parsed systems.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -154,14 +154,15 @@ def random_binary_system(rng: random.Random, degree: int):
 
 
 # ---------------------------------------------------------------------------
-# Products of integer linear forms in three variables (n = 2).
+# Products of integer linear forms in n + 1 variables.
 
 
-def _expand_linear_product(forms: list[tuple[int, int, int]]) -> Polynomial:
-    """Multiply out a product of linear forms over the integers."""
-    terms = {(0, 0, 0): 1}
+def _expand_linear_product(forms: list[tuple[int, ...]]) -> Polynomial:
+    """Multiply out a product of linear forms in n + 1 variables over the integers."""
+    n_vars = len(forms[0])
+    terms = {(0,) * n_vars: 1}
     for form in forms:
-        new: dict[tuple[int, int, int], int] = {}
+        new: dict[tuple[int, ...], int] = {}
         for exps, c in terms.items():
             for var, coef in enumerate(form):
                 if coef == 0:
@@ -169,35 +170,43 @@ def _expand_linear_product(forms: list[tuple[int, int, int]]) -> Polynomial:
                 key = tuple(e + (1 if i == var else 0) for i, e in enumerate(exps))
                 new[key] = new.get(key, 0) + c * coef
         terms = new
-    d = len(forms)
     monomials = [Monomial(exps, float(c)) for exps, c in sorted(terms.items()) if c != 0]
-    return Polynomial(d, monomials, n_vars=3)
+    return Polynomial(len(forms), monomials, n_vars=n_vars)
 
 
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+def _det(rows: list[tuple[int, ...]]) -> int:
+    """The determinant of a square integer matrix, by Laplace expansion."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, c in enumerate(rows[0]) if c)
+
+
+def _parallel(a, b) -> bool:
+    """Are the integer vectors a and b linearly dependent?"""
+    return all(a[i] * b[j] == a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2))
 
 
 def make_linear_product_system(
-    degrees: tuple[int, int],
+    degrees: tuple[int, ...],
     seed: int,
     coeff_range: int = 3,
     max_tries: int = 20000,
     min_sigma: float | None = None,
 ):
-    """Random n = 2 system of products of integer linear forms, with its count.
+    """Random system of products of integer linear forms, with its count.
 
-    Each zero ray is the kernel line of one form from each polynomial; the
-    exact count is the number of distinct such lines, computed with integer
-    cross products.  Seeds producing a shared form between the two
-    polynomials, parallel forms within a polynomial, or three concurrent
-    kernel lines are rejected, so every zero ray is simple and the count is
-    stable under perturbation.  Returns (system, count, rays) where rays are
-    the exact integer direction vectors, one per antipodal pair.
+    n = len(degrees) >= 2 polynomials in n + 1 variables.  Each zero ray is
+    the kernel line of one form from each polynomial: the vector of signed
+    maximal minors (-1)^i det(A without column i) of the n x (n+1) matrix A
+    of those forms (for n = 2, their cross product), in exact integers.
+    The count is the number of distinct such lines.  Seeds are rejected,
+    in this order, when two forms of the system are parallel, when some
+    choice of one form per polynomial has rank below n, or when two rays
+    are parallel (n + 1 forms concurrent), so every zero ray is simple and
+    the count is stable under perturbation.  Returns (system, count, rays)
+    where rays are the exact integer direction vectors, one per antipodal
+    pair.
 
     min_sigma additionally rejects seeds whose worst zero ray has sigma_min
     (after normalization) below the bound; the counting loop's halting mesh
@@ -205,49 +214,35 @@ def make_linear_product_system(
     small grid budget.
     """
     rng = random.Random(seed)
+    n = len(degrees)
     for _ in range(max_tries):
         all_forms = []
-        ok = True
         for d in degrees:
             forms = []
             for _ in range(d):
                 while True:
-                    v = tuple(rng.randint(-coeff_range, coeff_range) for _ in range(3))
+                    v = tuple(rng.randint(-coeff_range, coeff_range) for _ in range(n + 1))
                     if any(v):
                         break
                 forms.append(v)
             all_forms.append(forms)
-        # No parallel pair anywhere: every pair of forms in the whole system
-        # must have a nonzero cross product, so kernel lines are distinct
-        # within each polynomial and no line is shared between the two.
         flat = [v for forms in all_forms for v in forms]
-        for a, b in itertools.combinations(flat, 2):
-            if _cross(a, b) == (0, 0, 0):
-                ok = False
-                break
-        if not ok:
+        if any(_parallel(a, b) for a, b in itertools.combinations(flat, 2)):
             continue
-        rays = []
-        for a in all_forms[0]:
-            for b in all_forms[1]:
-                rays.append(_cross(a, b))
-        # Reject coincident intersection lines (three forms concurrent).
-        distinct = []
-        for r in rays:
-            if any(_cross(r, s) == (0, 0, 0) for s in distinct):
-                ok = False
-                break
-            distinct.append(r)
-        if not ok:
+        rays = [tuple((-1) ** i * _det([a[:i] + a[i + 1:] for a in choice]) for i in range(n + 1))
+                for choice in itertools.product(*all_forms)]
+        if not all(any(r) for r in rays):
+            continue
+        if any(_parallel(r, s) for r, s in itertools.combinations(rays, 2)):
             continue
         polys = [_expand_linear_product(forms) for forms in all_forms]
         system = PolynomialSystem(tuple(degrees), polys)
         if min_sigma is not None:
             fn = system.normalized()
-            R = np.array([np.array(r, float) / np.linalg.norm(r) for r in distinct])
+            R = np.array([np.array(r, float) / np.linalg.norm(r) for r in rays])
             if np.min(sigma_min_many(compute_M_many(fn, R))) < min_sigma:
                 continue
-        return system, len(distinct), distinct
+        return system, len(rays), rays
     raise RuntimeError(f"no admissible system found for seed {seed}")
 
 

@@ -1,4 +1,5 @@
-"""Session fixtures: the two oracle suites used across engine and CLI tests.
+"""Session fixtures: the two oracle suites used across engine and CLI tests,
+and the graphed levels of their runs.
 
 The univariate suite is 20 random rational binary forms (degree <= 6),
 filtered to squarefree forms with grid condition estimate <= 1e3.  The
@@ -93,3 +94,44 @@ def univariate_suite():
 @pytest.fixture(scope="session")
 def multivariate_suite():
     return multivariate_cases()
+
+
+def graphed_levels(fn, ar, max_levels=24):
+    """(result, [(graph, component ids, report)]) of count_levels on the
+    normalized system fn: each level it graphs, as it hands them to
+    `engine.halting_report`."""
+    levels, halting_report = [], engine.halting_report
+
+    def recorded(graph, ids, *thresholds):
+        levels.append((graph, ids, halting_report(graph, ids, *thresholds)))
+        return levels[-1][2]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "halting_report", recorded)
+        result, _ = engine.count_levels(fn, ar, max_levels)
+    return result, levels
+
+
+def halting_levels(f, ar):
+    """(fn, graph, component ids, report) per level until both conditions pass."""
+    fn = f.normalized()
+    result, levels = graphed_levels(fn, ar)
+    assert result.status == "converged", "no halt within the level budget"
+    return [(fn, *level) for level in levels]
+
+
+@pytest.fixture(scope="session")
+def levels_to_halt():
+    """`halting_levels` of the unpatched engine, run once per system and
+    provider for the session; tests only read the levels.  A test that
+    patches the engine calls `halting_levels` itself, after its cached
+    runs."""
+    cache = {}
+
+    def levels(f, ar):
+        key = (id(f), ar)
+        if key not in cache:
+            cache[key] = (f, halting_levels(f, ar))
+        return cache[key][1]
+
+    return levels

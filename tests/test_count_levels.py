@@ -1,15 +1,15 @@
-"""The level loop without per-level reports, as `sweep` runs it, and the
-coarse grid its small levels are served from.
+"""The level loop without per-level reports, as `sweep` runs it, the
+coarse grid its small levels are served from, and the loop against the
+whole-grid reference of `tests/reference.py`.
 
 `count_levels(..., reports=False)` evaluates every level's points and
 vertex test but builds a level's vertex list, radii and graph only where
 condition (ii) passes.  Its count, status, condition estimate and
 representatives must be those of the loop with reports, bit for bit, and
 its caps must act at the same levels.  A level at or below the run's
-coarse grid (`engine._coarse_grid`) is served from that grid, as positions
-in it; its rows and data must be the bits that `sphere.children` and its
-own evaluation give, and the grid must pass no cap and no last level the
-run has.
+coarse grid is served from that grid, as positions in it; its data must
+be the bits its own evaluation gives, and the grid must pass no cap and
+no last level the run has.
 """
 
 import dataclasses
@@ -28,6 +28,7 @@ from spherecount.polysys import parse_system, system_to_document
 from spherecount.rounding import EXACT, make_arithmetic
 from spherecount.sphere import CubeGridSpec
 
+import reference
 from util import random_system
 
 DOUBLE = {"n": 1, "degrees": [2], "polys": [[{"J": [0, 2], "c": 1.0}]]}
@@ -94,56 +95,43 @@ def test_reports_do_not_change_the_outcome_on_the_suites(univariate_suite, multi
 
 
 def _levels_run(monkeypatch, run):
-    """(result, k of every level the loop evaluated or served, the cap
-    errors raised where the loop made a level's rows).  The loop takes each
-    level's thresholds once, whether the level is evaluated or served from
-    the coarse grid; `_prune` takes those of the next level too, which are
-    not counted.  It makes an evaluated level's rows by
-    `sphere.canonical_grid` or `sphere.children`; calls from elsewhere are
-    not counted."""
-    ks, errors = [], []
-    thresholds = engine._thresholds
+    """(result, the levels whose rows the loop made, the cap errors raised
+    there).  The loop makes an evaluated level's rows by
+    `sphere.canonical_grid` of its spec or `sphere.children` of the level
+    before; a served level makes none, and calls from elsewhere are not
+    counted."""
+    made, errors = [], []
 
-    def recorded(f, spec, *args):
-        if sys._getframe(1).f_code.co_name == "count_levels":
-            ks.append(spec.k)
-        return thresholds(f, spec, *args)
-
-    def checked(make):
-        def made(*args):
+    def checked(make, step):
+        def made_rows(spec, *args):
+            if sys._getframe(1).f_code.co_name != "count_levels":
+                return make(spec, *args)
+            made.append(spec.k + step)
             try:
-                return make(*args)
+                return make(spec, *args)
             except sphere.GridTooLargeError as exc:
-                if sys._getframe(1).f_code.co_name == "count_levels":
-                    errors.append(str(exc))
+                errors.append(str(exc))
                 raise
-        return made
+        return made_rows
 
     with monkeypatch.context() as m:
-        m.setattr(engine, "_thresholds", recorded)
-        for name in ("canonical_grid", "children"):
-            m.setattr(sphere, name, checked(getattr(sphere, name)))
+        for name, step in (("canonical_grid", 0), ("children", 1)):
+            m.setattr(sphere, name, checked(getattr(sphere, name), step))
         result, _ = run()
-    return result, ks, errors
+    return result, made, errors
 
 
 @pytest.mark.parametrize("reports", [True, False])
 def test_no_children_after_the_last_level(monkeypatch, reports):
-    """A run that reaches max_iterations makes the children of every level
-    but the last: the loop expands a level only to evaluate the next.
-    Levels served from the coarse grid and evaluated levels both prune
-    through `_prune` before they expand."""
+    """A run that reaches max_iterations makes the rows of no level past
+    its last: the loop expands a level only to make the next.  X1^2 is
+    served from the coarse grid, then evaluated through `sphere.children`
+    up to the last level, k = 12."""
     fn = parse_system(DOUBLE).normalized()
-    expanded, prune = [], engine._prune
-
-    def counted(f, level, *args):
-        expanded.append(level.spec.k)
-        return prune(f, level, *args)
-
-    monkeypatch.setattr(engine, "_prune", counted)
-    result, _ = engine.count_levels(fn, EXACT, 5, reports=reports)
+    result, made, _ = _levels_run(
+        monkeypatch, lambda: engine.count_levels(fn, EXACT, 12, reports=reports))
     assert result.status == "iteration-cap-reached"
-    assert expanded == [1, 2, 3, 4]
+    assert made and made == list(range(made[0], 13))
 
 
 @pytest.mark.parametrize("doc, bits, cap, error", [
@@ -154,37 +142,22 @@ def test_no_children_after_the_last_level(monkeypatch, reports):
 ])
 def test_later_cap_ends_the_run_at_the_same_level(monkeypatch, doc, bits, cap, error):
     """A grid cap that bites at a later, non-halting level ends both loops
-    as iteration-cap-reached, after the same levels.  The cap counts
-    points only: X1^3 - X0 X1^2 runs to k = 12, whose 100 vertices make
-    4,950 pairs, and stops at k = 13.  The coarse grid stays within the
-    cap, which at 1000 is below the grid it takes uncapped (k = 8, 2048
-    points), and the run ends as it does with no coarse grid at all."""
+    as iteration-cap-reached, after the same levels: both make the same
+    rows and raise the same cap error at the level after the last report.
+    The cap counts points only: X1^3 - X0 X1^2 runs to k = 12, whose 100
+    vertices make 4,950 pairs, and stops at k = 13."""
     fn = parse_system(doc).normalized()
     ar = EXACT if bits is None else make_arithmetic("rounded", bits)
-    grids, coarse_grid = [], engine._coarse_grid
-
-    def recorded(*args):
-        got = coarse_grid(*args)
-        grids.append(got[0])
-        return got
-
-    monkeypatch.setattr(engine, "_coarse_grid", recorded)
-    (full, full_ks, full_errors), (bare, bare_ks, bare_errors) = [
+    (full, full_made, full_errors), (bare, bare_made, bare_errors) = [
         _levels_run(monkeypatch, lambda r=r: engine.count_levels(fn, ar, 24, grid_cap=cap,
                                                                  reports=r))
         for r in (True, False)
     ]
     assert full.status == bare.status == "iteration-cap-reached"
-    assert [it.k for it in full.iterations] == full_ks == bare_ks
-    assert 1 < len(full_ks) < 24
+    assert bare.kappa_lower_bound.hex() == full.kappa_lower_bound.hex()
+    assert 1 < len(full.iterations) < 24
+    assert full_made == bare_made and full_made[-1] == full.iterations[-1].k + 1
     assert full_errors == bare_errors and len(full_errors) == 1 and error in full_errors[0]
-    assert len(grids) == 2 and all(g.spec.point_count() <= cap for g in grids)
-    monkeypatch.setattr(engine, "_COARSE", 0)
-    plain, plain_ks, plain_errors = _levels_run(
-        monkeypatch, lambda: engine.count_levels(fn, ar, 24, grid_cap=cap))
-    assert grids[-1] is None
-    assert plain.to_dict() == full.to_dict()
-    assert (plain_ks, plain_errors) == (full_ks, full_errors)
 
 
 # 3 X1^2 - X0^2 and (2 X1 - X0, X2 + 3 X0), left unnormalized (||f|| = sqrt(10)).
@@ -263,31 +236,19 @@ def _same_bits(a: engine.GridLevel, b: engine.GridLevel) -> bool:
 
 @pytest.mark.parametrize("bits", [None, 53, 24, 12])
 def test_served_levels_hold_their_own_evaluation(univariate_suite, multivariate_suite,
-                                                 monkeypatch, bits):
-    """A level read from the run's coarse grid equals `evaluate_level` on
-    its own rows, bit for bit, whole-grid and pruned levels alike, at
-    n = 1 and n = 2.  With reports, every served level is graphed, so
-    `_served_level` makes each one's evaluated level."""
+                                                 levels_to_halt, bits):
+    """Every graphed level, read from the run's coarse grid or evaluated,
+    equals `evaluate_level` on its own rows, bit for bit, whole-grid and
+    pruned levels alike, at n = 1 and n = 2."""
     ar = EXACT if bits is None else make_arithmetic("rounded", bits)
-    (pair,) = [c["system"] for c in multivariate_suite
-               if c["degrees"] == (1, 1) and c["seed"] == 0]
-    served_level, pruned = engine._served_level, []
-    for f in (univariate_suite[0]["system"], univariate_suite[5]["system"], pair):
-        served, fn = [], f.normalized()
-
-        def checked(*args):
-            got = served_level(*args)
-            rows, spec = got.rows, got.spec
-            served.append(_same_bits(got, engine.evaluate_level(fn, spec, rows, ar, 1,
-                                                                got.inherited_fsup)))
-            pruned.append(2 * len(rows) < spec.point_count())
-            return got
-
-        with monkeypatch.context() as m:
-            m.setattr(engine, "_served_level", checked)
-            result, _ = engine.count_levels(fn, ar)
-        assert result.status == "converged"
-        assert len(served) > 1 and all(served)
+    systems = [univariate_suite[0]["system"], univariate_suite[5]["system"]] + [
+        c["system"] for c in multivariate_suite if c["degrees"] == (1, 1) and c["seed"] == 0]
+    pruned = []
+    for f in systems:
+        for fn, graph, _, _ in levels_to_halt(f, ar):
+            level = engine.evaluate_level(fn, graph.spec, graph.rows, ar, 1, graph.inherited_fsup)
+            assert _same_bits(graph, level), graph.spec.k
+            pruned.append(2 * len(graph.rows) < graph.spec.point_count())
     assert any(pruned)
 
 
@@ -296,7 +257,7 @@ def test_served_tables_give_the_children(n, K):
     """Each level's cached grid is `sphere.canonical_grid` of its spec and
     lines up with `whole`: the coarse rows at `whole`, scaled down, are its
     rows, in grid order.  At each level k < K, the table rows of any set of
-    level-k positions give, through `np.unique` and `engine._distinct`
+    level-k positions give, through `np.unique` and the engine's sort
     alike, the level-(k+1) positions of the rows `sphere.children` returns
     for those rows."""
     coarse = CubeGridSpec(n=n, k=K)
@@ -318,52 +279,6 @@ def test_served_tables_give_the_children(n, K):
             got = np.unique(table[pos])
             assert np.array_equal(engine._distinct(table[pos]), got)
             assert np.array_equal(finer_rows[got], sphere.children(spec, level_rows[pos]))
-
-
-def _graphed_levels(fn, ar, cap):
-    """(result, every level of count_levels with reports, as graphed)."""
-    levels, graph = [], engine.build_graph
-
-    def recorded(f, level, ar):
-        levels.append(level)
-        return graph(f, level, ar)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine, "build_graph", recorded)
-        result, _ = engine.count_levels(fn, ar, grid_cap=cap)
-    return result, levels
-
-
-@pytest.mark.parametrize("bits", [None, 53, 24, 12])
-def test_served_levels_match_children_and_evaluation(univariate_suite, multivariate_suite,
-                                                     monkeypatch, bits):
-    """Every level served from the coarse grid, as positions, has the rows,
-    f_sup, sigma_min, vertex mask, kappa estimates and inherited bound
-    that `sphere.children` (or the whole grid) and `evaluate_level` give
-    with no coarse grid, bit for bit, at n = 1 and n = 2, under the default
-    cap, a cap of 5000 points and a cap at the coarse grid's point count;
-    so are the levels after the coarse grid's, made by `sphere.children`
-    from the last served level, and the run's document."""
-    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
-    (pair,) = [c["system"] for c in multivariate_suite
-               if c["degrees"] == (1, 1) and c["seed"] == 0]
-    pruned, handed_over = [], []
-    for f in (univariate_suite[0]["system"], univariate_suite[5]["system"], pair):
-        fn = f.normalized()
-        first = CubeGridSpec(n=fn.n, k=engine.initial_level(fn.n))
-        coarse = engine._coarse_grid(fn, first, ar, sphere.DEFAULT_GRID_CAP, 24)[0].spec
-        for cap in (sphere.DEFAULT_GRID_CAP, 5000, coarse.point_count()):
-            result, served = _graphed_levels(fn, ar, cap)
-            with monkeypatch.context() as m:
-                m.setattr(engine, "_COARSE", 0)
-                plain, evaluated = _graphed_levels(fn, ar, cap)
-            assert plain.to_dict() == result.to_dict() and plain.trace == result.trace
-            assert len(served) == len(evaluated) > 1
-            assert all(_same_bits(a, b) for a, b in zip(served, evaluated))
-            pruned += [2 * len(level.rows) < level.spec.point_count()
-                       for level in served if level.spec.k <= coarse.k]
-            handed_over.append(served[-1].spec.k > coarse.k)
-    assert any(pruned) and any(handed_over) and not all(handed_over)
 
 
 @pytest.mark.parametrize("levels", [1, 2])
@@ -404,10 +319,10 @@ def test_index_bound_ends_the_run_at_the_same_level(monkeypatch):
         _levels_run(monkeypatch, lambda r=r: engine.count_levels(fn, EXACT, 24, reports=r))
         for r in (True, False)
     ]
-    for result, ks, errors in runs:
-        assert result.status == "iteration-cap-reached" and ks[-1] == 6
+    for result, made, errors in runs:
+        assert result.status == "iteration-cap-reached" and made == [7]
         assert len(errors) == 1 and "level k=7" in errors[0] and "int64" in errors[0]
-    assert runs[0][1] == runs[1][1]
+    assert runs[0][0].iterations[-1].k == 6
 
 
 # (X1^2, X2) and (X1^2, X2, X3): a double zero, which never halts.  The
@@ -431,11 +346,13 @@ def test_cap_below_the_first_level_still_fails(tmp_path, capsys, monkeypatch):
         for reports in (True, False):
             with pytest.raises(sphere.GridTooLargeError):
                 engine.count_levels(fn, grid_cap=first.point_count() - 1, reports=reports)
-            result, _ = engine.count_levels(fn, grid_cap=first.point_count(), reports=reports)
+            result, made, _ = _levels_run(monkeypatch, lambda: engine.count_levels(
+                fn, grid_cap=first.point_count(), reports=reports))
             assert result.status == "iteration-cap-reached"
             if reports:
                 assert [it.k for it in result.iterations] == [first.k]
-        assert (first.point_count() // 2 > engine._COARSE) == (fn.n == 3)
+            # Only at n = 3 does the loop make the first level's rows itself.
+            assert (made[0] == first.k) == (fn.n == 3)
     fn = parse_system(DOUBLE).normalized()
     first = CubeGridSpec(n=1, k=engine.initial_level(1)).point_count()
     path = tmp_path / "system.json"
@@ -516,3 +433,26 @@ def test_sweep_builds_graphs_only_where_condition_ii_passes(univariate_suite, mu
             assert cli.main(["sweep", "--input", str(path), "--bits", "53,24,12"]) == 0
         capsys.readouterr()
         assert entered == graphed == expected and len(entered) < levels
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**16), st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       st.sampled_from([None, 24]))
+def test_random_systems_take_the_whole_grids_decisions(seed, degrees, bits):
+    """Dense random systems, n = 1 and n = 2 of degrees <= 3, exact and at
+    24 bits: `count_levels` takes the whole grids' decisions on every level
+    of at most 2^19 points, whether or not the run halts there."""
+    f = random_system(random.Random(seed), len(degrees), degrees)
+    reference.assert_matches(f.normalized(),
+                             EXACT if bits is None else make_arithmetic("rounded", bits))
+
+
+def test_n3_member_takes_the_whole_grids_decisions():
+    """The seeded n = 3 linear-product member: `count_roots` gives the
+    oracle's count, and `count_levels` takes the whole grids' decisions on
+    its levels of at most 2^19 points, k = 2 to 4."""
+    f, count, _ = oracle.make_linear_product_system((1, 1, 1), 0, coeff_range=1, min_sigma=0.9)
+    _, levels = reference.assert_matches(f.normalized(), EXACT)
+    assert [level.report.k for level in levels] == [2, 3, 4]
+    assert engine.count_roots(f).count == count == 1

@@ -15,6 +15,8 @@ from spherecount.polysys import parse_system
 from spherecount.rounding import EXACT, make_arithmetic
 from spherecount.sphere import CubeGridSpec, lattice_index
 
+import reference
+from conftest import MULTIVARIATE_SPEC, ROUNDED_FEASIBLE, graphed_levels, halting_levels
 from util import (dense_proximity, hook_labels, random_system, svd_sigma_min_many,
                   union_find_labels)
 
@@ -300,46 +302,6 @@ def test_kappa_estimate_of_subnormal_residuals_is_silent():
     assert result.kappa_lower_bound == math.inf
 
 
-def _graphed_levels(fn, ar, max_levels):
-    """(graph, component ids, report) of each level count_levels graphs, as
-    it hands them to engine.halting_report, and the run's result."""
-    levels, halting_report = [], engine.halting_report
-
-    def recorded(graph, ids, *thresholds):
-        levels.append((graph, ids, halting_report(graph, ids, *thresholds)))
-        return levels[-1][2]
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine, "halting_report", recorded)
-        result, _ = engine.count_levels(fn, ar, max_levels)
-    return result, levels
-
-
-def _levels_to_halt(f, ar, max_levels=24):
-    """(fn, graph, component ids, report) per level until both conditions pass."""
-    fn = f.normalized()
-    result, levels = _graphed_levels(fn, ar, max_levels)
-    assert result.status == "converged", "no halt within the level budget"
-    return [(fn, *level) for level in levels]
-
-
-@pytest.fixture(scope="session")
-def levels_to_halt():
-    """`_levels_to_halt` of the unpatched engine, run once per system and
-    provider for the session; tests only read the levels.  A test that
-    patches the engine calls `_levels_to_halt` itself, after its cached
-    runs."""
-    cache = {}
-
-    def levels(f, ar):
-        key = (id(f), ar)
-        if key not in cache:
-            cache[key] = (f, _levels_to_halt(f, ar))
-        return cache[key][1]
-
-    return levels
-
-
 GATE_CASES = [((2, 1), 0, "exact", None)] + [
     ((1, 1), seed, mode, bits)
     for mode, bits in (("exact", None), ("rounded", 53), ("rounded", 24))
@@ -362,7 +324,7 @@ def test_sigma_min_kernel_matches_svd_per_level(
     ar = make_arithmetic(mode, bits)
     ours = levels_to_halt(f, ar)
     monkeypatch.setattr(alpha, "sigma_min_many", svd_sigma_min_many)
-    ref = _levels_to_halt(f, ar)
+    ref = halting_levels(f, ar)
     assert len(ours) == len(ref)
     for (_, graph, _, report), (_, rgraph, _, rreport) in zip(ours, ref):
         assert np.array_equal(graph.rows, rgraph.rows)
@@ -370,66 +332,6 @@ def test_sigma_min_kernel_matches_svd_per_level(
         assert np.array_equal(graph.edges, rgraph.edges)
         assert np.array_equal(graph.labels, rgraph.labels)
         assert report == rreport
-
-
-def _vertex_sources(graph):
-    """For each vertex, the position of its canonical row in graph.rows."""
-    rows = graph.rows
-    where = dict(zip(lattice_index(graph.spec, rows).tolist(), range(len(rows))))
-    where.update(zip(lattice_index(graph.spec, -rows).tolist(), range(len(rows))))
-    return np.array([where[i] for i in graph.vertex_indices.tolist()], dtype=np.int64)
-
-
-def _longhand_vertices_and_radii(f, graph, ar):
-    """The vertex test at the evaluated rows, and the radii in vertex-list
-    order, as each mode wrote them out separately."""
-    c = alpha.theory_constants()
-    n, D, fs, s = f.n, f.D, graph.f_sup, graph.sigma_min
-    src = _vertex_sources(graph)
-    if ar.t is not None:
-        D32 = ar.mul(ar.const(float(D)), ar.sqrt(ar.const(float(D))))
-        lhs = ar.mul(ar.mul(ar.const(float(n)), fs), D32)
-        mask = lhs < ar.mul(ar.const(c.alpha_bullet), ar.mul(s, s))
-        coef = ar.mul(ar.mul(ar.const(1.5), ar.const(c.sigma)), ar.sqrt(ar.const(float(n))))
-        return mask, ar.div(ar.mul(coef, fs[src]), s[src])
-    mask = n * fs * (D * math.sqrt(D)) < 2.0 * c.alpha_star * s**2
-    return mask, c.sigma * math.sqrt(n) * fs[src] / s[src]
-
-
-def _longhand_thresholds(n, D, eta, ar):
-    """(thr_i, thr_ii) as each mode wrote them out separately; eta may be an
-    array of meshes."""
-    dim, dimD = float(n + 1), float((n + 1) * D)
-    if ar.t is not None:
-        pi = ar.const(math.pi)
-        thr_i = ar.mul(ar.mul(ar.mul(ar.const(1.5), pi), ar.const(eta)), ar.sqrt(ar.const(dim)))
-        half_sqrt2 = ar.div(ar.sqrt(ar.const(2.0)), ar.const(2.0))
-        thr_ii = ar.mul(ar.mul(ar.mul(half_sqrt2, pi), ar.const(eta)), ar.sqrt(ar.const(dimD)))
-        return thr_i, thr_ii
-    return math.pi * eta * math.sqrt(dim), 0.5 * math.pi * eta * math.sqrt(dimD)
-
-
-def _halting_verdicts(f, spec, ar, min_cross, min_excluded):
-    """halting_report on two singleton components min_cross apart and one
-    excluded grid point of residual min_excluded."""
-    graph = engine.ProximityGraph(
-        spec=spec,
-        rows=np.zeros((3, spec.n + 1), dtype=np.int64),
-        f_sup=np.array([0.0, 0.0, min_excluded]),
-        sigma_min=np.ones(3),
-        vertex_mask=np.array([True, True, False]),
-        kappa=np.ones(3),
-        inherited_fsup=math.inf,
-        vertex_indices=np.array([0, 1]),
-        vertex_points=np.zeros((2, spec.n + 1)),
-        radii=np.zeros(2),
-        labels=np.array([0, 1]),
-        min_intercomponent_distance=min_cross,
-        edges=np.zeros((0, 2), dtype=np.int64),
-    )
-    thr_i, thr_ii = engine._thresholds(f, spec, ar)
-    report = engine.halting_report(graph, engine.connected_components(graph), thr_i, thr_ii)
-    return report.condition_i_pass, report.condition_ii_pass
 
 
 def _bits(a):
@@ -440,19 +342,19 @@ def _bits(a):
 def test_mode_formulas_match_longhand(multivariate_suite, levels_to_halt, degrees, seed, mode,
                                       bits):
     """One formula path with mode constants decides bit for bit as the
-    separate per-mode expressions do, at every level up to the halt."""
+    separate per-mode expressions of `tests/reference.py` do, at every
+    level up to the halt: the vertex test, the radii in vertex-list order
+    and both verdicts.  `reference.assert_matches` holds the thresholds
+    of these runs to the longhand ones bit for bit."""
     ar = make_arithmetic(mode, bits)
     f = _suite_system(multivariate_suite, degrees, seed)
     for fn, graph, _, report in levels_to_halt(f, ar):
-        mask, radii = _longhand_vertices_and_radii(fn, graph, ar)
+        mask, radii = reference.vertices_and_radii(fn, graph.f_sup, graph.sigma_min, ar)
         assert np.array_equal(graph.vertex_mask, mask)
-        assert np.array_equal(_bits(graph.radii), _bits(radii))
-        thr_i, thr_ii = _longhand_thresholds(fn.n, fn.D, graph.spec.eta, ar)
-        # "> thr" fails at thr and passes one ulp above it only if the
-        # engine's threshold is thr exactly.
-        assert _halting_verdicts(fn, graph.spec, ar, thr_i, thr_ii) == (False, False)
-        above = (np.nextafter(thr_i, math.inf), np.nextafter(thr_ii, math.inf))
-        assert _halting_verdicts(fn, graph.spec, ar, *above) == (True, True)
+        canon = graph.rows[mask]
+        order = np.argsort(lattice_index(graph.spec, np.concatenate((canon, -canon))))
+        assert np.array_equal(_bits(graph.radii), _bits(np.concatenate((radii, radii))[order]))
+        thr_i, thr_ii = reference.thresholds(fn.n, fn.D, graph.spec.eta, ar)
         assert report.condition_i_pass == (report.min_intercomponent_distance > thr_i)
         assert report.condition_ii_pass == (report.min_excluded_fsup > thr_ii)
 
@@ -469,76 +371,47 @@ def test_thresholds_match_longhand_at_every_level():
                 fn = random_system(rng, n, degrees).normalized()
                 specs = [CubeGridSpec(n=n, k=k) for k in range(1, 41)]
                 got = np.array([engine._thresholds(fn, spec, ar) for spec in specs]).T
-                want = _longhand_thresholds(n, D, np.array([spec.eta for spec in specs]), ar)
+                want = reference.thresholds(n, D, np.array([spec.eta for spec in specs]), ar)
                 assert np.array_equal(_bits(got), _bits(want)), (t, n, degrees)
 
 
-def _uniform_grid(monkeypatch):
-    """Turn pruning off: every level, evaluated or served from the coarse
-    grid, passes on the whole next grid."""
-
-    def whole_next_grid(f, level, ar):
-        return None, math.inf
-
-    monkeypatch.setattr(engine, "_prune", whole_next_grid)
-
-
-def _assert_pruning_keeps_decisions(pruned, uniform):
-    assert len(pruned) == len(uniform)
-    for (_, graph, _, report), (_, ugraph, _, ureport) in zip(pruned, uniform):
-        assert np.array_equal(graph.vertex_indices, ugraph.vertex_indices)
-        assert np.array_equal(_bits(graph.vertex_points), _bits(ugraph.vertex_points))
-        assert np.array_equal(_bits(graph.radii), _bits(ugraph.radii))
-        assert np.array_equal(graph.edges, ugraph.edges)
-        assert np.array_equal(graph.labels, ugraph.labels)
-        assert report.min_excluded_fsup <= ureport.min_excluded_fsup
-        assert dataclasses.replace(report, min_excluded_fsup=0.0) == dataclasses.replace(
-            ureport, min_excluded_fsup=0.0
-        )
-        assert len(graph.rows) <= len(ugraph.rows) == ugraph.spec.point_count() // 2
-
-
-PRUNE_CASES = [((2, 1), 0, "exact", None)] + [
-    ((1, 1), seed, mode, bits)
-    for mode, bits in (("exact", None), ("rounded", 53), ("rounded", 24), ("rounded", 12))
-    for seed in range(4)
-]
+PRUNE_CASES = [(d, s, "exact", None) for d, _, _, seeds in MULTIVARIATE_SPEC for s in seeds] + [
+    (d, s, "rounded", bits) for bits in (53, 24, 12) for d, s in sorted(ROUNDED_FEASIBLE)]
 
 
 @pytest.mark.parametrize(
     "degrees, seed, mode, bits", PRUNE_CASES,
     ids=[f"{d[0]}{d[1]}-seed{s}" + (f"-{m}{b}" if b else "") for d, s, m, b in PRUNE_CASES],
 )
-def test_pruned_levels_match_uniform_grid(multivariate_suite, levels_to_halt, monkeypatch,
-                                          degrees, seed, mode, bits):
-    """Exclusion pruning takes every decision the whole grid takes, level by level."""
+def test_pruned_levels_match_uniform_grid(multivariate_suite, degrees, seed, mode, bits):
+    """Exclusion pruning and the coarse grid take every decision the whole
+    grid takes, level by level (`reference.assert_matches`), on each level
+    whose whole grid has at most 2^19 points; the (2,1) seed-0 member in
+    exact mode up to its halt at k = 9, where the grid has 6.3M points."""
     f = _suite_system(multivariate_suite, degrees, seed)
-    ar = make_arithmetic(mode, bits)
-    pruned = levels_to_halt(f, ar)
-    _uniform_grid(monkeypatch)
-    uniform = _levels_to_halt(f, ar)
-    _assert_pruning_keeps_decisions(pruned, uniform)
-    assert len(pruned[-1][1].rows) < len(uniform[-1][1].rows)
+    deep = (degrees, seed, bits) == ((2, 1), 0, None)
+    result, levels = reference.assert_matches(f.normalized(), make_arithmetic(mode, bits),
+                                              2**23 if deep else reference.MAX_POINTS)
+    # The grids of k <= 7 have at most 2^19 points; the (1,1) members halt at k = 6 exact.
+    assert levels[-1].report.k == (9 if deep else 6 if (degrees, mode) == ((1, 1), "exact") else 7)
+    assert any(t.evaluated < it.grid_size for it, t in zip(result.iterations, result.trace))
 
 
-def _assert_univariate_pruning_keeps_decisions(suite, levels_to_halt, monkeypatch, ar):
-    pruned = [levels_to_halt(case["system"], ar) for case in suite]
-    _uniform_grid(monkeypatch)
-    for case, levels in zip(suite, pruned):
-        _assert_pruning_keeps_decisions(levels, _levels_to_halt(case["system"], ar))
+def _assert_univariate_pruning_keeps_decisions(suite, ar):
+    """Every form halts on the whole grids' decisions, and has a pruned level."""
+    for case in suite:
+        result, _ = reference.assert_matches(case["system"].normalized(), ar)
+        assert result.status == "converged"
+        assert any(t.evaluated < it.grid_size for it, t in zip(result.iterations, result.trace))
 
 
-def test_pruned_levels_match_uniform_grid_univariate(univariate_suite, levels_to_halt,
-                                                     monkeypatch):
-    _assert_univariate_pruning_keeps_decisions(univariate_suite, levels_to_halt, monkeypatch,
-                                               EXACT)
+def test_pruned_levels_match_uniform_grid_univariate(univariate_suite):
+    _assert_univariate_pruning_keeps_decisions(univariate_suite, EXACT)
 
 
 @pytest.mark.parametrize("bits", [53, 24, 12])
-def test_pruned_levels_match_uniform_grid_univariate_rounded(univariate_suite, levels_to_halt,
-                                                             monkeypatch, bits):
-    _assert_univariate_pruning_keeps_decisions(univariate_suite, levels_to_halt, monkeypatch,
-                                               make_arithmetic("rounded", bits))
+def test_pruned_levels_match_uniform_grid_univariate_rounded(univariate_suite, bits):
+    _assert_univariate_pruning_keeps_decisions(univariate_suite, make_arithmetic("rounded", bits))
 
 
 def test_level_with_nothing_left_to_evaluate():
@@ -550,7 +423,7 @@ def test_level_with_nothing_left_to_evaluate():
     graph = engine.build_graph(
         f, engine.evaluate_level(f, spec, nothing, inherited_fsup=0.5), EXACT)
     report = engine.halting_report(graph, engine.connected_components(graph),
-                                   *engine._thresholds(f, spec, EXACT))
+                                   *reference.thresholds(f.n, f.D, spec.eta, EXACT))
     assert graph.n_vertices == 0 and report.grid_size == spec.point_count()
     assert report.min_excluded_fsup == 0.5
     assert report.condition_i_pass and report.condition_ii_pass
@@ -562,22 +435,13 @@ def test_level_with_nothing_left_to_evaluate():
 
 def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_suite):
     """A whole-grid level that resolves no point hands the next level its
-    whole grid, the rows sphere.children gives for all of the level's rows;
-    at 3 bits no margin is finite, so every level is the whole grid."""
-    f = _suite_system(multivariate_suite, (1, 1), 0).normalized()
-    for ar in (EXACT, make_arithmetic("rounded", 12), make_arithmetic("rounded", 3)):
-        level = whole_level(f, CubeGridSpec(n=2, k=1), ar)
-        finer = CubeGridSpec(n=2, k=2)
-        keep, inherited = engine._prune(f, level, ar)
-        assert keep is None
-        rows = (sphere.canonical_grid(finer) if keep is None
-                else sphere.children(level.spec, level.rows[keep]))
-        assert np.array_equal(rows, sphere.children(level.spec, level.rows))
-        assert np.all(np.diff(lattice_index(finer, rows)) > 0)
-        assert 2 * len(rows) == finer.point_count()
-        assert inherited == math.inf
-    r = engine.count_roots(f, mode="rounded", bits=3, max_iterations=6)
-    assert [lvl.evaluated for lvl in r.trace] == [it.grid_size for it in r.iterations]
+    whole grid: the (1,1) seed-0 member resolves nothing at k = 1, exact
+    and at 12 bits, and at 3 bits no margin is finite, so every level is
+    the whole grid."""
+    f = _suite_system(multivariate_suite, (1, 1), 0)
+    for mode, bits, levels in (("exact", None, 2), ("rounded", 12, 2), ("rounded", 3, 6)):
+        r = engine.count_roots(f, mode=mode, bits=bits, max_iterations=levels)
+        assert [lvl.evaluated for lvl in r.trace] == [it.grid_size for it in r.iterations]
 
 
 def test_small_canonical_grids_are_shared_read_only():
@@ -762,7 +626,7 @@ def test_graph_layer_matches_dense_reference_n3(monkeypatch):
         [{"J": [0, 0, 0, 2], "c": 1.0}, {"J": [2, 0, 0, 0], "c": -0.5},
          {"J": [0, 0, 2, 0], "c": 0.25}],
     ]}).normalized()
-    result, levels = _graphed_levels(f, EXACT, 9 - engine.initial_level(3) + 1)
+    result, levels = graphed_levels(f, EXACT, 9 - engine.initial_level(3) + 1)
     assert result.status == "iteration-cap-reached"
     sizes = []
     for graph, ids, report in levels:

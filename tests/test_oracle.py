@@ -187,8 +187,21 @@ def test_linear_product_known_counts():
     assert count <= 4 and count == len(rays)
 
 
+def test_linear_product_rays_are_cross_products():
+    """At n = 2 a ray is the integer cross product of one form from each
+    polynomial; at degrees (1, 1) the polynomials are the forms."""
+    for seed in range(50):
+        f, count, rays = oracle.make_linear_product_system((1, 1), seed)
+        a, b = [0, 0, 0], [0, 0, 0]
+        for form, poly in zip((a, b), f.polynomials):
+            for J, c in zip(poly.exponents.tolist(), poly.coefficients.tolist()):
+                form[J.index(1)] = int(c)
+        cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        assert count == 1 and rays == [cross]
+
+
 def test_linear_product_rays_are_exact_zeros():
-    for degrees, seed in (((1, 1), 1), ((2, 1), 2), ((2, 2), 3)):
+    for degrees, seed in (((1, 1), 1), ((2, 1), 2), ((2, 2), 3), ((1, 1, 2), 4), ((2, 1, 1), 5)):
         f, count, rays = oracle.make_linear_product_system(degrees, seed=seed)
         fn = f.normalized()
         for ray in rays:

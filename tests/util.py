@@ -134,9 +134,9 @@ def hook_labels(V, edges):
 
 
 def dense_proximity(points, radii, ar=EXACT):
-    """Reference for engine._proximity: the full V x V distance matrix, the
-    adjacency d <= r_i + r_j off the diagonal, and one hook of all its edges.
-    Returns (labels, min_cross, adjacency)."""
+    """Reference for the graph layer of engine.build_graph: the full V x V
+    distance matrix, the adjacency d <= r_i + r_j off the diagonal, and one
+    hook of all its edges.  Returns (labels, min_cross, adjacency)."""
     dist = sphere.pairwise_distances(points, ar)
     near = dist <= ar.add(radii[:, None], radii[None, :])
     np.fill_diagonal(near, False)
