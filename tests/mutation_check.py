@@ -76,6 +76,12 @@ MUTATIONS = [
      "                # A later level over the cap ends the run as the last level does.\n"
      "                break\n",
      "                continue\n", LOOP),
+    ("condition (i) passing at its threshold", "engine.py",
+     "condition_i_pass=bool(min_cross > thr_i),", "condition_i_pass=bool(min_cross >= thr_i),",
+     GRAPH),
+    ("condition (ii) passing at its threshold", "engine.py",
+     "return min_excluded, bool(min_excluded > thr_ii)",
+     "return min_excluded, bool(min_excluded >= thr_ii)", GRAPH),
     ("one level past max_iterations", "engine.py",
      "    for done in range(max_iterations):\n", "    for done in range(max_iterations + 1):\n",
      LOOP),

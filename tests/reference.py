@@ -43,26 +43,29 @@ def thresholds(n, D, eta, ar):
     return math.pi * eta * math.sqrt(dim), 0.5 * math.pi * eta * math.sqrt(dimD)
 
 
-def vertices_and_radii(f, f_sup, s, ar):
-    """The vertex test at points with residuals f_sup and sigma_min s, and
-    the certification radii of the vertices, as each mode writes them."""
+def vertices_and_radii(f, spec, rows, f_sup, s, ar):
+    """(mask, order, radii) as each mode writes them: the vertex test at the
+    canonical rows; the order that lists the vertex rows, then their
+    antipodes, in grid_lattice order; the certification radii in that order."""
     c = alpha.theory_constants()
     n, D = f.n, f.D
     if ar.t is None:
         mask = n * f_sup * (D * math.sqrt(D)) < 2.0 * c.alpha_star * s**2
-        return mask, c.sigma * math.sqrt(n) * f_sup[mask] / s[mask]
-    D32 = ar.mul(ar.const(float(D)), ar.sqrt(ar.const(float(D))))
-    lhs = ar.mul(ar.mul(ar.const(float(n)), f_sup), D32)
-    mask = lhs < ar.mul(ar.const(c.alpha_bullet), ar.mul(s, s))
-    coef = ar.mul(ar.mul(ar.const(1.5), ar.const(c.sigma)), ar.sqrt(ar.const(float(n))))
-    return mask, ar.div(ar.mul(coef, f_sup[mask]), s[mask])
+        radii = c.sigma * math.sqrt(n) * f_sup[mask] / s[mask]
+    else:
+        D32 = ar.mul(ar.const(float(D)), ar.sqrt(ar.const(float(D))))
+        lhs = ar.mul(ar.mul(ar.const(float(n)), f_sup), D32)
+        mask = lhs < ar.mul(ar.const(c.alpha_bullet), ar.mul(s, s))
+        coef = ar.mul(ar.mul(ar.const(1.5), ar.const(c.sigma)), ar.sqrt(ar.const(float(n))))
+        radii = ar.div(ar.mul(coef, f_sup[mask]), s[mask])
+    order = np.argsort(sphere.lattice_index(spec, np.concatenate((rows[mask], -rows[mask]))))
+    return mask, order, np.concatenate((radii, radii))[order]
 
 
 @dataclasses.dataclass
 class Level:
     report: engine.IterationReport
-    thr_i: float
-    thr_ii: float
+    thresholds: tuple            # (thr_i, thr_ii)
     kappa: float                 # the running maximum of the kappa estimates
 
 
@@ -86,14 +89,10 @@ def levels(fn, ar, max_points=MAX_POINTS):
             mu = np.where(smin > 0, math.sqrt(fn.n) / smin, math.inf)
             kappa = max(kappa, float(np.max(np.minimum(mu, np.where(f_sup > 0, 1 / f_sup,
                                                                       math.inf)))))
-        mask, radii = vertices_and_radii(fn, f_sup, smin, ar)
-        # Each canonical vertex row stands for itself and its antipode, whose
-        # point is its own negated; the list is in grid_lattice order.
-        canon = rows[mask]
-        order = np.argsort(sphere.lattice_index(spec, np.concatenate((canon, -canon))))
-        points = sphere.project_many(canon * spec.eta, ar)
+        mask, order, radii = vertices_and_radii(fn, spec, rows, f_sup, smin, ar)
+        points = sphere.project_many(rows[mask] * spec.eta, ar)
         points = np.concatenate((points, -points))[order]
-        labels, min_cross, _ = dense_proximity(points, np.concatenate((radii, radii))[order], ar)
+        labels, min_cross, _ = dense_proximity(points, radii, ar)
         ids = np.flatnonzero(labels == np.arange(len(labels)))
         thr_i, thr_ii = thresholds(fn.n, fn.D, spec.eta, ar)
         min_excluded = float(np.min(f_sup[~mask], initial=math.inf))
@@ -102,13 +101,24 @@ def levels(fn, ar, max_points=MAX_POINTS):
             component_count=len(ids), condition_i_pass=bool(min_cross > thr_i),
             condition_ii_pass=bool(min_excluded > thr_ii),
             min_intercomponent_distance=min_cross, min_excluded_fsup=min_excluded)
-        out.append(Level(report, float(thr_i), float(thr_ii), kappa))
+        out.append(Level(report, (float(thr_i), float(thr_ii)), kappa))
         if report.condition_i_pass and report.condition_ii_pass:
             return out, points[ids]
 
 
-def _bits(x):
+def float_bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+def assert_reports_match(reports, want):
+    """Each report equals its whole-grid level's bit for bit, but a lower min_excluded_fsup."""
+    assert 0 < len(want) <= len(reports)
+    for report, level in zip(reports, want):
+        ref = level.report
+        assert report.min_excluded_fsup <= ref.min_excluded_fsup, ref.k
+        fields = [(dataclasses.replace(r, min_excluded_fsup=0.0),
+                   float_bits(r.min_intercomponent_distance)) for r in (report, ref)]
+        assert fields[0] == fields[1], ref.k
 
 
 def assert_matches(fn, ar, max_points=MAX_POINTS):
@@ -117,18 +127,13 @@ def assert_matches(fn, ar, max_points=MAX_POINTS):
     of at most max_points points; returns (result, levels)."""
     want, representatives = levels(fn, ar, max_points)
     result, got = engine.count_levels(fn, ar, max_iterations=len(want))
-    assert len(result.iterations) == len(want)
-    for report, trace, level in zip(result.iterations, result.trace, want):
-        ref = level.report
-        assert report.min_excluded_fsup <= ref.min_excluded_fsup, ref.k
-        fields = [dataclasses.replace(r, min_excluded_fsup=0.0) for r in (report, ref)]
-        assert fields[0] == fields[1], ref.k
-        assert _bits(report.min_intercomponent_distance) == _bits(ref.min_intercomponent_distance)
-        assert _bits([trace.thr_i, trace.thr_ii]) == _bits([level.thr_i, level.thr_ii]), ref.k
+    assert_reports_match(result.iterations, want)
+    thr = [level.thresholds for level in want]
+    assert float_bits([(t.thr_i, t.thr_ii) for t in result.trace]) == float_bits(thr)
     assert result.kappa_lower_bound <= want[-1].kappa
     if representatives is None:
         assert result.status == "iteration-cap-reached"
     else:
         assert result.status == "converged" and got.shape == representatives.shape
-        assert _bits(got) == _bits(representatives)
+        assert float_bits(got) == float_bits(representatives)
     return result, want

@@ -143,9 +143,10 @@ def test_no_children_after_the_last_level(monkeypatch, reports):
 def test_later_cap_ends_the_run_at_the_same_level(monkeypatch, doc, bits, cap, error):
     """A grid cap that bites at a later, non-halting level ends both loops
     as iteration-cap-reached, after the same levels: both make the same
-    rows and raise the same cap error at the level after the last report.
-    The cap counts points only: X1^3 - X0 X1^2 runs to k = 12, whose 100
-    vertices make 4,950 pairs, and stops at k = 13."""
+    rows and raise the same cap error at the level after the last report,
+    and the levels within the cap, coarse ones among them, take the whole
+    grids' decisions.  The cap counts points only: X1^3 - X0 X1^2 runs to
+    k = 12, whose 100 vertices make 4,950 pairs, and stops at k = 13."""
     fn = parse_system(doc).normalized()
     ar = EXACT if bits is None else make_arithmetic("rounded", bits)
     (full, full_made, full_errors), (bare, bare_made, bare_errors) = [
@@ -158,6 +159,7 @@ def test_later_cap_ends_the_run_at_the_same_level(monkeypatch, doc, bits, cap, e
     assert 1 < len(full.iterations) < 24
     assert full_made == bare_made and full_made[-1] == full.iterations[-1].k + 1
     assert full_errors == bare_errors and len(full_errors) == 1 and error in full_errors[0]
+    reference.assert_reports_match(full.iterations, reference.levels(fn, ar, max_points=cap)[0])
 
 
 # 3 X1^2 - X0^2 and (2 X1 - X0, X2 + 3 X0), left unnormalized (||f|| = sqrt(10)).

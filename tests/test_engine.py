@@ -16,6 +16,7 @@ from spherecount.rounding import EXACT, make_arithmetic
 from spherecount.sphere import CubeGridSpec, lattice_index
 
 import reference
+from reference import float_bits
 from conftest import MULTIVARIATE_SPEC, ROUNDED_FEASIBLE, graphed_levels, halting_levels
 from util import (dense_proximity, hook_labels, random_system, svd_sigma_min_many,
                   union_find_labels)
@@ -334,29 +335,28 @@ def test_sigma_min_kernel_matches_svd_per_level(
         assert report == rreport
 
 
-def _bits(a):
-    return np.asarray(a, dtype=np.float64).view(np.int64)
-
-
 @pytest.mark.parametrize("degrees, seed, mode, bits", GATE_CASES, ids=GATE_IDS)
 def test_mode_formulas_match_longhand(multivariate_suite, levels_to_halt, degrees, seed, mode,
                                       bits):
     """One formula path with mode constants decides bit for bit as the
     separate per-mode expressions of `tests/reference.py` do, at every
     level up to the halt: the vertex test, the radii in vertex-list order
-    and both verdicts.  `reference.assert_matches` holds the thresholds
-    of these runs to the longhand ones bit for bit."""
+    and both verdicts, whose "> thr" fails at thr and passes one ulp above."""
     ar = make_arithmetic(mode, bits)
     f = _suite_system(multivariate_suite, degrees, seed)
-    for fn, graph, _, report in levels_to_halt(f, ar):
-        mask, radii = reference.vertices_and_radii(fn, graph.f_sup, graph.sigma_min, ar)
+    for fn, graph, components, report in levels_to_halt(f, ar):
+        mask, _, radii = reference.vertices_and_radii(fn, graph.spec, graph.rows, graph.f_sup,
+                                                      graph.sigma_min, ar)
         assert np.array_equal(graph.vertex_mask, mask)
-        canon = graph.rows[mask]
-        order = np.argsort(lattice_index(graph.spec, np.concatenate((canon, -canon))))
-        assert np.array_equal(_bits(graph.radii), _bits(np.concatenate((radii, radii))[order]))
+        assert float_bits(graph.radii) == float_bits(radii)
         thr_i, thr_ii = reference.thresholds(fn.n, fn.D, graph.spec.eta, ar)
         assert report.condition_i_pass == (report.min_intercomponent_distance > thr_i)
         assert report.condition_ii_pass == (report.min_excluded_fsup > thr_ii)
+        for d, e, up in ((thr_i, thr_ii, False), (*np.nextafter((thr_i, thr_ii), math.inf), True)):
+            edge = dataclasses.replace(graph, vertex_mask=np.ones_like(graph.vertex_mask),
+                                       inherited_fsup=e, min_intercomponent_distance=d)
+            got = engine.halting_report(edge, components, thr_i, thr_ii)
+            assert (got.condition_i_pass, got.condition_ii_pass) == (up, up)
 
 
 def test_thresholds_match_longhand_at_every_level():
@@ -372,7 +372,7 @@ def test_thresholds_match_longhand_at_every_level():
                 specs = [CubeGridSpec(n=n, k=k) for k in range(1, 41)]
                 got = np.array([engine._thresholds(fn, spec, ar) for spec in specs]).T
                 want = reference.thresholds(n, D, np.array([spec.eta for spec in specs]), ar)
-                assert np.array_equal(_bits(got), _bits(want)), (t, n, degrees)
+                assert np.array_equal(float_bits(got), float_bits(want)), (t, n, degrees)
 
 
 PRUNE_CASES = [(d, s, "exact", None) for d, _, _, seeds in MULTIVARIATE_SPEC for s in seeds] + [
@@ -386,14 +386,14 @@ PRUNE_CASES = [(d, s, "exact", None) for d, _, _, seeds in MULTIVARIATE_SPEC for
 def test_pruned_levels_match_uniform_grid(multivariate_suite, degrees, seed, mode, bits):
     """Exclusion pruning and the coarse grid take every decision the whole
     grid takes, level by level (`reference.assert_matches`), on each level
-    whose whole grid has at most 2^19 points; the (2,1) seed-0 member in
-    exact mode up to its halt at k = 9, where the grid has 6.3M points."""
+    whose whole grid has at most 2^19 points (k <= 7; the (1,1) members
+    halt at k = 6 exact), and to the halt for the (2,1) seed-0 member exact
+    (k = 9, 6.3M points) and the (1,1) seed-0 one at 24 bits (k = 8)."""
     f = _suite_system(multivariate_suite, degrees, seed)
-    deep = (degrees, seed, bits) == ((2, 1), 0, None)
-    result, levels = reference.assert_matches(f.normalized(), make_arithmetic(mode, bits),
-                                              2**23 if deep else reference.MAX_POINTS)
-    # The grids of k <= 7 have at most 2^19 points; the (1,1) members halt at k = 6 exact.
-    assert levels[-1].report.k == (9 if deep else 6 if (degrees, mode) == ((1, 1), "exact") else 7)
+    deep = {((2, 1), 0, None): (2**23, 9), ((1, 1), 0, 24): (2**21, 8)}.get((degrees, seed, bits))
+    cap, k = deep or (reference.MAX_POINTS, 6 if (degrees, bits) == ((1, 1), None) else 7)
+    result, levels = reference.assert_matches(f.normalized(), make_arithmetic(mode, bits), cap)
+    assert levels[-1].report.k == k
     assert any(t.evaluated < it.grid_size for it, t in zip(result.iterations, result.trace))
 
 
@@ -495,7 +495,7 @@ def test_one_block_level_computes_each_norm_once(monkeypatch):
     monkeypatch.setattr(engine, "_BLOCK", 40 * 7)
     blocks = engine._proximity(points, radii, EXACT, mirror)
     assert len(calls) > 2 and not any(calls)
-    assert np.array_equal(whole[0], blocks[0]) and _bits(whole[1]) == _bits(blocks[1])
+    assert np.array_equal(whole[0], blocks[0]) and float_bits(whole[1]) == float_bits(blocks[1])
 
 
 @pytest.mark.parametrize("t", [None, 53, 24, 12, 5, 2])
@@ -516,12 +516,12 @@ def test_one_block_proximity_matches_full_matrix(t):
         mirror = position[(order + len(half)) % len(points)]
         assert np.array_equal(points[mirror], -points)
         full = sphere.pairwise_distances(points, ar)
-        assert np.array_equal(_bits(full[mirror]), _bits(full[:, mirror]))
+        assert np.array_equal(float_bits(full[mirror]), float_bits(full[:, mirror]))
         radii = rng.uniform(0.0, 0.3, len(half))[order % len(half)]
         labels, min_cross, _ = dense_proximity(points, radii, ar)
         got, got_min, _ = engine._proximity(points, radii, ar, mirror)
         assert len(points) ** 2 <= engine._BLOCK
-        assert np.array_equal(got, labels) and _bits(got_min) == _bits(min_cross)
+        assert np.array_equal(got, labels) and float_bits(got_min) == float_bits(min_cross)
 
 
 def _assert_spanning_forest(edges, labels, near):
@@ -548,7 +548,7 @@ def _assert_graph_layer_matches_dense(fn, graph, ids, report, ar, monkeypatch):
     labels, min_cross, near = dense_proximity(points, radii, ar)
     assert np.array_equal(graph.labels, labels)
     assert ids.tolist() == sorted(set(labels.tolist()))
-    assert _bits(report.min_intercomponent_distance) == _bits(min_cross)
+    assert float_bits(report.min_intercomponent_distance) == float_bits(min_cross)
     _assert_spanning_forest(graph.edges, labels, near)
     sizes, distances = [], sphere.pairwise_distances
 
@@ -563,7 +563,7 @@ def _assert_graph_layer_matches_dense(fn, graph, ids, report, ar, monkeypatch):
         blocks = engine.build_graph(fn, _as_level(graph), ar)
     assert max(sizes, default=0) <= V
     assert np.array_equal(blocks.labels, labels)
-    assert _bits(blocks.min_intercomponent_distance) == _bits(min_cross)
+    assert float_bits(blocks.min_intercomponent_distance) == float_bits(min_cross)
     _assert_spanning_forest(blocks.edges, labels, near)
 
 
@@ -613,7 +613,7 @@ def test_graph_lists_its_vertices_in_grid_order(univariate_suite, multivariate_s
         assert np.all(np.diff(graph.vertex_indices) > 0)
         points = sphere.project_many(canon * graph.spec.eta, ar)
         want = np.concatenate((points, -points))[order]
-        assert np.array_equal(_bits(graph.vertex_points), _bits(want))
+        assert np.array_equal(float_bits(graph.vertex_points), float_bits(want))
     assert sum(graph.n_vertices for graph in graphs) > 0
 
 
@@ -678,7 +678,7 @@ def test_pivot_bound_holds_at_12_bits(univariate_suite, levels_to_halt, monkeypa
     dense = [dense_proximity(graph.vertex_points, graph.radii, ar) for _, graph in levels]
     for (_, graph), (labels, min_cross, _) in zip(levels, dense):
         assert np.array_equal(graph.labels, labels)
-        assert _bits(graph.min_intercomponent_distance) == _bits(min_cross)
+        assert float_bits(graph.min_intercomponent_distance) == float_bits(min_cross)
     monkeypatch.setattr(engine, "_distance_error", lambda m, ar: 1e-6 / 3)
     wrong = [not np.array_equal(engine.build_graph(fn, _as_level(graph), ar).labels, labels)
              for (fn, graph), (labels, _, _) in zip(levels, dense)]
@@ -711,5 +711,5 @@ def test_pivot_layer_matches_dense_on_random_clusters(monkeypatch, seed):
             monkeypatch.setattr(engine, "_BLOCK", block)
             got, got_min, forest = engine._proximity(points, radii, ar, mirror)
             assert np.array_equal(got, labels), block
-            assert _bits(got_min) == _bits(min_cross), block
+            assert float_bits(got_min) == float_bits(min_cross), block
             _assert_spanning_forest(forest, labels, near)
