@@ -48,7 +48,7 @@ def main():
     print(header)
     print("-" * len(header))
     for t in BITS:
-        r = count_roots(f, mode="rounded", bits=t, max_iterations=16)
+        r = count_roots(f, bits=t, max_iterations=16)
         count = "-" if r.count is None else str(r.count)
         ok = r.status == "converged" and r.count == exact.count
         print(

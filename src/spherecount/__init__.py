@@ -37,7 +37,6 @@ from .polysys import (
 from .rounding import (
     EXACT,
     Arithmetic,
-    make_arithmetic,
     required_precision,
     round_value,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "estimate_kappa",
     "evaluate_level",
     "initial_level",
-    "make_arithmetic",
     "newton_refine",
     "parse_system",
     "required_precision",

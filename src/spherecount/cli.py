@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import alpha, engine, polysys, sphere
-from .rounding import EXACT, make_arithmetic, required_precision
+from .rounding import EXACT, Arithmetic, required_precision
 
 
 def _finite_or_null(obj):
@@ -57,7 +57,6 @@ def cmd_count(args) -> int:
     f = _load_system(args.input)
     result = engine.count_roots(
         f,
-        mode=args.mode,
         bits=args.bits,
         max_iterations=args.max_iter,
         workers=args.workers,
@@ -137,7 +136,7 @@ def cmd_sweep(args) -> int:
     f = _load_system(args.input)
     bits_list = [int(v) for v in args.bits.split(",") if v.strip()] if args.bits.strip() else []
     # Every provider is made, and so every bit count checked, before the first pass.
-    providers = [make_arithmetic("rounded", t) for t in bits_list]
+    providers = [Arithmetic(t) for t in bits_list]
     fn = f.normalized()
     # Only the counts and kappa_hat are tabulated, so no pass refines its
     # zeros or keeps per-level reports: a level builds its graph only where
@@ -210,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="run the grid-refinement counting loop")
     p.add_argument("--input", required=True, help="system document (JSON)")
-    p.add_argument("--mode", choices=["exact", "rounded"], default="exact")
-    p.add_argument("--bits", type=int, default=None, help="significand bits (rounded mode)")
+    p.add_argument("--bits", type=int, default=None,
+                   help="round every operation to this many significand bits, at least 2 "
+                        "(rounded mode); without it the run is exact, at host precision")
     p.add_argument("--max-iter", type=int, default=24)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--grid-cap", type=int, default=sphere.DEFAULT_GRID_CAP)

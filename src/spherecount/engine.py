@@ -93,7 +93,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import alpha, polysys, sphere
-from .rounding import EXACT, make_arithmetic
+from .rounding import EXACT, Arithmetic
 
 _CHUNK = 1 << 15
 _BLOCK = 1 << 16  # distance entries per row block of the graph layer
@@ -961,7 +961,6 @@ def count_levels(
 
 def count_roots(
     f: polysys.PolynomialSystem,
-    mode: str = "exact",
     bits: int | None = None,
     max_iterations: int = 24,
     workers: int = 1,
@@ -975,8 +974,13 @@ def count_roots(
     Ill-posed systems never halt; max_iterations, or a later level beyond
     grid_cap, converts that into status "iteration-cap-reached".  A first
     level beyond grid_cap raises sphere.GridTooLargeError, as no level ran.
+
+    bits names the arithmetic, `Arithmetic(bits)`: None runs exact mode, at
+    host precision, and an integer t >= 2 rounded mode, every operation
+    rounded to t significand bits, with the rounded constants of
+    `_run_constants` even from t = 53 on, where no operation rounds.
     """
-    ar = make_arithmetic(mode, bits)
+    ar = Arithmetic(bits)
     fn = f.normalized()
     result, representatives = count_levels(fn, ar, max_iterations, workers, grid_cap)
     refined = alpha.newton_refine(fn, representatives)

@@ -143,19 +143,6 @@ class Arithmetic:
 EXACT = Arithmetic()
 
 
-def make_arithmetic(mode: str, bits: int | None = None) -> Arithmetic:
-    """Build the provider for a mode name: 'exact' or 'rounded'."""
-    if mode == "exact":
-        if bits is not None:
-            raise ValueError("exact mode runs at host precision and takes no bit count")
-        return EXACT
-    if mode == "rounded":
-        if bits is None:
-            raise ValueError("rounded mode needs a significand bit count")
-        return Arithmetic(bits)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def required_precision(n: int, D: int, S: int, kappa: float) -> float:
     """Advisory bound u_max on the round-off unit for a correct count.
 

@@ -23,10 +23,11 @@ code, standard output and standard error.  One line per group gives the
 group, its run count and the SHA-256 of its runs' digests; the last line
 covers every group.
 
-The systems are built by the `spherecount` that is imported, so pointing
-PYTHONPATH at another checkout's `src` digests that checkout's documents:
-a change that should leave every document as it was shows the same lines
-as its base.  The imported package's path is printed on standard error.
+The systems are built by the `spherecount` that is imported, and the runs
+are spelled in its command line, so each checkout runs its own copy of
+this script with PYTHONPATH at its own `src`: a change that should leave
+every document as it was shows the same lines as its base.  The imported
+package's path is printed on standard error.
 Not collected by pytest (the name does not start with test_).
 """
 
@@ -76,7 +77,7 @@ def groups(paths: list[str], n3_path: str, close_path: str, univariate: int,
     point count of each system, paths and then n3_path."""
     out = {}
     for bits in PRECISIONS:
-        mode = ["--mode", "exact"] if bits is None else ["--mode", "rounded", "--bits", str(bits)]
+        mode = [] if bits is None else ["--bits", str(bits)]
         for cap in (None, CAP):
             name = f"count-{bits or 'exact'}" + (f"-cap{cap}" if cap else "")
             extra = ["--grid-cap", str(cap)] if cap else []
@@ -90,7 +91,7 @@ def groups(paths: list[str], n3_path: str, close_path: str, univariate: int,
             ["count", "--input", n3_path, "--trace", "--workers", str(workers)]]
     out["count-cap-first"] = [
         ["count", "--input", p, "--trace", *mode, "--grid-cap", str(cap)]
-        for mode in (["--mode", "exact"], ["--mode", "rounded", "--bits", "12"])
+        for mode in ([], ["--bits", "12"])
         for p, points in zip(paths + [n3_path], first_points)
         for cap in (points - 1, points)]
     out["kappa-univariate-k8"] = [["kappa", "--input", p, "--level", "8"]
@@ -98,9 +99,7 @@ def groups(paths: list[str], n3_path: str, close_path: str, univariate: int,
     out["kappa-multivariate-k4"] = [["kappa", "--input", p, "--level", "4"]
                                     for p in paths[univariate:]]
     out["count-close-zeros"] = [["count", "--input", close_path, "--trace", *mode]
-                                for mode in (["--mode", "exact"],
-                                             ["--mode", "rounded", "--bits", "53"],
-                                             ["--mode", "rounded", "--bits", "24"])]
+                                for mode in ([], ["--bits", "53"], ["--bits", "24"])]
     return out
 
 

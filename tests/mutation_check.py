@@ -82,6 +82,9 @@ MUTATIONS = [
     ("condition (ii) passing at its threshold", "engine.py",
      "return min_excluded, bool(min_excluded > thr_ii)",
      "return min_excluded, bool(min_excluded >= thr_ii)", GRAPH),
+    ("the skipped points' bound not carried to the next level", "engine.py",
+     "    return ~resolved, min(inherited_fsup, float(np.min(bound[resolved], initial=math.inf)))\n",
+     "    return ~resolved, inherited_fsup\n", LOOP),
     ("one level past max_iterations", "engine.py",
      "    for done in range(max_iterations):\n", "    for done in range(max_iterations + 1):\n",
      LOOP),

@@ -222,11 +222,11 @@ def test_criterion_08_finite_precision(univariate_suite, multivariate_suite):
     for case in univariate_suite:
         exact = engine.count_roots(case["system"])
         for bits in (53, 24):
-            r = engine.count_roots(case["system"], mode="rounded", bits=bits)
+            r = engine.count_roots(case["system"], bits=bits)
             ok = ok and r.status == "converged" and r.count == exact.count
     for case in multivariate_suite:
         for bits in (53, 24):
-            r = engine.count_roots(case["system"], mode="rounded", bits=bits, workers=2)
+            r = engine.count_roots(case["system"], bits=bits, workers=2)
             ok = ok and r.status == "converged" and r.count == case["count"]
     # sweep to very low precision: locate each system's breakdown point and
     # confirm correctness whenever the precision meets the a-priori bound
@@ -237,7 +237,7 @@ def test_criterion_08_finite_precision(univariate_suite, multivariate_suite):
         rp = required_precision(f.n, f.D, f.S, max(case["kappa_hat"], 1.0 + 1e-12))
         broke = None
         for bits in SWEEP_BITS:
-            r = engine.count_roots(f, mode="rounded", bits=bits, max_iterations=16)
+            r = engine.count_roots(f, bits=bits, max_iterations=16)
             correct = r.status == "converged" and r.count == case["count"]
             if not correct and broke is None:
                 broke = bits

@@ -335,22 +335,26 @@ def test_canonical_json_writes_non_finite_floats_as_null():
     assert strict_loads(cli.canonical_json(doc)) == {"a": [None, None, None, 1.5], "b": [None]}
 
 
-def test_count_rounded_requires_bits(system_file, capsys):
-    rc = cli.main(
-        ["count", "--input", system_file(TWOLINES), "--mode", "rounded"]
-    )
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_count_exact_rejects_bits(system_file, capsys):
-    rc = cli.main(
-        ["count", "--input", system_file(TWOLINES), "--mode", "exact", "--bits", "12"]
-    )
+def test_count_rejects_one_bit(system_file, capsys):
+    rc = cli.main(["count", "--input", system_file(TWOLINES), "--bits", "1"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_count_at_53_bits_is_rounded_mode(multivariate_suite, system_file, capsys):
+    """From t = 53 on no operation rounds, but `--bits 53` keeps rounded
+    mode's constants, so the (1,1) seed-0 member halts two levels later
+    than in exact mode, with the same count."""
+    (case,) = [c for c in multivariate_suite if c["degrees"] == (1, 1) and c["seed"] == 0]
+    path = system_file(system_to_document(case["system"]))
+    docs = []
+    for bits in ([], ["--bits", "53"]):
+        assert cli.main(["count", "--input", path, *bits]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert [doc["count"] for doc in docs] == [case["count"]] * 2
+    assert [doc["iterations"][-1]["k"] for doc in docs] == [6, 8]
 
 
 def test_count_deterministic_across_workers(system_file, capsys):
@@ -368,8 +372,7 @@ def test_count_rounded_degree_21(multivariate_suite, system_file, capsys, bits):
     halting level (k = 11) within the grid cap."""
     (case,) = [c for c in multivariate_suite if c["degrees"] == (2, 1) and c["seed"] == 0]
     path = system_file(system_to_document(case["system"]))
-    rc = cli.main(["count", "--input", path, "--mode", "rounded", "--bits", bits,
-                   "--workers", "2"])
+    rc = cli.main(["count", "--input", path, "--bits", bits, "--workers", "2"])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0 and doc["status"] == "converged"
     assert doc["count"] == case["count"] == 2
@@ -458,6 +461,7 @@ def test_refine_start_with_leading_minus(system_file, capsys, flag):
         ["count", "--input", "system.json", "--bits", "twelve"],
         ["count", "--input", "system.json", "--colour"],
         ["solve", "--input", "system.json"],
+        ["count", "--input", "system.json", "--mode", "rounded", "--bits", "12"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):

@@ -25,13 +25,16 @@ from hypothesis import strategies as st
 
 from spherecount import cli, engine, oracle, sphere
 from spherecount.polysys import parse_system, system_to_document
-from spherecount.rounding import EXACT, make_arithmetic
+from spherecount.rounding import EXACT, Arithmetic
 from spherecount.sphere import CubeGridSpec
 
 import reference
 from util import random_system
 
 DOUBLE = {"n": 1, "degrees": [2], "polys": [[{"J": [0, 2], "c": 1.0}]]}
+# X0^2 + 0.3 X1^2: no real zero; normalized, its residual is at least 0.287.
+ZERO_FREE = {"n": 1, "degrees": [2],
+             "polys": [[{"J": [2, 0], "c": 1.0}, {"J": [0, 2], "c": 0.3}]]}
 # X1^3 - X0 X1^2: a double zero, which fails condition (ii) at every level,
 # and a simple one, whose vertices double from level to level.  At k = 11
 # the loop evaluates 1732 points and has 50 vertices; at k = 12, 3220
@@ -63,7 +66,7 @@ def loop_cases(draw):
     levels of low precision grow large."""
     rng = random.Random(draw(st.integers(0, 2**16)))
     bits = draw(st.sampled_from([None, 24, 12]))
-    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    ar = Arithmetic(bits)
     shape = draw(st.sampled_from(["binary", (1, 1), (2, 1)]))
     if shape == "binary":
         f, _ = oracle.random_binary_system(rng, draw(st.integers(1, 4)))
@@ -83,7 +86,7 @@ def test_reports_do_not_change_the_outcome(case):
 def test_reports_do_not_change_the_outcome_on_the_suites(univariate_suite, multivariate_suite,
                                                          bits):
     """Both oracle suites (rounded: the (1,1) systems), which halt."""
-    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    ar = Arithmetic(bits)
     systems = [case["system"] for case in univariate_suite] + [
         case["system"] for case in multivariate_suite
         if case["degrees"] == (1, 1) or (bits is None and case["degrees"] == (2, 1))
@@ -148,7 +151,7 @@ def test_later_cap_ends_the_run_at_the_same_level(monkeypatch, doc, bits, cap, e
     grids' decisions.  The cap counts points only: X1^3 - X0 X1^2 runs to
     k = 12, whose 100 vertices make 4,950 pairs, and stops at k = 13."""
     fn = parse_system(doc).normalized()
-    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    ar = Arithmetic(bits)
     (full, full_made, full_errors), (bare, bare_made, bare_errors) = [
         _levels_run(monkeypatch, lambda r=r: engine.count_levels(fn, ar, 24, grid_cap=cap,
                                                                  reports=r))
@@ -193,7 +196,7 @@ def test_served_levels_run_no_point_kernel(univariate_suite, multivariate_suite,
     data and runs no kernel.  Over the univariate suite and the (1,1)
     systems, with and without reports; some runs stop at or before K, and
     some go past it."""
-    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    ar = Arithmetic(bits)
     systems = [c["system"] for c in univariate_suite] + [
         c["system"] for c in multivariate_suite if c["degrees"] == (1, 1)]
     evaluate, calls, past = engine.evaluate_level, [], []
@@ -242,7 +245,7 @@ def test_served_levels_hold_their_own_evaluation(univariate_suite, multivariate_
     """Every graphed level, read from the run's coarse grid or evaluated,
     equals `evaluate_level` on its own rows, bit for bit, whole-grid and
     pruned levels alike, at n = 1 and n = 2."""
-    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    ar = Arithmetic(bits)
     systems = [univariate_suite[0]["system"], univariate_suite[5]["system"]] + [
         c["system"] for c in multivariate_suite if c["degrees"] == (1, 1) and c["seed"] == 0]
     pruned = []
@@ -411,7 +414,7 @@ def test_sweep_builds_graphs_only_where_condition_ii_passes(univariate_suite, mu
     for f in (univariate_suite[0]["system"], univariate_suite[5]["system"], pair):
         fn = f.normalized()
         expected, levels = [], 0
-        for ar in (EXACT, *(make_arithmetic("rounded", t) for t in (53, 24, 12))):
+        for ar in (EXACT, *(Arithmetic(t) for t in (53, 24, 12))):
             result, _ = engine.count_levels(fn, ar)
             expected += [it.vertex_count for it in result.iterations if it.condition_ii_pass]
             levels += len(result.iterations)
@@ -446,8 +449,7 @@ def test_random_systems_take_the_whole_grids_decisions(seed, degrees, bits):
     24 bits: `count_levels` takes the whole grids' decisions on every level
     of at most 2^19 points, whether or not the run halts there."""
     f = random_system(random.Random(seed), len(degrees), degrees)
-    reference.assert_matches(f.normalized(),
-                             EXACT if bits is None else make_arithmetic("rounded", bits))
+    reference.assert_matches(f.normalized(), Arithmetic(bits))
 
 
 def test_n3_member_takes_the_whole_grids_decisions():
@@ -458,3 +460,21 @@ def test_n3_member_takes_the_whole_grids_decisions():
     _, levels = reference.assert_matches(f.normalized(), EXACT)
     assert [level.report.k for level in levels] == [2, 3, 4]
     assert engine.count_roots(f).count == count == 1
+
+
+def test_skipped_points_count_through_their_ancestors_bound():
+    """X0^2 + 0.3 X1^2 halts at k = 4 with count 0, evaluating 62 of the
+    128 grid points.  The points it skips count in condition (ii) through
+    the bound their resolved ancestors carry, 0.230, which is the level's
+    minimum: above thr_ii, and below the residual of every point of the
+    whole grid, each excluded (`evaluate_level`), so below every residual
+    the level evaluated."""
+    fn = parse_system(ZERO_FREE).normalized()
+    result, _ = engine.count_levels(fn)
+    report, trace = result.iterations[-1], result.trace[-1]
+    assert (result.status, result.count, report.k) == ("converged", 0, 4)
+    assert trace.evaluated < report.grid_size
+    spec = CubeGridSpec(n=1, k=4)
+    whole = engine.evaluate_level(fn, spec, sphere.canonical_grid(spec))
+    assert not whole.vertex_mask.any()
+    assert trace.thr_ii < report.min_excluded_fsup < np.min(whole.f_sup)

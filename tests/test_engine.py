@@ -12,12 +12,12 @@ import pytest
 from spherecount import alpha, engine, oracle, sphere
 from spherecount.cli import canonical_json
 from spherecount.polysys import parse_system
-from spherecount.rounding import EXACT, make_arithmetic
+from spherecount.rounding import EXACT, Arithmetic
 from spherecount.sphere import CubeGridSpec, lattice_index
 
 import reference
 from reference import float_bits
-from conftest import MULTIVARIATE_SPEC, ROUNDED_FEASIBLE, graphed_levels, halting_levels
+from conftest import MULTIVARIATE_SPEC, graphed_levels, halting_levels
 from util import (dense_proximity, hook_labels, random_system, svd_sigma_min_many,
                   union_find_labels)
 
@@ -122,9 +122,8 @@ def test_double_root_never_halts():
 def test_grid_cap_is_clean():
     # The whole-grid first level, then the points each pruned level
     # evaluates, count against the cap; the loop stops cleanly at it.
-    for mode, bits, cap in (("rounded", 24, 1000), ("exact", None, 1000)):
-        r = engine.count_roots(system(DOUBLE), mode=mode, bits=bits,
-                               max_iterations=24, grid_cap=cap)
+    for bits in (24, None):
+        r = engine.count_roots(system(DOUBLE), bits=bits, max_iterations=24, grid_cap=1000)
         assert r.status == "iteration-cap-reached"
         assert 0 < len(r.iterations) < 24
 
@@ -237,7 +236,7 @@ def test_thread_pool_keeps_documents(multivariate_suite, monkeypatch):
     runs = {
         "exact": lambda w: canonical_json(engine.count_roots(f, workers=w).to_dict()),
         "rounded24": lambda w: canonical_json(
-            engine.count_roots(f, mode="rounded", bits=24, workers=w).to_dict()),
+            engine.count_roots(f, bits=24, workers=w).to_dict()),
         "kappa": lambda w: engine.estimate_kappa(f, CubeGridSpec(n=2, k=4), workers=w).hex(),
     }
     for name, run in runs.items():
@@ -254,14 +253,14 @@ def test_rounded_mode_agrees_on_easy_system():
     f = system(TWOLINES)
     exact = engine.count_roots(f)
     for bits in (53, 24, 12):
-        r = engine.count_roots(f, mode="rounded", bits=bits, max_iterations=20)
+        r = engine.count_roots(f, bits=bits, max_iterations=20)
         assert r.status == "converged"
         assert r.count == exact.count
 
 
-def test_rounded_mode_requires_bits():
+def test_count_roots_rejects_one_bit():
     with pytest.raises(ValueError):
-        engine.count_roots(system(LINE), mode="rounded")
+        engine.count_roots(system(LINE), bits=1)
 
 
 def test_estimate_kappa_closed_form():
@@ -303,12 +302,13 @@ def test_kappa_estimate_of_subnormal_residuals_is_silent():
     assert result.kappa_lower_bound == math.inf
 
 
-GATE_CASES = [((2, 1), 0, "exact", None)] + [
-    ((1, 1), seed, mode, bits)
-    for mode, bits in (("exact", None), ("rounded", 53), ("rounded", 24))
-    for seed in range(4)
-]
-GATE_IDS = [f"{d[0]}{d[1]}-seed{s}-{m}{b or ''}" for d, s, m, b in GATE_CASES]
+def mode_id(bits):
+    return "exact" if bits is None else f"rounded{bits}"
+
+
+GATE_CASES = [((2, 1), 0, None)] + [((1, 1), seed, bits) for bits in (None, 53, 24)
+                                    for seed in range(4)]
+GATE_IDS = [f"{d[0]}{d[1]}-seed{s}-{mode_id(b)}" for d, s, b in GATE_CASES]
 
 
 def _suite_system(suite, degrees, seed):
@@ -316,13 +316,13 @@ def _suite_system(suite, degrees, seed):
     return f
 
 
-@pytest.mark.parametrize("degrees, seed, mode, bits", GATE_CASES, ids=GATE_IDS)
+@pytest.mark.parametrize("degrees, seed, bits", GATE_CASES, ids=GATE_IDS)
 def test_sigma_min_kernel_matches_svd_per_level(
-    multivariate_suite, levels_to_halt, monkeypatch, degrees, seed, mode, bits
+    multivariate_suite, levels_to_halt, monkeypatch, degrees, seed, bits
 ):
     """The closed-form 2x2 kernel takes every grid decision the SVD takes."""
     f = _suite_system(multivariate_suite, degrees, seed)
-    ar = make_arithmetic(mode, bits)
+    ar = Arithmetic(bits)
     ours = levels_to_halt(f, ar)
     monkeypatch.setattr(alpha, "sigma_min_many", svd_sigma_min_many)
     ref = halting_levels(f, ar)
@@ -335,14 +335,13 @@ def test_sigma_min_kernel_matches_svd_per_level(
         assert report == rreport
 
 
-@pytest.mark.parametrize("degrees, seed, mode, bits", GATE_CASES, ids=GATE_IDS)
-def test_mode_formulas_match_longhand(multivariate_suite, levels_to_halt, degrees, seed, mode,
-                                      bits):
+@pytest.mark.parametrize("degrees, seed, bits", GATE_CASES, ids=GATE_IDS)
+def test_mode_formulas_match_longhand(multivariate_suite, levels_to_halt, degrees, seed, bits):
     """One formula path with mode constants decides bit for bit as the
     separate per-mode expressions of `tests/reference.py` do, at every
     level up to the halt: the vertex test, the radii in vertex-list order
     and both verdicts, whose "> thr" fails at thr and passes one ulp above."""
-    ar = make_arithmetic(mode, bits)
+    ar = Arithmetic(bits)
     f = _suite_system(multivariate_suite, degrees, seed)
     for fn, graph, components, report in levels_to_halt(f, ar):
         mask, _, radii = reference.vertices_and_radii(fn, graph.spec, graph.rows, graph.f_sup,
@@ -364,7 +363,7 @@ def test_thresholds_match_longhand_at_every_level():
     bit at every depth, width and shape: eta is a power of two."""
     rng = random.Random(10)
     for t in (None, 53, 24, 12, 3, 2):
-        ar = EXACT if t is None else make_arithmetic("rounded", t)
+        ar = Arithmetic(t)
         for n in (1, 2, 3):
             for D in range(1, 7):
                 degrees = [D] + [rng.randint(1, D) for _ in range(n - 1)]
@@ -375,15 +374,15 @@ def test_thresholds_match_longhand_at_every_level():
                 assert np.array_equal(float_bits(got), float_bits(want)), (t, n, degrees)
 
 
-PRUNE_CASES = [(d, s, "exact", None) for d, _, _, seeds in MULTIVARIATE_SPEC for s in seeds] + [
-    (d, s, "rounded", bits) for bits in (53, 24, 12) for d, s in sorted(ROUNDED_FEASIBLE)]
+MEMBERS = [(d, s) for d, _, _, seeds in MULTIVARIATE_SPEC for s in seeds]
+PRUNE_CASES = [(d, s, bits) for bits in (None, 53, 24, 12) for d, s in MEMBERS]
 
 
 @pytest.mark.parametrize(
-    "degrees, seed, mode, bits", PRUNE_CASES,
-    ids=[f"{d[0]}{d[1]}-seed{s}" + (f"-{m}{b}" if b else "") for d, s, m, b in PRUNE_CASES],
+    "degrees, seed, bits", PRUNE_CASES,
+    ids=[f"{d[0]}{d[1]}-seed{s}" + (f"-rounded{b}" if b else "") for d, s, b in PRUNE_CASES],
 )
-def test_pruned_levels_match_uniform_grid(multivariate_suite, degrees, seed, mode, bits):
+def test_pruned_levels_match_uniform_grid(multivariate_suite, degrees, seed, bits):
     """Exclusion pruning and the coarse grid take every decision the whole
     grid takes, level by level (`reference.assert_matches`), on each level
     whose whole grid has at most 2^19 points (k <= 7; the (1,1) members
@@ -392,7 +391,7 @@ def test_pruned_levels_match_uniform_grid(multivariate_suite, degrees, seed, mod
     f = _suite_system(multivariate_suite, degrees, seed)
     deep = {((2, 1), 0, None): (2**23, 9), ((1, 1), 0, 24): (2**21, 8)}.get((degrees, seed, bits))
     cap, k = deep or (reference.MAX_POINTS, 6 if (degrees, bits) == ((1, 1), None) else 7)
-    result, levels = reference.assert_matches(f.normalized(), make_arithmetic(mode, bits), cap)
+    result, levels = reference.assert_matches(f.normalized(), Arithmetic(bits), cap)
     assert levels[-1].report.k == k
     assert any(t.evaluated < it.grid_size for it, t in zip(result.iterations, result.trace))
 
@@ -411,7 +410,7 @@ def test_pruned_levels_match_uniform_grid_univariate(univariate_suite):
 
 @pytest.mark.parametrize("bits", [53, 24, 12])
 def test_pruned_levels_match_uniform_grid_univariate_rounded(univariate_suite, bits):
-    _assert_univariate_pruning_keeps_decisions(univariate_suite, make_arithmetic("rounded", bits))
+    _assert_univariate_pruning_keeps_decisions(univariate_suite, Arithmetic(bits))
 
 
 def test_level_with_nothing_left_to_evaluate():
@@ -439,8 +438,8 @@ def test_whole_grid_level_resolving_nothing_passes_on_whole_grid(multivariate_su
     and at 12 bits, and at 3 bits no margin is finite, so every level is
     the whole grid."""
     f = _suite_system(multivariate_suite, (1, 1), 0)
-    for mode, bits, levels in (("exact", None, 2), ("rounded", 12, 2), ("rounded", 3, 6)):
-        r = engine.count_roots(f, mode=mode, bits=bits, max_iterations=levels)
+    for bits, levels in ((None, 2), (12, 2), (3, 6)):
+        r = engine.count_roots(f, bits=bits, max_iterations=levels)
         assert [lvl.evaluated for lvl in r.trace] == [it.grid_size for it in r.iterations]
 
 
@@ -505,7 +504,7 @@ def test_one_block_proximity_matches_full_matrix(t):
     d(-x, y) = d(x, -y): the full matrix's rows, bit for bit, and so its
     labels and minimum, on random antipodally closed vertex sets listed in
     random order."""
-    ar = EXACT if t is None else make_arithmetic("rounded", t)
+    ar = Arithmetic(t)
     rng = np.random.default_rng(t or 0)
     for _ in range(8):
         half = rng.standard_normal((int(rng.integers(1, 128)), int(rng.integers(2, 5))))
@@ -567,20 +566,20 @@ def _assert_graph_layer_matches_dense(fn, graph, ids, report, ar, monkeypatch):
     _assert_spanning_forest(blocks.edges, labels, near)
 
 
-MODES = [("exact", None), ("rounded", 53), ("rounded", 24), ("rounded", 12)]
+BITS = [None, 53, 24, 12]
 
 
-@pytest.mark.parametrize("mode, bits", MODES, ids=[m + str(b or "") for m, b in MODES])
+@pytest.mark.parametrize("bits", BITS, ids=mode_id)
 def test_graph_layer_matches_dense_reference(univariate_suite, multivariate_suite,
-                                             levels_to_halt, monkeypatch, mode, bits):
+                                             levels_to_halt, monkeypatch, bits):
     """The pivot layer gives the labels, components and minimum of the full
     distance matrix, on both oracle suites (rounded: the members marked
     rounded_feasible), at the halting level and the one before it, which
     does not halt."""
-    ar = make_arithmetic(mode, bits)
+    ar = Arithmetic(bits)
     systems = [case["system"] for case in univariate_suite] + [
         case["system"] for case in multivariate_suite
-        if mode == "exact" or case["rounded_feasible"]
+        if bits is None or case["rounded_feasible"]
     ]
     for f in systems:
         levels = levels_to_halt(f, ar)
@@ -589,19 +588,19 @@ def test_graph_layer_matches_dense_reference(univariate_suite, multivariate_suit
             _assert_graph_layer_matches_dense(fn, graph, ids, report, ar, monkeypatch)
 
 
-@pytest.mark.parametrize("mode, bits", MODES, ids=[m + str(b or "") for m, b in MODES])
+@pytest.mark.parametrize("bits", BITS, ids=mode_id)
 def test_graph_lists_its_vertices_in_grid_order(univariate_suite, multivariate_suite,
-                                                levels_to_halt, mode, bits):
+                                                levels_to_halt, bits):
     """Every graphed level of both oracle suites (rounded: the members
     marked rounded_feasible) lists its canonical vertex rows y and their
     antipodes -y by increasing grid_lattice index, each once.  It gives y
     the point `sphere.project_many` of its own lattice row through the
     run's provider, bit for bit, and -y that point negated (a zero
     coordinate becomes -0.0)."""
-    ar = make_arithmetic(mode, bits)
+    ar = Arithmetic(bits)
     systems = [case["system"] for case in univariate_suite] + [
         case["system"] for case in multivariate_suite
-        if mode == "exact" or case["rounded_feasible"]
+        if bits is None or case["rounded_feasible"]
     ]
     graphs = [graph for f in systems for _, graph, _, _ in levels_to_halt(f, ar)]
     for graph in graphs:
@@ -646,7 +645,7 @@ def test_distance_error_bounds_computed_distances(t):
     few 1e-16 of it: far below the bound.  The bound is not idle: near-equal
     pairs err by more than a tenth of it, the sqrt(u) that arccos loses at
     +-1."""
-    ar = EXACT if t is None else make_arithmetic("rounded", t)
+    ar = Arithmetic(t)
     rng = np.random.default_rng(t or 0)
     for m in (2, 3, 4):
         X = rng.standard_normal((200, m))
@@ -672,7 +671,7 @@ def test_pivot_bound_holds_at_12_bits(univariate_suite, levels_to_halt, monkeypa
     those of the full distance matrix on the 20 univariate forms; a slack
     of 1e-6, sound at host precision only, clears vertices that have edges
     and mislabels some of these levels."""
-    ar = make_arithmetic("rounded", 12)
+    ar = Arithmetic(12)
     levels = [(fn, graph) for case in univariate_suite
               for fn, graph, _, _ in levels_to_halt(case["system"], ar)]
     dense = [dense_proximity(graph.vertex_points, graph.radii, ar) for _, graph in levels]
@@ -702,7 +701,7 @@ def test_pivot_layer_matches_dense_on_random_clusters(monkeypatch, seed):
     spanning forest equal the dense reference's, with one matrix and in
     blocks."""
     rng = np.random.default_rng(seed)
-    for ar in (EXACT, make_arithmetic("rounded", 24), make_arithmetic("rounded", 12)):
+    for ar in (EXACT, Arithmetic(24), Arithmetic(12)):
         half, radii = _cluster_points(rng, int(rng.integers(1, 60)), int(rng.integers(2, 5)))
         points, radii = np.concatenate((half, -half)), np.concatenate((radii, radii))
         mirror = (np.arange(len(points)) + len(half)) % len(points)

@@ -88,8 +88,7 @@ def _transform(f, exponent_map, coefficient_map=lambda J, c: c, order=None):
 
 
 def _count(f, bits=None, levels=MAX_LEVELS):
-    mode = "exact" if bits is None else "rounded"
-    return engine.count_roots(f, mode=mode, bits=bits, max_iterations=levels)
+    return engine.count_roots(f, bits=bits, max_iterations=levels)
 
 
 def _flip(f, j):

@@ -233,7 +233,7 @@ def test_kernel_tables_are_rounded_once_per_provider(bits, monkeypatch):
     """The kernel's coefficients and 1 / sqrt(d_i) are the provider's
     roundings, built at the first call and shared by every later one: a
     second evaluation rounds no constant."""
-    ar = rounding.EXACT if bits is None else rounding.make_arithmetic("rounded", bits)
+    ar = rounding.Arithmetic(bits)
     f = random_system(random.Random(bits), 2, [3, 2]).normalized()
     tables = f.kernel_tables(ar)
     assert f.kernel_tables(ar) is tables

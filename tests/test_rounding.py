@@ -10,7 +10,6 @@ import pytest
 from spherecount.rounding import (
     EXACT,
     Arithmetic,
-    make_arithmetic,
     required_precision,
     round_value,
 )
@@ -19,7 +18,8 @@ from util import frexp_round_value
 
 
 def test_arithmetic_validation():
-    assert EXACT == Arithmetic() and EXACT.t is None
+    assert EXACT == Arithmetic() == Arithmetic(None) and EXACT.t is None
+    assert hash(Arithmetic(None)) == hash(EXACT)
     assert Arithmetic(2).t == 2
     with pytest.raises(ValueError):
         Arithmetic(1)
@@ -148,7 +148,7 @@ def test_round_value_overflow_is_silent_in_arrays(t):
 
 
 def test_rounded_ops_match_round_of_host_op():
-    ar = make_arithmetic("rounded", 9)
+    ar = Arithmetic(9)
     rng = np.random.RandomState(3)
     a = rng.uniform(0.1, 4.0, size=100)
     b = rng.uniform(0.1, 4.0, size=100)
@@ -195,17 +195,6 @@ def test_exact_arithmetic_is_host():
     assert np.array_equal(EXACT.arccos(c), np.arccos(c))
     assert EXACT.const(0.3) == 0.3 and EXACT.const(a) is a
     assert np.array_equal(EXACT.sum([a, b, c]), (a + b) + c)
-
-
-def test_make_arithmetic():
-    assert make_arithmetic("exact", None) is EXACT
-    assert make_arithmetic("rounded", 24) == Arithmetic(24)
-    with pytest.raises(ValueError):
-        make_arithmetic("exact", 12)
-    with pytest.raises(ValueError):
-        make_arithmetic("rounded", None)
-    with pytest.raises(ValueError):
-        make_arithmetic("fast", 24)
 
 
 def test_required_precision_value():

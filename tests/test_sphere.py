@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spherecount import sphere
-from spherecount.rounding import EXACT, make_arithmetic
+from spherecount.rounding import Arithmetic
 from spherecount.sphere import (
     CubeGridSpec,
     GridTooLargeError,
@@ -214,7 +214,7 @@ def test_pairwise_distances_matches_scalar():
 def test_pairwise_distances_between_blocks_are_the_full_matrix(bits):
     """Distances between two blocks of rows equal the full matrix's entries
     bit for bit, either way round, and the full matrix is symmetric."""
-    ar = EXACT if bits is None else make_arithmetic("rounded", bits)
+    ar = Arithmetic(bits)
     rng = np.random.default_rng(bits or 0)
     X = project_many(rng.standard_normal((17, 4)), ar)
     D = pairwise_distances(X, ar)
